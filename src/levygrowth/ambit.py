@@ -11,6 +11,7 @@ by a time window ``[lo(t), t]`` and an angular half-width profile
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
 from .errors import NonMonotoneRadius
-from .levy_core import ControlMeasure, TimeDensity
+from .levy_core import ControlMeasure, GridSpec, TimeDensity
 from .quadrature import adaptive_simpson
 from .timefn import TimeFn
 
@@ -377,6 +378,76 @@ class AmbitRegion:
 
 
 # ---------------------------------------------------------------------------
+# weights and mesh kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConstantWeight:
+    c: float = 1.0
+
+    apex_dependent = False
+
+    @property
+    def constant_value(self):
+        return self.c
+
+    def value(self, t, theta, s, phi=0.0):
+        return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, self.c)
+
+    def describe(self):
+        return {"weight": "constant", "c": self.c}
+
+
+@dataclass(frozen=True)
+class _FunctionWeight:
+    """Apex-free weight ``fn(theta, s)`` evaluated at the integration point."""
+
+    fn: Callable
+
+    apex_dependent = False
+
+    def value(self, t, theta, s, phi=0.0):
+        return np.asarray(self.fn(theta, s), dtype=float)
+
+    def describe(self):
+        return {"weight": "callable", "name": getattr(self.fn, "__name__", "fn")}
+
+
+def as_weight(x):
+    """Weight object for ``x``: a number becomes a :class:`ConstantWeight`, a
+    callable ``w(theta, s)`` a wrapper evaluating it; objects with
+    ``value(t, theta, s, phi)`` pass through."""
+    if isinstance(x, numbers.Real):
+        return ConstantWeight(float(x))
+    if callable(x):
+        return _FunctionWeight(x)
+    return x
+
+
+def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi):
+    """Weight times membership in ``A_t(phi)`` at every cell midpoint.
+
+    Shape (n_t, n_phi), rows indexed by time slice.  ``weight`` is a weight
+    object (see :func:`as_weight`).
+    """
+    theta = grid.phi_mids[None, :]
+    s = grid.t_mids[:, None]
+    member = family.contains(t, phi, theta, s)
+    return np.where(member, weight.value(t, theta, s, phi), 0.0)
+
+
+def mesh_measure(family: AmbitFamily, grid: GridSpec, control: ControlMeasure, t, phi):
+    """Control measure of ``A_t(phi)`` on the mesh.
+
+    Rows are summed first: the centring shift of simulated radii depends on
+    this order in the last bits.
+    """
+    kernel = mesh_kernel(family, ConstantWeight(1.0), grid, t, phi)
+    return float(np.sum(kernel.sum(axis=1) * grid.cell_mu(control)))
+
+
+# ---------------------------------------------------------------------------
 # time unions and induced weights
 # ---------------------------------------------------------------------------
 
@@ -446,27 +517,22 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
     Returns a vectorized ``fbar(theta, s)`` equal to the apex-time integral
     of (ambit indicator x instantaneous weight) over apexes in [0, t].
 
-    ``weight`` is either a constant, a callable ``w(theta, s)`` applied at
-    the integration point (apex-independent), or an object with
-    ``value(t_apex, theta, s, phi)`` and flag ``apex_dependent``.
+    ``weight`` is anything :func:`as_weight` accepts: a constant, a callable
+    ``w(theta, s)`` applied at the integration point (apex-independent), or
+    an object with ``value(t_apex, theta, s, phi)`` and flag
+    ``apex_dependent``.
 
     ``method='exact'`` uses the closed-form window length (factorizing
     families, apex-independent weights); ``'direct'`` and ``'factorized'``
     integrate over an apex mesh of spacing ``step`` and differ only in using
     the full set indicator versus the window-indicator-times-cone shortcut.
     """
-    w_apex_dep = getattr(weight, "apex_dependent", False)
+    weight = as_weight(weight)
+    w_apex_dep = weight.apex_dependent
     if method == "auto":
         method = "exact" if (family.factorizes and not w_apex_dep) else "direct"
     if method == "exact" and (w_apex_dep or not family.factorizes):
         raise ValueError("exact induced weight needs a factorizing family and apex-free weight")
-
-    def w_at(t_apex, theta, s):
-        if hasattr(weight, "value"):
-            return weight.value(t_apex, theta, s, phi)
-        if callable(weight):
-            return weight(theta, s)
-        return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, float(weight))
 
     if method == "exact":
 
@@ -475,7 +541,8 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
             s = np.asarray(s, dtype=float)
             hw = family.half_width(t, s)
             cone = cyc_dist(theta, phi) <= hw
-            return cone * window_length_in_union(family, s, t) * w_at(t, theta, s)
+            w = weight.value(t, theta, s, phi)
+            return cone * window_length_in_union(family, s, t) * w
 
         return fbar
 
@@ -498,7 +565,7 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
                 member = in_b & (cyc_dist(theta, phi) <= hw)
             else:
                 member = family.contains(u, phi, theta, s)
-            acc += member * w_at(u, theta, s) * dt_apex
+            acc += member * weight.value(u, theta, s, phi) * dt_apex
         return acc
 
     return fbar

@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambit import FullAngle, Rectangular
-from .circle_cov import CircleCovModel, FourierWeight
+from .ambit import FullAngle, Rectangular, mesh_measure
+from .circle_cov import CircleCovModel, FourierWeight, harmonic_cov
 from .config import RunConfig, apply_overrides, load_config_file, parse_config
 from .errors import ConfigError, LevyGrowthError
 from .growth import simulate
@@ -132,7 +132,7 @@ def cmd_cov(args):
 def _drift_offset(spec, t):
     if spec.kind in ("rate_linear", "rate_of_log"):
         return spec.drift.integral(t)
-    return spec.drift.value(t)
+    return spec.drift(t)
 
 
 def cmd_moments(args):
@@ -156,7 +156,9 @@ def cmd_moments(args):
             )
             mean = mean_linear(q)
             if spec.center_stochastic_mean:
-                mean -= spot_mean(spec.basis.spot) * q.mesh_measure(0)
+                mean -= spot_mean(spec.basis.spot) * mesh_measure(
+                    spec.ambit, grid, spec.basis.control, t, 0.0
+                )
             fh.write(f"{float(t)!r},{float(mean)!r},{float(var_linear(q))!r}\n")
     print(f"wrote {path}")
     return EXIT_OK
@@ -230,7 +232,7 @@ def cmd_fit(args):
 
         def tau_family(params):
             scale = params["scale"]
-            return lambda k, t1, t2: scale * _tau_base(weight, g_var, T, k, t1, t2)
+            return lambda k, t1, t2: scale * harmonic_cov(weight, g_var, T, t1, t2, k)
 
         result = fit_fourier_mle(
             dataset, tau_family, bounds, orders=orders, seed=cfg.seed
@@ -244,12 +246,6 @@ def cmd_fit(args):
         json.dump(payload, fh, indent=2)
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _tau_base(weight, g_var, T, k, t1, t2):
-    from .circle_cov import harmonic_cov
-
-    return harmonic_cov(weight, g_var, T, t1, t2, k)
 
 
 def _add_common(p):

@@ -5,22 +5,17 @@ may be used as a base and overridden field by field.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ambit import FullAngle, Rectangular, WedgeOverS
+from .ambit import ConstantWeight, FullAngle, Rectangular, Tumour, WedgeOverS
 from .circle_cov import FourierWeight
 from .cyclic import TWO_PI
 from .errors import ConfigError
-from .growth import (
-    ConstantWeight,
-    Drift,
-    GrowthModelSpec,
-    TumourParams,
-    asymmetry_profile,
-)
+from .growth import GrowthModelSpec, TumourWeight, asymmetry_profile
 from .levy_core import BasisSpec, ControlMeasure, GridSpec, SpotLaw, TimeDensity
 from .timefn import TimeFn
 
@@ -78,10 +73,29 @@ def _get(block, key, path, kind=None, default=_REQUIRED):
     return val
 
 
+def _block_parser(parse):
+    """Report a ``ValueError`` raised while building a block's objects as a
+    :class:`ConfigError` at the block's dotted path."""
+
+    @functools.wraps(parse)
+    def wrapper(block, path, *args):
+        try:
+            return parse(block, path, *args)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path) from None
+
+    return wrapper
+
+
+@_block_parser
 def _timefn(block, path):
     if isinstance(block, (int, float)):
         return TimeFn.constant(block)
-    _require_keys(block, {"kind", "value", "factor", "intercept", "slope", "ts", "values"}, path)
+    _require_keys(
+        block,
+        {"kind", "value", "factor", "intercept", "slope", "ts", "values", "kappa0", "eta", "gamma"},
+        path,
+    )
     kind = _get(block, "kind", path, str)
     if kind == "constant":
         return TimeFn.constant(_get(block, "value", path, (int, float)))
@@ -96,78 +110,90 @@ def _timefn(block, path):
         ts = _get(block, "ts", path, list)
         vs = _get(block, "values", path, list)
         return TimeFn.table(ts, vs) if kind == "table" else TimeFn.step(ts, vs)
-    raise ConfigError(f"unknown time-function kind {kind!r}", path)
-
-
-def _drift(block, path):
-    _require_keys(
-        block, {"kind", "value", "ts", "values", "kappa0", "eta", "gamma"}, path
-    )
-    kind = _get(block, "kind", path, str)
-    if kind == "constant":
-        return Drift.constant(_get(block, "value", path, (int, float)))
-    if kind == "table":
-        return Drift.table(_get(block, "ts", path, list), _get(block, "values", path, list))
-    if kind == "step":
-        return Drift.step(_get(block, "ts", path, list), _get(block, "values", path, list))
     if kind == "gompertz":
-        return Drift.gompertz(
+        return TimeFn.gompertz(
             _get(block, "kappa0", path, (int, float)),
             _get(block, "eta", path, (int, float)),
             _get(block, "gamma", path, (int, float)),
         )
-    raise ConfigError(f"unknown drift kind {kind!r}", path)
+    raise ConfigError(f"unknown time-function kind {kind!r}", path)
 
 
-def _basis(basis_block, control_block, path):
-    _require_keys(basis_block, {"kind", "a", "b", "beta", "alpha", "eta", "gamma"}, path)
-    kind = _get(basis_block, "kind", path, str)
+@_block_parser
+def _spot(block, path):
+    _require_keys(block, {"kind", "a", "b", "beta", "alpha", "eta", "gamma"}, path)
+    kind = _get(block, "kind", path, str)
     if kind == "gaussian":
-        spot = SpotLaw.gaussian(
-            _get(basis_block, "a", path, (int, float), 0.0),
-            _get(basis_block, "b", path, (int, float), 1.0),
+        return SpotLaw.gaussian(
+            _get(block, "a", path, (int, float), 0.0),
+            _get(block, "b", path, (int, float), 1.0),
         )
-    elif kind == "poisson":
-        spot = SpotLaw.poisson()
-    elif kind == "gamma":
-        spot = SpotLaw.gamma_law(
-            _get(basis_block, "beta", path, (int, float)),
-            _get(basis_block, "alpha", path, (int, float)),
+    if kind == "poisson":
+        return SpotLaw.poisson()
+    if kind == "gamma":
+        return SpotLaw.gamma_law(
+            _get(block, "beta", path, (int, float)),
+            _get(block, "alpha", path, (int, float)),
         )
-    elif kind == "inverse_gaussian":
-        spot = SpotLaw.inverse_gaussian(
-            _get(basis_block, "eta", path, (int, float)),
-            _get(basis_block, "gamma", path, (int, float)),
+    if kind == "inverse_gaussian":
+        return SpotLaw.inverse_gaussian(
+            _get(block, "eta", path, (int, float)),
+            _get(block, "gamma", path, (int, float)),
         )
-    else:
-        raise ConfigError(f"unknown basis kind {kind!r}", path)
-    cpath = path.rsplit(".", 1)[0] + ".control"
-    _require_keys(control_block, {"kind", "c", "a", "b", "alpha", "nodes", "values"}, cpath)
-    ckind = _get(control_block, "kind", cpath, str)
-    if ckind == "constant":
-        g = TimeDensity.constant(_get(control_block, "c", cpath, (int, float), 1.0))
-    elif ckind == "linear":
-        g = TimeDensity.linear(_get(control_block, "a", cpath, (int, float)))
-    elif ckind == "exponential":
+    raise ConfigError(f"unknown basis kind {kind!r}", path)
+
+
+@_block_parser
+def _control(block, path):
+    _require_keys(block, {"kind", "c", "a", "b", "alpha", "nodes", "values"}, path)
+    kind = _get(block, "kind", path, str)
+    if kind == "constant":
+        g = TimeDensity.constant(_get(block, "c", path, (int, float), 1.0))
+    elif kind == "linear":
+        g = TimeDensity.linear(_get(block, "a", path, (int, float)))
+    elif kind == "exponential":
         g = TimeDensity.exponential(
-            _get(control_block, "a", cpath, (int, float)),
-            _get(control_block, "b", cpath, (int, float)),
+            _get(block, "a", path, (int, float)),
+            _get(block, "b", path, (int, float)),
         )
-    elif ckind == "power":
+    elif kind == "power":
         g = TimeDensity.power(
-            _get(control_block, "a", cpath, (int, float)),
-            _get(control_block, "alpha", cpath, (int, float)),
+            _get(block, "a", path, (int, float)),
+            _get(block, "alpha", path, (int, float)),
         )
-    elif ckind == "tabulated":
+    elif kind == "tabulated":
         g = TimeDensity.tabulated(
-            _get(control_block, "nodes", cpath, list),
-            _get(control_block, "values", cpath, list),
+            _get(block, "nodes", path, list),
+            _get(block, "values", path, list),
         )
     else:
-        raise ConfigError(f"unknown control kind {ckind!r}", cpath)
-    return BasisSpec(spot, ControlMeasure(g))
+        raise ConfigError(f"unknown control kind {kind!r}", path)
+    return ControlMeasure(g)
 
 
+def _basis(block, path):
+    return BasisSpec(
+        _spot(_get(block, "basis", path, dict), path + ".basis"),
+        _control(
+            _get(block, "control", path, dict, {"kind": "constant", "c": 1.0}), path + ".control"
+        ),
+    )
+
+
+def _tumour_columns(rows, path):
+    """Step functions of the tumour rows ``(t, T, t0, alpha, beta, phi0)``,
+    one per column after ``t``."""
+    rows = [tuple(map(float, r)) for r in rows]
+    for t, T, t0, _, _, phi0 in rows:
+        if not (0.0 < t0 <= T <= t):
+            raise ConfigError("tumour rows need 0 < t0(t) <= T(t) <= t", path)
+        if not (0.0 < phi0 <= TWO_PI):
+            raise ConfigError("phi0(t) must lie in (0, 2*pi]", path)
+    ts = [r[0] for r in rows]
+    return [TimeFn.step(ts, [r[i] for r in rows]) for i in range(1, 6)]
+
+
+@_block_parser
 def _ambit(block, path):
     _require_keys(block, {"kind", "T", "theta", "rows", "t0", "phi0"}, path)
     kind = _get(block, "kind", path, str)
@@ -184,11 +210,12 @@ def _ambit(block, path):
             float(_get(block, "T", path, (int, float))),
         )
     if kind == "tumour":
-        rows = _get(block, "rows", path, list)
-        return TumourParams(rows=tuple(tuple(map(float, r)) for r in rows)).family()
+        T, t0, _, _, phi0 = _tumour_columns(_get(block, "rows", path, list), path)
+        return Tumour(T, t0, phi0)
     raise ConfigError(f"unknown ambit kind {kind!r}", path)
 
 
+@_block_parser
 def _weight(block, path, spec_kind, ambit_obj):
     if spec_kind == "exponential_tumour":
         raise ConfigError("tumour weight is configured through the ambit rows", path)
@@ -201,7 +228,8 @@ def _weight(block, path, spec_kind, ambit_obj):
     raise ConfigError(f"unknown weight kind {kind!r}", path)
 
 
-def _model(block, path="model"):
+@_block_parser
+def _model(block, path):
     allowed = {
         "kind",
         "drift",
@@ -216,30 +244,21 @@ def _model(block, path="model"):
     }
     _require_keys(block, allowed, path)
     kind = _get(block, "kind", path, str)
+    basis = _basis(block, path)
     if kind == "exponential_tumour":
+        tpath = path + ".tumour"
         tm = _get(block, "tumour", path, dict)
-        _require_keys(tm, {"rows", "mu"}, path + ".tumour")
-        params = TumourParams(
-            rows=tuple(tuple(map(float, r)) for r in _get(tm, "rows", path, list)),
-            mu=tuple(tuple(map(float, r)) for r in _get(tm, "mu", path, list)),
-        )
-        basis = _basis(
-            _get(block, "basis", path, dict),
-            _get(block, "control", path, dict, {"kind": "constant", "c": 1.0}),
-            path + ".basis",
-        )
+        _require_keys(tm, {"rows", "mu"}, tpath)
+        T, t0, alpha, beta, phi0 = _tumour_columns(_get(tm, "rows", tpath, list), tpath)
+        family = Tumour(T, t0, phi0)
+        mu = [tuple(map(float, r)) for r in _get(tm, "mu", tpath, list)]
         return GrowthModelSpec(
             kind="exponential_tumour",
-            drift=params.drift(),
-            weight=params.weight(),
+            drift=TimeFn.step([t for t, _ in mu], [v for _, v in mu]),
+            weight=TumourWeight(family, alpha, beta),
             basis=basis,
-            ambit=params.family(),
+            ambit=family,
         )
-    basis = _basis(
-        _get(block, "basis", path, dict),
-        _get(block, "control", path, dict, {"kind": "constant", "c": 1.0}),
-        path + ".basis",
-    )
     ambit_obj = _ambit(_get(block, "ambit", path, dict), path + ".ambit")
     weight = _weight(
         _get(block, "weight", path, dict, {"kind": "constant", "value": 1.0}),
@@ -252,7 +271,7 @@ def _model(block, path="model"):
         raise ConfigError(f"unknown multiplier {mult_name!r}", path + ".multiplier")
     return GrowthModelSpec(
         kind=kind,
-        drift=_drift(_get(block, "drift", path, dict, {"kind": "constant", "value": 0.0}), path + ".drift"),
+        drift=_timefn(_get(block, "drift", path, default=0.0), path + ".drift"),
         weight=weight,
         basis=basis,
         ambit=ambit_obj,
@@ -262,7 +281,8 @@ def _model(block, path="model"):
     )
 
 
-def _grid(block, path="grid"):
+@_block_parser
+def _grid(block, path):
     _require_keys(block, {"dphi_divisor", "dt", "t_min", "t_max"}, path)
     divisor = _get(block, "dphi_divisor", path, (int, float))
     return GridSpec(
@@ -365,9 +385,9 @@ def parse_config(doc) -> RunConfig:
     spec = grid = None
     times = ()
     if "model" in doc:
-        spec = _model(doc["model"])
+        spec = _model(doc["model"], "model")
     if "grid" in doc:
-        grid = _grid(doc["grid"])
+        grid = _grid(doc["grid"], "grid")
     if "times" in doc:
         raw = _get(doc, "times", "", list)
         times = tuple(float(t) for t in raw)

@@ -22,20 +22,33 @@ engine in :mod:`levygrowth.moments`.  Poisson realizations are integrated
 over their exact point pattern (unbiased against the continuum formulas)
 whenever the weight is constant, harmonic, or the tumour weight; other
 weight/family combinations fall back to the mesh path.
+
+Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
+kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
+the rate kinds its exact integral ``drift.integral(t)`` over [0, t].
+Weights are coerced once by :func:`levygrowth.ambit.as_weight`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import ambit as _ambit
-from .ambit import AmbitFamily, FullAngle, Rectangular, Tumour, WedgeOverS
+from .ambit import (
+    AmbitFamily,
+    ConstantWeight,
+    FullAngle,
+    Tumour,
+    as_weight,
+    mesh_kernel,
+    mesh_measure,
+)
 from .circle_cov import FourierWeight
-from .cyclic import TWO_PI, cyc_dist, wrap
+from .cyclic import cyc_dist
 from .errors import (
     KumulantDomainError,
     NonFiniteValue,
@@ -44,41 +57,22 @@ from .errors import (
 )
 from .levy_core import (
     BasisSpec,
-    ControlMeasure,
     GridSpec,
-    SpotLaw,
-    TimeDensity,
     config_hash,
     kumulant_domain_sup,
     sample_realization,
     spot_mean,
 )
-from .quadrature import adaptive_simpson
 from .timefn import TimeFn
+
+Drift = TimeFn
 
 _EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# weights and drifts
+# weights
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantWeight:
-    c: float = 1.0
-
-    apex_dependent = False
-
-    @property
-    def constant_value(self):
-        return self.c
-
-    def value(self, t, theta, s, phi=0.0):
-        return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, self.c)
-
-    def describe(self):
-        return {"weight": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -116,87 +110,6 @@ class TumourWeight:
         }
 
 
-@dataclass(frozen=True)
-class Drift:
-    """Deterministic drift: a rate for the rate models, a level for the
-    direct and exponential models."""
-
-    kind: str
-    params: tuple = ()
-    fn: Optional[Callable] = None
-
-    @staticmethod
-    def constant(c):
-        return Drift("constant", (float(c),))
-
-    @staticmethod
-    def zero():
-        return Drift.constant(0.0)
-
-    @staticmethod
-    def table(ts, values):
-        return Drift("table", (tuple(map(float, ts)), tuple(map(float, values))))
-
-    @staticmethod
-    def step(ts, values):
-        """Piecewise constant, holding each value from its abscissa onward."""
-        return Drift("step", (tuple(map(float, ts)), tuple(map(float, values))))
-
-    @staticmethod
-    def gompertz(kappa0, eta, gamma):
-        return Drift("gompertz", (float(kappa0), float(eta), float(gamma)))
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, Drift):
-            return x
-        if callable(x):
-            return Drift("callable", (), x)
-        return Drift.constant(x)
-
-    def value(self, t, phi=0.0):
-        t = float(t)
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "table":
-            ts, vs = self.params
-            return float(np.interp(t, ts, vs))
-        if self.kind == "step":
-            ts, vs = self.params
-            idx = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1))
-            return vs[idx]
-        if self.kind == "gompertz":
-            k0, eta, gam = self.params
-            return k0 * math.exp((eta / gam) * (1.0 - math.exp(-gam * t))) * eta * math.exp(
-                -gam * t
-            )
-        return float(self.fn(t, phi) if _wants_two_args(self.fn) else self.fn(t))
-
-    def integral(self, t):
-        """Integral of the rate from 0 to t."""
-        t = float(t)
-        if self.kind == "constant":
-            return self.params[0] * t
-        if self.kind == "gompertz":
-            k0, eta, gam = self.params
-            return k0 * (math.exp((eta / gam) * (1.0 - math.exp(-gam * t))) - 1.0)
-        if self.kind in ("table", "step"):
-            grid = np.linspace(0.0, t, 513)
-            vals = np.array([self.value(u) for u in grid])
-            return float(np.trapezoid(vals, grid))
-        return adaptive_simpson(lambda u: self.value(u), 0.0, t, tol=1e-10 * (1 + abs(t)))
-
-    def describe(self):
-        if self.kind == "callable":
-            return {"drift": "callable", "name": getattr(self.fn, "__name__", "fn")}
-        return {"drift": self.kind, "params": self.params}
-
-
-def _wants_two_args(fn):
-    code = getattr(fn, "__code__", None)
-    return bool(code) and code.co_argcount >= 2
-
-
 # ---------------------------------------------------------------------------
 # model specification and history
 # ---------------------------------------------------------------------------
@@ -213,8 +126,8 @@ MODEL_KINDS = (
 @dataclass(frozen=True)
 class GrowthModelSpec:
     kind: str
-    drift: Drift
-    weight: object
+    drift: TimeFn
+    weight: object  # coerced by ambit.as_weight
     basis: BasisSpec
     ambit: AmbitFamily
     r0: object = 0.0  # constant or callable of angle, rate models only
@@ -222,6 +135,7 @@ class GrowthModelSpec:
     center_stochastic_mean: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", as_weight(self.weight))
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "direct_scaled" and self.multiplier is None:
@@ -241,9 +155,7 @@ class GrowthModelSpec:
         return {
             "kind": self.kind,
             "drift": self.drift.describe(),
-            "weight": self.weight.describe()
-            if hasattr(self.weight, "describe")
-            else repr(self.weight),
+            "weight": self.weight.describe(),
             "basis": self.basis.describe(),
             "ambit": self.ambit.describe(),
             "centered": self.center_stochastic_mean,
@@ -305,24 +217,6 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
     return np.fft.irfft((zf * np.conj(kf)).sum(axis=0), n=n_phi)
 
 
-def _direct_kernel(spec, grid, t):
-    """Mesh kernel K[l, m]: weight x membership at angular offset m."""
-    theta = grid.phi_mids[None, :]
-    phi0 = grid.phi_mids[0]
-    s = grid.t_mids[:, None]
-    member = spec.ambit.contains(t, phi0, theta, s)
-    w = _weight_values(spec.weight, t, theta, s, phi0)
-    return np.where(member, w, 0.0)
-
-
-def _weight_values(weight, t, theta, s, phi):
-    if hasattr(weight, "value"):
-        return np.asarray(weight.value(t, theta, s, phi), dtype=float)
-    if callable(weight):
-        return np.asarray(weight(theta, s), dtype=float)
-    return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, float(weight))
-
-
 def _rate_kernel(spec, grid, t):
     fbar = _ambit.induced_weight(
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
@@ -365,7 +259,7 @@ def _arc_add(profile, theta, widths, values, dphi):
 
 
 def _poisson_supported(spec):
-    if isinstance(spec.weight, (ConstantWeight, TumourWeight, float, int)):
+    if isinstance(spec.weight, (ConstantWeight, TumourWeight)):
         return True
     if isinstance(spec.weight, FourierWeight) and isinstance(spec.ambit, FullAngle):
         return True
@@ -382,7 +276,7 @@ def _poisson_direct_profile(spec, grid, realization, t):
         return profile
     if isinstance(spec.weight, FourierWeight):
         return _harmonic_point_profile(spec.weight, grid, t, theta, s, profile)
-    c = float(getattr(spec.weight, "constant_value", spec.weight))
+    c = float(spec.weight.constant_value)
     widths = np.asarray(spec.ambit.half_width(t, s), dtype=float)
     return _arc_add(profile, theta, widths, np.full(theta.shape, c), grid.dphi)
 
@@ -405,7 +299,7 @@ def _poisson_rate_profile(spec, grid, realization, t):
     if theta.size == 0:
         return profile
     lengths = _ambit.window_length_in_union(spec.ambit, s, t)
-    c = float(getattr(spec.weight, "constant_value", spec.weight))
+    c = float(spec.weight.constant_value)
     values = c * lengths
     live = values != 0.0
     widths = np.asarray(spec.ambit.half_width(t, s[live]), dtype=float)
@@ -441,16 +335,11 @@ def _stochastic_term(spec, grid, realization, t, mode):
         if mode == "direct":
             return _poisson_direct_profile(spec, grid, realization, t)
         return _poisson_rate_profile(spec, grid, realization, t)
-    kernel = (
-        _direct_kernel(spec, grid, t) if mode == "direct" else _rate_kernel(spec, grid, t)
-    )
+    if mode == "direct":
+        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+    else:
+        kernel = _rate_kernel(spec, grid, t)
     return _correlate_rows(realization.increments, kernel, grid.n_phi)
-
-
-def _mesh_ambit_measure(spec, grid, t):
-    kernel = _direct_kernel(replace(spec, weight=ConstantWeight(1.0)), grid, t)
-    mu_rows = grid.cell_mu(spec.basis.control)
-    return float(np.sum(kernel.sum(axis=1) * mu_rows))
 
 
 def _center_shift(spec, grid, realization, t):
@@ -460,7 +349,7 @@ def _center_shift(spec, grid, realization, t):
     mz = spot_mean(spec.basis.spot)
     if realization.kind == "poisson" and _poisson_supported(spec):
         return mz * spec.ambit.measure(t, spec.basis.control)
-    return mz * _mesh_ambit_measure(spec, grid, t)
+    return mz * mesh_measure(spec.ambit, grid, spec.basis.control, t, grid.phi_mids[0])
 
 
 def _check_exponential_domain(spec, t):
@@ -498,7 +387,7 @@ def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthH
     for i, t in enumerate(times):
         if spec.kind in ("direct", "direct_scaled"):
             term = _stochastic_term(spec, grid, realization, t, "direct")
-            level = spec.drift.value(t) - _center_shift(spec, grid, realization, t)
+            level = spec.drift(t) - _center_shift(spec, grid, realization, t)
             row = level + term
             if spec.kind == "direct_scaled":
                 row = np.asarray(spec.multiplier(angles), dtype=float) * row
@@ -517,7 +406,7 @@ def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthH
                 b1, b2 = _tumour_cell_terms(spec, grid, realization, t)
             w = spec.weight
             row = np.exp(
-                spec.drift.value(t)
+                spec.drift(t)
                 + float(w.alpha(t)) * b1
                 + float(w.beta(t)) * b2
             )
@@ -602,7 +491,7 @@ def poisson_outburst_view(spec, grid, seed, t, history=None):
     for start in range(0, grid.n_phi, chunk):
         sl = slice(start, min(start + chunk, grid.n_phi))
         member = spec.ambit.contains(t, angles[sl, None], theta[None, :], s[None, :])
-        w = _weight_values(spec.weight, t, theta[None, :], s[None, :], angles[sl, None])
+        w = spec.weight.value(t, theta[None, :], s[None, :], angles[sl, None])
         terms[sl] = np.sum(np.where(member, w, 0.0), axis=1)
     points_xy = None
     if history is not None:
@@ -659,56 +548,6 @@ class Preset:
     times: tuple
 
 
-TUMOUR_ROWS = (
-    # t, T(t), t0(t), alpha(t), beta(t), phi0(t)
-    (21.0, 21.0, 19.0, 0.04, -0.033, 0.19),
-    (25.0, 25.0, 17.0, 0.02, -0.033, 0.19),
-    (55.0, 18.0, 4.0, 0.01, -0.067, 0.23),
-)
-
-
-@dataclass(frozen=True)
-class TumourParams:
-    """Per-time tumour model parameters plus the log-scale drift levels."""
-
-    rows: tuple = TUMOUR_ROWS
-    mu: tuple = ((21.0, 5.0), (25.0, 5.2), (55.0, 5.8))
-
-    def __post_init__(self):
-        for t, T, t0, _, _, phi0 in self.rows:
-            if not (0.0 < t0 <= T <= t):
-                raise ValueError("tumour rows need 0 < t0(t) <= T(t) <= t")
-            if not (0.0 < phi0 <= TWO_PI):
-                raise ValueError("phi0(t) must lie in (0, 2*pi]")
-
-    def _col(self, i):
-        ts = tuple(r[0] for r in self.rows)
-        vs = tuple(r[i] for r in self.rows)
-        return ts, vs
-
-    def family(self):
-        ts, Ts = self._col(1)
-        _, t0s = self._col(2)
-        _, phi0s = self._col(5)
-        return Tumour(
-            TimeFn("step", (ts, Ts)),
-            TimeFn("step", (ts, t0s)),
-            TimeFn("step", (ts, phi0s)),
-        )
-
-    def weight(self):
-        ts, alphas = self._col(3)
-        _, betas = self._col(4)
-        return TumourWeight(
-            self.family(), TimeFn("step", (ts, alphas)), TimeFn("step", (ts, betas))
-        )
-
-    def drift(self):
-        ts = tuple(p[0] for p in self.mu)
-        vs = tuple(p[1] for p in self.mu)
-        return Drift.step(ts, vs)
-
-
 def asymmetry_profile(angles):
     """Angular multiplier favoring the direction opposite to pi."""
     return 0.35 * np.exp(cyc_dist(angles, np.pi) / np.pi)
@@ -717,66 +556,38 @@ def asymmetry_profile(angles):
 def example_preset(preset_id, **overrides) -> Preset:
     """Built-in demonstration parameterizations.
 
+    The preset is :func:`levygrowth.config.preset_document` parsed by
+    :func:`levygrowth.config.parse_config`, after two optional edits:
+    ``theta=`` sets ``model.ambit.theta`` and ``mu=((t, value), ...)`` sets
+    ``model.tumour.mu``.
+
     ``ex3``: Poisson basis, growth-rate model with unit weight over a
     1/s-wedge (theta = 1/2, lag 1) and density g(s) = 10 s.
     ``ex4``: Gaussian basis (unit variance, Lebesgue control), radius =
     drift + ambit integral over a cone of half-width theta (default
-    pi/100, override with ``theta=...``) and lag T(t) = t/5; drift levels
-    16 / 24 / 32 at t = 20 / 45 / 80.
+    pi/100) and lag T(t) = t/5; drift levels 16 / 24 / 32 at
+    t = 20 / 45 / 80.
     ``ex5``: as ex4 with a Gamma basis (beta = 1, alpha = 1), recentered so
     mean and variance match the Gaussian run.
     ``ex6``: as ex4 with the asymmetric angular multiplier
     0.35 * exp(d(phi, pi) / pi).
     ``tumour``: exponential two-band model with the built-in reference
     parameter rows at t = 21 / 25 / 55 (drift levels are synthetic
-    placeholders; override with ``mu=((t, value), ...)``).
+    placeholders).
     """
-    pid = str(preset_id).lower()
-    if pid == "ex3":
-        spec = GrowthModelSpec(
-            kind="rate_linear",
-            drift=Drift.zero(),
-            weight=ConstantWeight(1.0),
-            basis=BasisSpec(
-                SpotLaw.poisson(), ControlMeasure(TimeDensity.linear(10.0))
-            ),
-            ambit=WedgeOverS(theta=0.5, T=1.0),
-            r0=0.0,
-        )
-        grid = GridSpec(TWO_PI / 400, 0.25, 0.0, 125.0)
-        return Preset("ex3", spec, grid, (75.0, 100.0, 125.0))
-    if pid in ("ex4", "ex5", "ex6"):
-        theta = float(overrides.pop("theta", math.pi / 100))
-        drift = Drift.table((20.0, 45.0, 80.0), (16.0, 24.0, 32.0))
-        ambit_family = Rectangular.of(theta, TimeFn.proportional(0.2))
-        if pid == "ex5":
-            basis = BasisSpec(SpotLaw.gamma_law(1.0, 1.0), ControlMeasure.lebesgue())
+    from .config import PRESET_DOCUMENTS, parse_config, preset_document
+
+    name = str(preset_id).lower()
+    if name not in PRESET_DOCUMENTS:
+        raise UnknownId(f"unknown preset {preset_id!r}")
+    doc = preset_document(name)
+    model = doc["model"]
+    for key, value in overrides.items():
+        if key == "theta" and "ambit" in model:
+            model["ambit"]["theta"] = float(value)
+        elif key == "mu" and "tumour" in model:
+            model["tumour"]["mu"] = [[float(t), float(v)] for t, v in value]
         else:
-            basis = BasisSpec(SpotLaw.gaussian(0.0, 1.0), ControlMeasure.lebesgue())
-        spec = GrowthModelSpec(
-            kind="direct_scaled" if pid == "ex6" else "direct",
-            drift=drift,
-            weight=ConstantWeight(1.0),
-            basis=basis,
-            ambit=ambit_family,
-            multiplier=asymmetry_profile if pid == "ex6" else None,
-            center_stochastic_mean=(pid == "ex5"),
-        )
-        grid = GridSpec(TWO_PI / 1000, 1.0, 0.0, 80.0)
-        if overrides:
-            raise UnknownId(f"unsupported overrides {sorted(overrides)} for {pid}")
-        return Preset(pid, spec, grid, (20.0, 45.0, 80.0))
-    if pid == "tumour":
-        params = TumourParams(mu=tuple(overrides.pop("mu", TumourParams().mu)))
-        if overrides:
-            raise UnknownId(f"unsupported overrides {sorted(overrides)} for tumour")
-        spec = GrowthModelSpec(
-            kind="exponential_tumour",
-            drift=params.drift(),
-            weight=params.weight(),
-            basis=BasisSpec(SpotLaw.gaussian(0.0, 1.0), ControlMeasure.lebesgue()),
-            ambit=params.family(),
-        )
-        grid = GridSpec(TWO_PI / 1000, 1.0, 0.0, 55.0)
-        return Preset("tumour", spec, grid, (21.0, 25.0, 55.0))
-    raise UnknownId(f"unknown preset {preset_id!r}")
+            raise UnknownId(f"unsupported override {key!r} for {name}")
+    cfg = parse_config(doc)
+    return Preset(name, cfg.spec, cfg.grid, cfg.times)

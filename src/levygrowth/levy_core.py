@@ -333,7 +333,6 @@ class BasisSpec:
 
     spot: SpotLaw
     control: ControlMeasure
-    factorizable: bool = True
 
     def variance_density(self):
         """Time density of ``Var(Z') mu(d-xi)``, i.e. ``Var(Z') * g``."""

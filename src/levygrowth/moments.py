@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambit import AmbitFamily
+from .ambit import AmbitFamily, as_weight, mesh_kernel
 from .errors import KumulantDomainError
 from .levy_core import (
     BasisSpec,
@@ -34,14 +34,6 @@ from .levy_core import (
 from .rngtools import replicate_rng
 
 
-def _weight_value(weight, t, theta, s, phi):
-    if hasattr(weight, "value"):
-        return np.asarray(weight.value(t, theta, s, phi), dtype=float)
-    if callable(weight):
-        return np.asarray(weight(theta, s), dtype=float)
-    return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, float(weight))
-
-
 @dataclass(frozen=True)
 class MomentQuery:
     """A model (basis, ambit, weight, drift) with evaluation points.
@@ -53,11 +45,14 @@ class MomentQuery:
 
     basis: BasisSpec
     ambit: AmbitFamily
-    weight: object
+    weight: object  # coerced by ambit.as_weight
     grid: GridSpec
     points: tuple
     lambdas: Optional[tuple] = None
     drift: Optional[Callable] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", as_weight(self.weight))
 
     def with_grid(self, grid):
         return MomentQuery(
@@ -77,21 +72,7 @@ class MomentQuery:
     def weight_matrix(self, idx):
         """Mesh weights (ambit indicator times weight) for one point."""
         t, phi = self.points[idx]
-        grid = self.grid
-        theta = grid.phi_mids[None, :]
-        s = grid.t_mids[:, None]
-        member = self.ambit.contains(t, phi, theta, s)
-        w = _weight_value(self.weight, t, theta, s, phi)
-        return np.where(member, w, 0.0)
-
-    def mesh_measure(self, idx):
-        """Mesh measure of the point's ambit set (unit-weight integral)."""
-        t, phi = self.points[idx]
-        grid = self.grid
-        member = self.ambit.contains(
-            t, phi, grid.phi_mids[None, :], grid.t_mids[:, None]
-        )
-        return float(np.sum(member * self.cell_mu()))
+        return mesh_kernel(self.ambit, self.weight, self.grid, t, phi)
 
     def cell_mu(self):
         return np.broadcast_to(
@@ -106,7 +87,6 @@ def mean_linear(query: MomentQuery, *, angle_exact=False):
         raise ValueError("mean_linear expects exactly one evaluation point")
     mz = spot_mean(query.basis.spot)
     if angle_exact:
-        _require_angle_independent(query.weight)
         t, _ = query.points[0]
         f = _constant_weight_value(query.weight)
         return query._drift_at(0) + f * mz * query.ambit.measure(t, query.basis.control)
@@ -120,7 +100,6 @@ def var_linear(query: MomentQuery, *, angle_exact=False):
         raise ValueError("var_linear expects exactly one evaluation point")
     vz = spot_variance(query.basis.spot)
     if angle_exact:
-        _require_angle_independent(query.weight)
         t, _ = query.points[0]
         f = _constant_weight_value(query.weight)
         return f * f * vz * query.ambit.measure(t, query.basis.control)
@@ -138,21 +117,11 @@ def cov_linear(query: MomentQuery):
     return float(np.sum(w1 * w2 * query.cell_mu())) * vz
 
 
-def _require_angle_independent(weight):
-    if hasattr(weight, "value") or callable(weight):
-        if _constant_weight_value(weight, strict=False) is None:
-            raise ValueError("angle-exact mode supports constant weights only")
-
-
-def _constant_weight_value(weight, strict=True):
-    if isinstance(weight, (int, float)):
-        return float(weight)
+def _constant_weight_value(weight):
     const = getattr(weight, "constant_value", None)
-    if const is not None:
-        return float(const)
-    if strict:
-        raise ValueError("constant weight required")
-    return None
+    if const is None:
+        raise ValueError("angle-exact mode supports constant weights only")
+    return float(const)
 
 
 def _check_kumulant_domain(spot, args):
@@ -183,9 +152,8 @@ def mixed_exponential_moment(query: MomentQuery):
 def relative_second_moment(query: MomentQuery):
     """Pair moment of the exponential field over its marginal means.
 
-    Only cells inside both ambit sets contribute; for a constant weight and
-    a factorizable basis this is ``exp(cbar * mu(intersection))`` with
-    ``cbar`` from :func:`cbar`.
+    Only cells inside both ambit sets contribute; for a constant weight this
+    is ``exp(cbar * mu(intersection))`` with ``cbar`` from :func:`cbar`.
     """
     if len(query.points) != 2:
         raise ValueError("relative_second_moment expects two evaluation points")
@@ -194,8 +162,8 @@ def relative_second_moment(query: MomentQuery):
     w2 = query.weight_matrix(1)
     _check_kumulant_domain(spot, w1 + w2)
     mu = query.cell_mu()
-    const = _constant_weight_value(query.weight, strict=False)
-    if const is not None and query.basis.factorizable:
+    const = getattr(query.weight, "constant_value", None)
+    if const is not None:
         both = (w1 != 0) & (w2 != 0)
         mu_cap = float(np.sum(mu[both]))
         return math.exp(cbar(spot, const) * mu_cap)

@@ -308,14 +308,14 @@ def test_criterion_07_ambit_extension_effect():
 
 def _direct_single_angle_samples(spec, grid, t, n, seed):
     """Field at one angle for n replicates, on the simulation mesh."""
-    from levygrowth.growth import _direct_kernel, _center_shift
+    from levygrowth.ambit import mesh_kernel
     from levygrowth.levy_core import _sample_increments
 
-    kernel = _direct_kernel(spec, grid, t)
+    kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
     mask = kernel != 0.0
     w = kernel[mask]
     mu = np.broadcast_to(grid.cell_mu(spec.basis.control)[:, None], kernel.shape)[mask]
-    level = spec.drift.value(t)
+    level = spec.drift(t)
     if spec.center_stochastic_mean:
         level -= spot_mean(spec.basis.spot) * float(np.sum(mu))
     out = np.empty(n)

@@ -126,6 +126,19 @@ def test_unknown_preset_exits_2(capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize(
+    "assignment, path",
+    [
+        ('model.kind="foo"', "model"),
+        ('model.ambit.T={"kind":"table","ts":[2,1],"values":[1,2]}', "model.ambit.T"),
+    ],
+)
+def test_invalid_model_value_exits_2(tmp_path, capsys, assignment, path):
+    argv = ["moments", "--preset", "ex4", "--set", assignment, "--out-dir", str(tmp_path)]
+    assert run(argv) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 def test_model_error_exits_3(tmp_path, capsys):
     cfg = {
         "model": {

@@ -1,9 +1,12 @@
 """Growth simulation: evaluation paths, presets, matching, outburst view."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levygrowth.ambit import (
     AmbitRegion,
@@ -19,7 +22,6 @@ from levygrowth.growth import (
     ConstantWeight,
     Drift,
     GrowthModelSpec,
-    TumourParams,
     TumourWeight,
     asymmetry_profile,
     example_preset,
@@ -40,6 +42,7 @@ from levygrowth.levy_core import (
     spot_mean,
     spot_variance,
 )
+from levygrowth.quadrature import adaptive_simpson
 from levygrowth.rngtools import mix_seed
 from levygrowth.timefn import TimeFn
 
@@ -64,23 +67,63 @@ def test_gompertz_drift_value_and_integral():
     d = Drift.gompertz(k0, eta, gam)
     t = 1.7
     expected = k0 * math.exp((eta / gam) * (1 - math.exp(-gam * t))) * eta * math.exp(-gam * t)
-    assert d.value(t) == pytest.approx(expected, rel=1e-12)
+    assert d(t) == pytest.approx(expected, rel=1e-12)
     closed = k0 * (math.exp((eta / gam) * (1 - math.exp(-gam * t))) - 1.0)
     assert d.integral(t) == pytest.approx(closed, rel=1e-12)
     # numeric cross-check of the closed-form integral
-    from levygrowth.quadrature import adaptive_simpson
-
-    numeric = adaptive_simpson(lambda u: d.value(u), 0.0, t, tol=1e-12)
+    numeric = adaptive_simpson(lambda u: d(u), 0.0, t, tol=1e-12)
     assert d.integral(t) == pytest.approx(numeric, rel=1e-9)
 
 
 def test_step_drift_holds_values():
     d = Drift.step((21.0, 25.0, 55.0), (1.0, 2.0, 3.0))
-    assert d.value(21.0) == 1.0
-    assert d.value(24.9) == 1.0
-    assert d.value(25.0) == 2.0
-    assert d.value(80.0) == 3.0
-    assert d.value(0.0) == 1.0  # clamped before the first node
+    assert d(21.0) == 1.0
+    assert d(24.9) == 1.0
+    assert d(25.0) == 2.0
+    assert d(80.0) == 3.0
+    assert d(0.0) == 1.0  # clamped before the first node
+
+
+def test_step_and_table_drift_integrals_are_exact():
+    assert TimeFn.step((0, 10.3), (1, 3)).integral(20) == pytest.approx(39.4, abs=1e-12)
+    ex4_drift = example_preset("ex4").spec.drift
+    assert ex4_drift.kind == "table"
+    assert ex4_drift.integral(45) == pytest.approx(820.0, abs=1e-12)
+
+
+@st.composite
+def time_functions(draw):
+    kind = draw(
+        st.sampled_from(["constant", "proportional", "affine", "table", "step", "gompertz"])
+    )
+    num = st.floats(-10.0, 10.0)
+    if kind == "constant":
+        return TimeFn.constant(draw(num))
+    if kind == "proportional":
+        return TimeFn.proportional(draw(num))
+    if kind == "affine":
+        return TimeFn.affine(draw(num), draw(num))
+    if kind == "gompertz":
+        return TimeFn.gompertz(
+            draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 2.0)), draw(st.floats(0.1, 2.0))
+        )
+    gaps = draw(st.lists(st.floats(0.1, 8.0), max_size=5))
+    ts = np.cumsum([draw(st.floats(-5.0, 25.0)), *gaps])
+    vs = draw(st.lists(num, min_size=len(ts), max_size=len(ts)))
+    return TimeFn.table(ts, vs) if kind == "table" else TimeFn.step(ts, vs)
+
+
+@settings(deadline=None)
+@given(time_functions(), st.floats(0.5, 30.0))
+def test_time_function_integral_matches_quadrature(fn, t):
+    # split at the nodes so each panel integrates a smooth piece
+    nodes = fn.params[0] if fn.kind in ("table", "step") else ()
+    cuts = [0.0] + [x for x in nodes if 0.0 < x < t] + [t]
+    scale = t * max(1.0, float(np.max(np.abs(fn(np.linspace(0.0, t, 101))))))
+    ref = sum(
+        adaptive_simpson(fn, a, b, tol=1e-13 * scale) for a, b in zip(cuts, cuts[1:])
+    )
+    assert fn.integral(t) == pytest.approx(ref, rel=1e-9, abs=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +374,9 @@ def test_tumour_simulation_positive_and_log_cov():
 
 
 def test_tumour_rejects_divergent_exponential_moments():
-    params = TumourParams()
-    spec = GrowthModelSpec(
-        kind="exponential_tumour",
-        drift=params.drift(),
-        weight=params.weight(),
+    spec = replace(
+        example_preset("tumour").spec,
         basis=BasisSpec(SpotLaw.gamma_law(1.0, 0.01), ControlMeasure.lebesgue()),
-        ambit=params.family(),
     )
     grid = GridSpec(TWO_PI / 100, 1.0, 0.0, 55.0)
     with pytest.raises(KumulantDomainError):
@@ -464,9 +503,9 @@ def test_preset_ex3_fields():
 
 def test_preset_ex4_drift_and_window():
     p = example_preset("ex4")
-    assert p.spec.drift.value(20.0) == 16.0
-    assert p.spec.drift.value(45.0) == 24.0
-    assert p.spec.drift.value(80.0) == 32.0
+    assert p.spec.drift(20.0) == 16.0
+    assert p.spec.drift(45.0) == 24.0
+    assert p.spec.drift(80.0) == 32.0
     assert isinstance(p.spec.ambit, Rectangular)
     assert float(p.spec.ambit.T(20.0)) == pytest.approx(4.0)
     p5 = example_preset("ex4", theta=math.pi / 5)
