@@ -29,7 +29,7 @@ from .ambit import FullAngle, Rectangular, mesh_measure
 from .circle_cov import CircleCovModel, FourierWeight, harmonic_cov
 from .config import RunConfig, apply_overrides, load_config_file, parse_config
 from .errors import ConfigError, LevyGrowthError
-from .growth import simulate
+from .growth import simulate, simulate_replicates
 from .inference import (
     ProfileDataset,
     fit_fourier_mle,
@@ -39,7 +39,6 @@ from .inference import (
 )
 from .levy_core import config_hash, spot_mean
 from .moments import MomentQuery, mc_verify, mean_linear, var_linear
-from .rngtools import mix_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,13 +83,13 @@ def cmd_simulate(args):
     if cfg.spec is None or cfg.grid is None or not cfg.times:
         raise ConfigError("simulate needs a model, a grid and times", "")
     grid = _effective_grid(cfg)
-    histories = []
-    for r in range(cfg.replicates):
-        seed_r = mix_seed(cfg.seed, r) if cfg.replicates > 1 else cfg.seed
-        histories.append(simulate(cfg.spec, grid, seed_r, cfg.times))
     if cfg.replicates == 1:
+        histories = [simulate(cfg.spec, grid, cfg.seed, cfg.times)]
         histories[0].to_csv(os.path.join(cfg.out_dir, "history.csv"))
     else:
+        histories = simulate_replicates(
+            cfg.spec, grid, cfg.seed, cfg.times, cfg.replicates, keep="histories"
+        )
         ds = ProfileDataset.from_histories(histories)
         ds.to_csv(os.path.join(cfg.out_dir, "history.csv"), _provenance(cfg))
     histories[0].to_polyline_csv(os.path.join(cfg.out_dir, "outline.csv"))
@@ -260,7 +259,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="base seed for all randomness")
     p.add_argument("--replicates", type=int, help="number of Monte Carlo replicates")
     p.add_argument("--out-dir", help="directory for output files")
-    p.add_argument("--threads", type=int, help="replicate parallelism degree")
+    p.add_argument(
+        "--threads", type=int, help="replicate parallelism degree (mc-verify only)"
+    )
     p.add_argument(
         "--fine",
         action="store_true",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .ambit import FullAngle
 from .circle_cov import FourierWeight, harmonic_cov
@@ -132,6 +131,8 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
     observation times.  Raises :class:`SingularCovariance` when a Gram
     matrix has no Cholesky factor (e.g. duplicated observation times).
     """
+    import scipy.linalg  # imported here: scipy costs start-up time
+
     times = np.asarray(times, dtype=float)
     cos_coef = _as_reps(cos_coef)
     sin_coef = _as_reps(sin_coef)

@@ -20,8 +20,15 @@ Cell-valued bases (Gaussian, Gamma, inverse Gaussian) are integrated on the
 mesh: weights and memberships at cell midpoints, matching the analytic
 engine in :mod:`levygrowth.moments`.  Poisson realizations are integrated
 over their exact point pattern (unbiased against the continuum formulas)
-whenever the weight is constant, harmonic, or the tumour weight; other
-weight/family combinations fall back to the mesh path.
+for constant weights, harmonic weights on a full-angle ambit (direct kinds
+only) and the tumour weight; other weight/family combinations fall back to
+the mesh path.
+
+A call of :func:`simulate` or :func:`simulate_replicates` first builds a
+plan holding everything that does not depend on the realization: the
+kernels, kept as the spectra of their nonzero (ambit-window) rows, the
+centring shifts and the drift values.  Each replicate then samples its
+realization and transforms only the window rows of its increments.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -63,6 +70,7 @@ from .levy_core import (
     sample_realization,
     spot_mean,
 )
+from .rngtools import mix_seed
 from .timefn import TimeFn
 
 Drift = TimeFn
@@ -217,6 +225,25 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
     return np.fft.irfft((zf * np.conj(kf)).sum(axis=0), n=n_phi)
 
 
+class _MeshTerm:
+    """:func:`_correlate_rows` of the increments with one fixed kernel.
+
+    Only the kernel's nonzero rows (the ambit window) are kept, with their
+    conjugated spectra, so a call transforms just those increment rows.
+    """
+
+    def __init__(self, kernel):
+        self.rows = np.flatnonzero(np.any(kernel != 0.0, axis=1))
+        self.n_phi = kernel.shape[1]
+        self.spectrum = np.conj(np.fft.rfft(kernel[self.rows], axis=1))
+
+    def __call__(self, realization):
+        if self.rows.size == 0:
+            return np.zeros(self.n_phi)
+        zf = np.fft.rfft(realization.increments[self.rows], axis=1)
+        return np.fft.irfft((zf * self.spectrum).sum(axis=0), n=self.n_phi)
+
+
 def _rate_kernel(spec, grid, t):
     fbar = _ambit.induced_weight(
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
@@ -258,12 +285,20 @@ def _arc_add(profile, theta, widths, values, dphi):
     return profile
 
 
-def _poisson_supported(spec):
-    if isinstance(spec.weight, (ConstantWeight, TumourWeight)):
-        return True
-    if isinstance(spec.weight, FourierWeight) and isinstance(spec.ambit, FullAngle):
-        return True
-    return False
+def _point_path(spec, mode):
+    """Whether the ``mode`` term of a Poisson model is summed over its points.
+
+    The direct point sum handles constant weights and harmonic weights on a
+    full-angle ambit; the rate point sum handles constant weights on
+    factorizing families.  Everything else takes the mesh path.
+    """
+    if spec.basis.spot.kind != "poisson":
+        return False
+    if mode == "rate":
+        return isinstance(spec.weight, ConstantWeight) and spec.ambit.factorizes
+    if isinstance(spec.weight, FourierWeight):
+        return isinstance(spec.ambit, FullAngle)
+    return isinstance(spec.weight, ConstantWeight)
 
 
 def _poisson_direct_profile(spec, grid, realization, t):
@@ -326,28 +361,28 @@ def _poisson_tumour_terms(spec, grid, realization, t):
 # ---------------------------------------------------------------------------
 
 
+def _term(spec, grid, t, mode):
+    """The ambit integral at time t, all grid angles, as a function of the
+    realization; mesh kernels are built here, once."""
+    if _point_path(spec, mode):
+        profile = _poisson_direct_profile if mode == "direct" else _poisson_rate_profile
+        return lambda realization: profile(spec, grid, realization, t)
+    if mode == "direct":
+        return _MeshTerm(mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0]))
+    return _MeshTerm(_rate_kernel(spec, grid, t))
+
+
 def _stochastic_term(spec, grid, realization, t, mode):
     """Profile of the ambit integral at time t, all grid angles."""
-    point_exact = realization.kind == "poisson" and _poisson_supported(spec)
-    if point_exact and mode == "rate" and not spec.ambit.factorizes:
-        point_exact = False  # apex-dependent cones need the mesh path
-    if point_exact:
-        if mode == "direct":
-            return _poisson_direct_profile(spec, grid, realization, t)
-        return _poisson_rate_profile(spec, grid, realization, t)
-    if mode == "direct":
-        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
-    else:
-        kernel = _rate_kernel(spec, grid, t)
-    return _correlate_rows(realization.increments, kernel, grid.n_phi)
+    return _term(spec, grid, t, mode)(realization)
 
 
-def _center_shift(spec, grid, realization, t):
-    """Mean of the ambit integral, matching the evaluation path in use."""
+def _center_shift(spec, grid, t):
+    """Mean of the direct ambit integral, matching the evaluation path in use."""
     if not spec.center_stochastic_mean:
         return 0.0
     mz = spot_mean(spec.basis.spot)
-    if realization.kind == "poisson" and _poisson_supported(spec):
+    if _point_path(spec, "direct"):
         return mz * spec.ambit.measure(t, spec.basis.control)
     return mz * mesh_measure(spec.ambit, grid, spec.basis.control, t, grid.phi_mids[0])
 
@@ -365,6 +400,109 @@ def _check_exponential_domain(spec, t):
         )
 
 
+class _TumourCellTerms:
+    """The two band integrals of the tumour model at time t, for cell-valued
+    realizations."""
+
+    def __init__(self, spec, grid, t):
+        lo, mid, hi = spec.ambit.band_split(t)
+        s = grid.t_mids
+        self.rows1 = np.flatnonzero((s >= lo - _EPS) & (s <= mid + _EPS))
+        rows2 = (s > mid + _EPS) & (s <= hi + _EPS)
+        angles = grid.phi_mids
+        self.cos, self.sin = np.cos(angles), np.sin(angles)
+        # band 2: shrinking-cone indicator kernel
+        kernel = np.zeros((grid.n_t, grid.n_phi))
+        hw = spec.ambit.shrink_half_width(t, s[rows2])
+        kernel[rows2] = cyc_dist(angles, angles[0])[None, :] <= hw[:, None] + _EPS
+        self.band2 = _MeshTerm(kernel)
+
+    def __call__(self, realization):
+        # band 1: cosine harmonic of the increments
+        z1 = realization.increments[self.rows1]
+        ck = float(np.sum(z1 * self.cos[None, :]))
+        sk = float(np.sum(z1 * self.sin[None, :]))
+        return self.cos * ck + self.sin * sk, self.band2(realization)
+
+
+class _Plan:
+    """Everything in a simulation of (spec, grid, times) but the realization.
+
+    Holds the validated, sorted times and, per time, the radius profile as a
+    function of the realization, with its kernel spectra, centring shift,
+    drift and profile values computed up front.  Replicates run the same
+    plan, so each does exactly the arithmetic of a single :func:`simulate`.
+    """
+
+    def __init__(self, spec, grid, times):
+        self.spec, self.grid = spec, grid
+        self.times = np.sort(np.asarray(times, dtype=float))
+        support_lo = spec.basis.control.g.support_lo
+        for t in self.times:
+            if spec.kind in ("rate_linear", "rate_of_log"):
+                lo = max(support_lo, min(spec.ambit.window(0.0)[0], 0.0))
+            else:
+                lo = max(spec.ambit.window(t)[0], support_lo)
+            if not grid.covers(lo, t):
+                raise ValueError(f"grid window does not cover the model at t={t}")
+        self.radius_fns = [self._radius_fn(t) for t in self.times]
+        self.spec_hash = config_hash(spec, grid)
+
+    def _radius_fn(self, t):
+        spec, grid = self.spec, self.grid
+        angles = grid.phi_mids
+        if spec.kind in ("direct", "direct_scaled"):
+            term = _term(spec, grid, t, "direct")
+            level = spec.drift(t) - _center_shift(spec, grid, t)
+            if spec.kind == "direct":
+                return lambda realization: level + term(realization)
+            multiplier = np.asarray(spec.multiplier(angles), dtype=float)
+            return lambda realization: multiplier * (level + term(realization))
+        if spec.kind in ("rate_linear", "rate_of_log"):
+            term = _term(spec, grid, t, "rate")
+            accumulated = spec.drift.integral(t)
+            r0 = spec.r0_profile(angles)
+            if spec.kind == "rate_linear":
+                return lambda realization: r0 + accumulated + term(realization)
+            return lambda realization: r0 * np.exp(accumulated + term(realization))
+        # exponential_tumour
+        _check_exponential_domain(spec, t)
+        if spec.basis.spot.kind == "poisson":
+            bands = lambda realization: _poisson_tumour_terms(spec, grid, realization, t)
+        else:
+            bands = _TumourCellTerms(spec, grid, t)
+        mu = spec.drift(t)
+        alpha, beta = float(spec.weight.alpha(t)), float(spec.weight.beta(t))
+
+        def radius(realization):
+            b1, b2 = bands(realization)
+            return np.exp(mu + alpha * b1 + beta * b2)
+
+        return radius
+
+    def profiles(self, seed):
+        """Radii (n_times, n_phi) on the realization drawn from ``seed``."""
+        realization = sample_realization(self.spec.basis, self.grid, seed)
+        out = np.empty((self.times.size, self.grid.n_phi))
+        for i, radius in enumerate(self.radius_fns):
+            out[i] = radius(realization)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteValue("simulation produced non-finite radii")
+        return out
+
+    def history(self, seed):
+        profiles = self.profiles(seed)
+        return GrowthHistory(
+            times=self.times.copy(),
+            angles=self.grid.phi_mids,
+            profiles=profiles,
+            seed=int(seed),
+            grid=self.grid,
+            spec_hash=self.spec_hash,
+            flags={"nonpositive_values": int(np.sum(profiles <= 0.0))},
+        )
+
+
 def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthHistory:
     """Simulate the model at the requested times from one shared realization.
 
@@ -372,91 +510,24 @@ def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthH
     are kept and counted in ``flags['nonpositive_values']`` rather than
     clamped, so moment checks stay unbiased.
     """
-    times = np.sort(np.asarray(times, dtype=float))
-    support_lo = spec.basis.control.g.support_lo
-    for t in times:
-        if spec.kind in ("rate_linear", "rate_of_log"):
-            lo = max(support_lo, min(spec.ambit.window(0.0)[0], 0.0))
-        else:
-            lo = max(spec.ambit.window(t)[0], support_lo)
-        if not grid.covers(lo, t):
-            raise ValueError(f"grid window does not cover the model at t={t}")
-    realization = sample_realization(spec.basis, grid, seed)
-    angles = grid.phi_mids
-    profiles = np.empty((times.size, grid.n_phi))
-    for i, t in enumerate(times):
-        if spec.kind in ("direct", "direct_scaled"):
-            term = _stochastic_term(spec, grid, realization, t, "direct")
-            level = spec.drift(t) - _center_shift(spec, grid, realization, t)
-            row = level + term
-            if spec.kind == "direct_scaled":
-                row = np.asarray(spec.multiplier(angles), dtype=float) * row
-        elif spec.kind in ("rate_linear", "rate_of_log"):
-            term = _stochastic_term(spec, grid, realization, t, "rate")
-            accumulated = spec.drift.integral(t)
-            if spec.kind == "rate_linear":
-                row = spec.r0_profile(angles) + accumulated + term
-            else:
-                row = spec.r0_profile(angles) * np.exp(accumulated + term)
-        else:  # exponential_tumour
-            _check_exponential_domain(spec, t)
-            if realization.kind == "poisson":
-                b1, b2 = _poisson_tumour_terms(spec, grid, realization, t)
-            else:
-                b1, b2 = _tumour_cell_terms(spec, grid, realization, t)
-            w = spec.weight
-            row = np.exp(
-                spec.drift(t)
-                + float(w.alpha(t)) * b1
-                + float(w.beta(t)) * b2
-            )
-        profiles[i] = row
-    if not np.all(np.isfinite(profiles)):
-        raise NonFiniteValue("simulation produced non-finite radii")
-    flags = {"nonpositive_values": int(np.sum(profiles <= 0.0))}
-    return GrowthHistory(
-        times=times,
-        angles=angles,
-        profiles=profiles,
-        seed=int(seed),
-        grid=grid,
-        spec_hash=config_hash(spec, grid),
-        flags=flags,
-    )
-
-
-def _tumour_cell_terms(spec, grid, realization, t):
-    lo, mid, hi = spec.ambit.band_split(t)
-    s = grid.t_mids
-    rows1 = (s >= lo - _EPS) & (s <= mid + _EPS)
-    rows2 = (s > mid + _EPS) & (s <= hi + _EPS)
-    angles = grid.phi_mids
-    z1 = realization.increments[rows1]
-    # band 1: cosine harmonic of the increments
-    ck = float(np.sum(z1 * np.cos(angles)[None, :]))
-    sk = float(np.sum(z1 * np.sin(angles)[None, :]))
-    b1 = np.cos(angles) * ck + np.sin(angles) * sk
-    # band 2: shrinking-cone indicator kernel
-    kernel = np.zeros((int(rows2.sum()), grid.n_phi))
-    hw = spec.ambit.shrink_half_width(t, s[rows2])
-    d = cyc_dist(angles, angles[0])
-    kernel[:, :] = d[None, :] <= hw[:, None] + _EPS
-    b2 = _correlate_rows(realization.increments[rows2], kernel, grid.n_phi)
-    return b1, b2
+    return _Plan(spec, grid, times).history(seed)
 
 
 def simulate_replicates(spec, grid, seed, times, n_replicates, keep="profiles"):
     """Histories for replicates r = 0..n-1 with derived seeds mix(seed, r).
 
+    The kernels are built once for all replicates; replicate r equals
+    ``simulate(spec, grid, mix_seed(seed, r), times)`` bit for bit.
     ``keep='profiles'`` returns an array (n_replicates, n_times, n_phi).
     """
-    from .rngtools import mix_seed
-
-    out = []
-    for r in range(n_replicates):
-        h = simulate(spec, grid, mix_seed(seed, r), times)
-        out.append(h.profiles if keep == "profiles" else h)
-    return np.asarray(out) if keep == "profiles" else out
+    plan = _Plan(spec, grid, times)
+    seeds = [mix_seed(seed, r) for r in range(n_replicates)]
+    if keep != "profiles":
+        return [plan.history(s) for s in seeds]
+    out = np.empty((n_replicates, plan.times.size, grid.n_phi))
+    for r, s in enumerate(seeds):
+        out[r] = plan.profiles(s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-import scipy.optimize
 
 from .cyclic import TWO_PI, wrap
 from .errors import (
@@ -238,6 +237,8 @@ def minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xat
     from the derived stream ``mix(seed, start_index)``.  The trace records
     the best objective after each evaluation.
     """
+    import scipy.optimize  # imported here: scipy costs start-up time
+
     names, lo, hi = _check_bounds(bounds)
     trace = []
     best = {"x": None, "f": math.inf, "converged": False, "nfev": 0}

@@ -1,5 +1,7 @@
 """Adaptive Simpson quadrature for piecewise-smooth 1-D integrands."""
 
+import math
+
 import numpy as np
 
 
@@ -40,8 +42,14 @@ def _refine(f, lo, hi, f_lo, f_mid, f_hi, whole, tol, depth):
     f_lmid, f_rmid = float(f(lmid)), float(f(rmid))
     left = _simp(f_lo, f_lmid, f_mid, mid - lo)
     right = _simp(f_mid, f_rmid, f_hi, hi - mid)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
+    estimate = left + right
+    if not math.isfinite(estimate):
+        # a NaN or infinite integrand value: refining cannot converge, so the
+        # non-finite estimate is returned as it is
+        return estimate
+    error = estimate - whole
+    if depth <= 0 or abs(error) <= 15.0 * tol:
+        return estimate + error / 15.0
     return _refine(f, lo, mid, f_lo, f_lmid, f_mid, left, tol / 2.0, depth - 1) + _refine(
         f, mid, hi, f_mid, f_rmid, f_hi, right, tol / 2.0, depth - 1
     )

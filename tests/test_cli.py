@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levygrowth
 import levygrowth.cli as cli
 from levygrowth.moments import MCReport
 
@@ -48,6 +51,18 @@ def test_subcommand_help_documents_flags(capsys, command):
     out = capsys.readouterr().out
     for flag in DOCUMENTED_FLAGS:
         assert flag in out, f"{flag} missing from {command} --help"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the fitting code that needs it, not at start-up
+    src = os.path.dirname(os.path.dirname(levygrowth.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import levygrowth.cli, sys; "
+        "assert not any(m.startswith('scipy') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Growth simulation: evaluation paths, presets, matching, outburst view."""
 
+import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from levygrowth.ambit import (
 from levygrowth.cyclic import cyc_dist
 from levygrowth.errors import KumulantDomainError, UnknownId, WrongBasisKind
 from levygrowth.growth import (
+    MODEL_KINDS,
     ConstantWeight,
     Drift,
     GrowthModelSpec,
@@ -126,6 +129,17 @@ def test_time_function_integral_matches_quadrature(fn, t):
     assert fn.integral(t) == pytest.approx(ref, rel=1e-9, abs=1e-9 * scale)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_adaptive_simpson_returns_non_finite_integrand_at_once(value):
+    start = time.perf_counter()
+    result = adaptive_simpson(lambda x: value, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    if math.isnan(value):
+        assert math.isnan(result)
+    else:
+        assert result == math.inf
+
+
 # ---------------------------------------------------------------------------
 # evaluation-path consistency (brute force oracles)
 # ---------------------------------------------------------------------------
@@ -231,6 +245,39 @@ def test_rate_kernel_matches_induced_weight_sum_gamma():
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
+POISSON_COSINE_RATE = {
+    "model": {
+        "kind": "rate_linear",
+        "weight": {"kind": "cosine", "coeffs": [1.0, 0.5]},
+        "basis": {"kind": "poisson"},
+        "ambit": {"kind": "full_angle", "T": 1.0},
+    },
+    "grid": {"dphi_divisor": 32, "dt": 0.5, "t_max": 4.0},
+    "times": [2.0],
+}
+
+
+def test_poisson_rate_model_with_cosine_weight_takes_mesh_path(tmp_path):
+    # the rate point sum handles constant weights only
+    from levygrowth.cli import main
+    from levygrowth.config import parse_config
+    from levygrowth.growth import _correlate_rows, _rate_kernel
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(POISSON_COSINE_RATE))
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    cfg = parse_config(json.loads(json.dumps(POISSON_COSINE_RATE)))
+    spec, grid, t = cfg.spec, cfg.grid, 2.0
+    hist = simulate(spec, grid, 5, [t])
+    real = sample_realization(spec.basis, grid, 5)
+    term = _correlate_rows(real.increments, _rate_kernel(spec, grid, t), grid.n_phi)
+    expected = spec.r0_profile(grid.phi_mids) + spec.drift.integral(t) + term
+    assert np.any(term != 0.0)
+    assert np.max(np.abs(hist.profiles[0] - expected)) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(expected)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate semantics
 # ---------------------------------------------------------------------------
@@ -259,6 +306,48 @@ def test_simulate_deterministic_bitwise():
     assert np.array_equal(h1.profiles, h2.profiles)
     h3 = simulate(preset.spec, grid, 78, [20.0, 45.0])
     assert not np.array_equal(h1.profiles, h3.profiles)
+
+
+DETERMINISM_SPOTS = (
+    SpotLaw.gaussian(0.0, 1.0),
+    SpotLaw.gamma_law(1.0, 1.0),
+    SpotLaw.inverse_gaussian(1.0, 1.0),
+    SpotLaw.poisson(),
+)
+
+
+def determinism_spec(kind, spot):
+    basis = BasisSpec(spot, ControlMeasure(TimeDensity.constant(1.0)))
+    if kind == "exponential_tumour":
+        family = Tumour.of(3.0, 1.0, 1.0)
+        weight = TumourWeight(family, TimeFn.constant(0.1), TimeFn.constant(0.2))
+        return GrowthModelSpec(kind, Drift.constant(1.0), weight, basis, family)
+    return GrowthModelSpec(
+        kind,
+        Drift.constant(1.0),
+        ConstantWeight(0.3),
+        basis,
+        Rectangular.of(0.7, TimeFn.constant(1.0)),
+        r0=1.0,
+        multiplier=asymmetry_profile if kind == "direct_scaled" else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MODEL_KINDS),
+    st.sampled_from(DETERMINISM_SPOTS),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 4),
+)
+def test_replicate_equals_simulate_on_its_derived_seed(kind, spot, seed, n_replicates):
+    spec = determinism_spec(kind, spot)
+    grid, times = small_grid(), [3.0, 4.0]
+    profiles = simulate_replicates(spec, grid, seed, times, n_replicates)
+    assert profiles.shape == (n_replicates, 2, grid.n_phi)
+    for r in range(n_replicates):
+        single = simulate(spec, grid, mix_seed(seed, r), times).profiles
+        assert np.array_equal(profiles[r], single)
 
 
 @pytest.mark.parametrize(
