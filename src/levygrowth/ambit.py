@@ -437,16 +437,6 @@ def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi):
     return np.where(member, weight.value(t, theta, s, phi), 0.0)
 
 
-def mesh_measure(family: AmbitFamily, grid: GridSpec, control: ControlMeasure, t, phi):
-    """Control measure of ``A_t(phi)`` on the mesh.
-
-    Rows are summed first: the centring shift of simulated radii depends on
-    this order in the last bits.
-    """
-    kernel = mesh_kernel(family, ConstantWeight(1.0), grid, t, phi)
-    return float(np.sum(kernel.sum(axis=1) * grid.cell_mu(control)))
-
-
 # ---------------------------------------------------------------------------
 # time unions and induced weights
 # ---------------------------------------------------------------------------

@@ -4,9 +4,17 @@ Subcommands::
 
     simulate   sample growth histories and export profile / outline CSVs
     cov        tabulate the harmonic space-time covariance model
-    moments    tabulate analytic means and variances on the mesh
+    moments    tabulate the analytic mean and variance of the linear predictor
     mc-verify  Monte Carlo z-checks of analytic moments (exit 4 on |z| > 3)
     fit        method-of-moments or coefficient-likelihood fitting
+
+``moments`` reads the mean and variance from the same per-time terms the
+simulator evaluates, at the first grid angle.  Its table is the linear
+predictor: the radius (with ``r0``) for ``rate_linear``, ``log(R / r0)`` for
+``rate_of_log``, the log radius for the tumour model, the radius for
+``direct`` and the radius before the angular multiplier for
+``direct_scaled``.  ``mc-verify`` checks the instantaneous ambit integral of
+a :class:`~levygrowth.moments.MomentQuery`, whatever the model kind is.
 
 Every command takes a JSON configuration (``--config``) and/or a built-in
 preset (``--preset``), overridable field by field with repeated
@@ -25,11 +33,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambit import FullAngle, Rectangular, mesh_measure
+from .ambit import FullAngle, Rectangular
 from .circle_cov import CircleCovModel, FourierWeight, harmonic_cov
 from .config import RunConfig, apply_overrides, load_config_file, parse_config
 from .errors import ConfigError, LevyGrowthError
-from .growth import simulate, simulate_replicates
+from .growth import _Plan
 from .inference import (
     ProfileDataset,
     fit_fourier_mle,
@@ -37,8 +45,9 @@ from .inference import (
     ingest_profiles,
     rect_direct_cov_model,
 )
-from .levy_core import config_hash, spot_mean
-from .moments import MomentQuery, mc_verify, mean_linear, var_linear
+from .levy_core import config_hash
+from .moments import MomentQuery, mc_verify
+from .rngtools import mix_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,7 +56,7 @@ EXIT_VERIFY = 4
 
 
 def _provenance(cfg: RunConfig):
-    h = config_hash(cfg.spec, cfg.grid) if cfg.spec and cfg.grid else "none"
+    h = config_hash(cfg.spec, _effective_grid(cfg)) if cfg.spec and cfg.grid else "none"
     return f"# levygrowth v{__version__} config={h} seed={cfg.seed}"
 
 
@@ -56,14 +65,9 @@ def _load(args) -> RunConfig:
     if args.preset:
         doc["preset"] = args.preset
     doc = apply_overrides(doc, args.set or [])
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.replicates is not None:
-        doc["replicates"] = args.replicates
-    if args.threads is not None:
-        doc["threads"] = args.threads
-    if args.out_dir is not None:
-        doc["out_dir"] = args.out_dir
+    for key in ("seed", "replicates", "threads", "out_dir"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     if args.fine:
         doc["fine"] = True
     cfg = parse_config(doc)
@@ -72,26 +76,23 @@ def _load(args) -> RunConfig:
 
 
 def _effective_grid(cfg):
-    grid = cfg.grid
-    if cfg.fine:
-        grid = grid.refined(4, 4)
-    return grid
+    return cfg.grid.refined(4, 4) if cfg.fine else cfg.grid
+
+
+def _simulation_plan(cfg, command):
+    if cfg.spec is None or cfg.grid is None or not cfg.times:
+        raise ConfigError(f"{command} needs a model, a grid and times", "")
+    return _Plan(cfg.spec, _effective_grid(cfg), cfg.times)
 
 
 def cmd_simulate(args):
     cfg = _load(args)
-    if cfg.spec is None or cfg.grid is None or not cfg.times:
-        raise ConfigError("simulate needs a model, a grid and times", "")
-    grid = _effective_grid(cfg)
-    if cfg.replicates == 1:
-        histories = [simulate(cfg.spec, grid, cfg.seed, cfg.times)]
-        histories[0].to_csv(os.path.join(cfg.out_dir, "history.csv"))
-    else:
-        histories = simulate_replicates(
-            cfg.spec, grid, cfg.seed, cfg.times, cfg.replicates, keep="histories"
-        )
-        ds = ProfileDataset.from_histories(histories)
-        ds.to_csv(os.path.join(cfg.out_dir, "history.csv"), _provenance(cfg))
+    plan = _simulation_plan(cfg, "simulate")
+    n = cfg.replicates
+    seeds = [cfg.seed] if n == 1 else [mix_seed(cfg.seed, r) for r in range(n)]
+    histories = [plan.history(s) for s in seeds]
+    ds = ProfileDataset.from_histories(histories)
+    ds.to_csv(os.path.join(cfg.out_dir, "history.csv"), _provenance(cfg))
     histories[0].to_polyline_csv(os.path.join(cfg.out_dir, "outline.csv"))
     print(f"wrote {cfg.out_dir}/history.csv and {cfg.out_dir}/outline.csv")
     return EXIT_OK
@@ -128,37 +129,16 @@ def cmd_cov(args):
     return EXIT_OK
 
 
-def _drift_offset(spec, t):
-    if spec.kind in ("rate_linear", "rate_of_log"):
-        return spec.drift.integral(t)
-    return spec.drift(t)
-
-
 def cmd_moments(args):
     cfg = _load(args)
-    if cfg.spec is None or cfg.grid is None or not cfg.times:
-        raise ConfigError("moments needs a model, a grid and times", "")
-    grid = _effective_grid(cfg)
-    spec = cfg.spec
+    plan = _simulation_plan(cfg, "moments")
     path = os.path.join(cfg.out_dir, "moments.csv")
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
         fh.write("t,mean,variance\n")
-        for t in cfg.times:
-            q = MomentQuery(
-                basis=spec.basis,
-                ambit=spec.ambit,
-                weight=spec.weight,
-                grid=grid,
-                points=((t, 0.0),),
-                drift=lambda tt, phi, _t=t: _drift_offset(spec, _t),
-            )
-            mean = mean_linear(q)
-            if spec.center_stochastic_mean:
-                mean -= spot_mean(spec.basis.spot) * mesh_measure(
-                    spec.ambit, grid, spec.basis.control, t, 0.0
-                )
-            fh.write(f"{float(t)!r},{float(mean)!r},{float(var_linear(q))!r}\n")
+        for t, radius in zip(plan.times, plan.radii):
+            mean, var = radius.moments()
+            fh.write(f"{float(t)!r},{float(mean)!r},{float(var)!r}\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -279,7 +259,7 @@ def build_parser():
     specs = [
         ("simulate", cmd_simulate, "sample growth histories to CSV"),
         ("cov", cmd_cov, "tabulate the space-time covariance model"),
-        ("moments", cmd_moments, "tabulate analytic means/variances"),
+        ("moments", cmd_moments, "tabulate the linear predictor's analytic mean/variance"),
         ("mc-verify", cmd_mc_verify, "Monte Carlo checks of analytic moments"),
         ("fit", cmd_fit, "fit model parameters to profile data"),
     ]

@@ -16,13 +16,15 @@ Model kinds
 
 Evaluation conventions
 ----------------------
-Cell-valued bases (Gaussian, Gamma, inverse Gaussian) are integrated on the
-mesh: weights and memberships at cell midpoints, matching the analytic
-engine in :mod:`levygrowth.moments`.  Poisson realizations are integrated
-over their exact point pattern (unbiased against the continuum formulas)
-for constant weights, harmonic weights on a full-angle ambit (direct kinds
-only) and the tumour weight; other weight/family combinations fall back to
-the mesh path.
+Every kind is ``scale * link(level + term)``; the term, the ambit integral
+at time t, carries its own mean and variance, which centring and
+``levygrowth moments`` read.  Cell-valued bases (Gaussian, Gamma, inverse
+Gaussian) are integrated on the mesh: weights and memberships at cell
+midpoints, matching the analytic engine in :mod:`levygrowth.moments`.
+Poisson realizations are integrated over their exact point pattern
+(unbiased against the continuum formulas) for constant weights, harmonic
+weights on a full-angle ambit (direct kinds only) and the tumour weight;
+other weight/family combinations fall back to the mesh path.
 
 A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,15 +53,16 @@ from .ambit import (
     ConstantWeight,
     FullAngle,
     Tumour,
+    WedgeOverS,
     as_weight,
     mesh_kernel,
-    mesh_measure,
 )
 from .circle_cov import FourierWeight
-from .cyclic import cyc_dist
+from .cyclic import TWO_PI, cyc_dist
 from .errors import (
     KumulantDomainError,
     NonFiniteValue,
+    RegionOutsideGrid,
     UnknownId,
     WrongBasisKind,
 )
@@ -69,7 +73,9 @@ from .levy_core import (
     kumulant_domain_sup,
     sample_realization,
     spot_mean,
+    spot_variance,
 )
+from .quadrature import adaptive_simpson
 from .rngtools import mix_seed
 from .timefn import TimeFn
 
@@ -94,16 +100,11 @@ class TumourWeight:
     apex_dependent = True
 
     def value(self, t, theta, s, phi=0.0):
-        lo, mid, hi = self.family.band_split(t)
-        theta = np.asarray(theta, dtype=float)
-        s = np.asarray(s, dtype=float)
-        band1 = (s >= lo - _EPS) & (s <= mid + _EPS)
-        band2 = (s > mid + _EPS) & (s <= hi + _EPS)
-        hw = self.family.shrink_half_width(t, s)
-        inside2 = band2 & (cyc_dist(theta, phi) <= hw + _EPS)
-        return float(self.alpha(t)) * np.cos(theta - phi) * band1 + float(
-            self.beta(t)
-        ) * inside2
+        """The weight at points of the ambit set (membership is not checked)."""
+        _, mid, _ = self.family.band_split(t)
+        band1 = np.asarray(s, dtype=float) <= mid + _EPS
+        cosine = float(self.alpha(t)) * np.cos(np.asarray(theta, dtype=float) - phi)
+        return np.where(band1, cosine, float(self.beta(t)))
 
     def max_positive_value(self, t):
         a = abs(float(self.alpha(t)))
@@ -185,22 +186,16 @@ class GrowthHistory:
     def provenance(self):
         from . import __version__
 
-        return (
-            f"# levygrowth v{__version__} config={self.spec_hash} seed={self.seed}"
-        )
+        return f"# levygrowth v{__version__} config={self.spec_hash} seed={self.seed}"
 
     def angular_mean(self):
         return self.profiles.mean(axis=1)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.provenance() + "\n")
-            fh.write("t,phi,r\n")
-            for i, t in enumerate(self.times):
-                for j, phi in enumerate(self.angles):
-                    fh.write(
-                        f"{float(t)!r},{float(phi)!r},{float(self.profiles[i, j])!r}\n"
-                    )
+        from .inference import ProfileDataset
+
+        dataset = ProfileDataset(self.times, self.angles, self.profiles[None])
+        dataset.to_csv(path, self.provenance())
 
     def to_polyline_csv(self, path):
         with open(path, "w") as fh:
@@ -214,7 +209,7 @@ class GrowthHistory:
 
 
 # ---------------------------------------------------------------------------
-# kernel machinery (cell-valued bases)
+# terms: the ambit integral at one time, with its mean and variance
 # ---------------------------------------------------------------------------
 
 
@@ -225,17 +220,29 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
     return np.fft.irfft((zf * np.conj(kf)).sum(axis=0), n=n_phi)
 
 
+def _kernel_moments(kernel, grid, basis):
+    """Mean and variance of the sum of ``kernel`` times the increments (rows
+    summed first: the centring of simulated radii depends on that order)."""
+    mu = grid.cell_mu(basis.control)
+    return (
+        spot_mean(basis.spot) * float(np.sum(kernel.sum(axis=1) * mu)),
+        spot_variance(basis.spot) * float(np.sum((kernel * kernel).sum(axis=1) * mu)),
+    )
+
+
 class _MeshTerm:
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
     Only the kernel's nonzero rows (the ambit window) are kept, with their
     conjugated spectra, so a call transforms just those increment rows.
+    ``moments`` is the (mean, variance) of the value at each angle.
     """
 
-    def __init__(self, kernel):
+    def __init__(self, kernel, grid, basis):
         self.rows = np.flatnonzero(np.any(kernel != 0.0, axis=1))
         self.n_phi = kernel.shape[1]
         self.spectrum = np.conj(np.fft.rfft(kernel[self.rows], axis=1))
+        self.moments = _kernel_moments(kernel, grid, basis)
 
     def __call__(self, realization):
         if self.rows.size == 0:
@@ -244,16 +251,28 @@ class _MeshTerm:
         return np.fft.irfft((zf * self.spectrum).sum(axis=0), n=self.n_phi)
 
 
+class _PointTerm:
+    """A sum over the points of a Poisson realization,
+    ``profile(spec, grid, realization, t)``; its ``moments``, the (mean,
+    variance) of the value at each angle, are computed on first use."""
+
+    def __init__(self, profile, moments, spec, grid, t):
+        self.profile, self._moments, self.args = profile, moments, (spec, grid, t)
+
+    def __call__(self, realization):
+        spec, grid, t = self.args
+        return self.profile(spec, grid, realization, t)
+
+    @cached_property
+    def moments(self):
+        return self._moments(*self.args)
+
+
 def _rate_kernel(spec, grid, t):
     fbar = _ambit.induced_weight(
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
     )
     return np.asarray(fbar(grid.phi_mids[None, :], grid.t_mids[:, None]), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# point machinery (Poisson realizations)
-# ---------------------------------------------------------------------------
 
 
 def _arc_add(profile, theta, widths, values, dphi):
@@ -288,9 +307,10 @@ def _arc_add(profile, theta, widths, values, dphi):
 def _point_path(spec, mode):
     """Whether the ``mode`` term of a Poisson model is summed over its points.
 
-    The direct point sum handles constant weights and harmonic weights on a
-    full-angle ambit; the rate point sum handles constant weights on
-    factorizing families.  Everything else takes the mesh path.
+    The direct point sum handles constant weights, harmonic weights on a
+    full-angle ambit and the tumour weight on the tumour family; the rate
+    point sum handles constant weights on factorizing families.  Everything
+    else takes the mesh path.
     """
     if spec.basis.spot.kind != "poisson":
         return False
@@ -298,6 +318,8 @@ def _point_path(spec, mode):
         return isinstance(spec.weight, ConstantWeight) and spec.ambit.factorizes
     if isinstance(spec.weight, FourierWeight):
         return isinstance(spec.ambit, FullAngle)
+    if isinstance(spec.weight, TumourWeight):
+        return isinstance(spec.ambit, Tumour)
     return isinstance(spec.weight, ConstantWeight)
 
 
@@ -311,6 +333,8 @@ def _poisson_direct_profile(spec, grid, realization, t):
         return profile
     if isinstance(spec.weight, FourierWeight):
         return _harmonic_point_profile(spec.weight, grid, t, theta, s, profile)
+    if isinstance(spec.weight, TumourWeight):
+        return _tumour_point_profile(spec.weight, grid, t, theta, s, profile)
     c = float(spec.weight.constant_value)
     widths = np.asarray(spec.ambit.half_width(t, s), dtype=float)
     return _arc_add(profile, theta, widths, np.full(theta.shape, c), grid.dphi)
@@ -324,6 +348,32 @@ def _harmonic_point_profile(weight, grid, t, theta, s, profile):
         sk = float(np.sum(a * np.sin(k * theta)))
         profile += np.cos(k * angles) * ck + np.sin(k * angles) * sk
     return profile
+
+
+def _tumour_point_profile(weight, grid, t, theta, s, profile):
+    """alpha(t) times the cosine harmonic of the old band's points plus
+    beta(t) times the count of recent-band points whose cone covers each
+    angle."""
+    _, mid, _ = weight.family.band_split(t)
+    old = s <= mid + _EPS
+    angles = grid.phi_mids
+    band1 = np.cos(angles) * float(np.sum(np.cos(theta[old]))) + np.sin(angles) * float(
+        np.sum(np.sin(theta[old]))
+    )
+    widths = weight.family.shrink_half_width(t, s[~old])
+    band2 = _arc_add(profile, theta[~old], widths, np.ones(widths.shape), grid.dphi)
+    return float(weight.alpha(t)) * band1 + float(weight.beta(t)) * band2
+
+
+def _direct_point_moments(spec, grid, t):
+    """Mean and variance of :func:`_poisson_direct_profile` at one angle: from
+    the ambit measure for a constant weight, else from the weight's kernel."""
+    if not isinstance(spec.weight, ConstantWeight):
+        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+        return _kernel_moments(kernel, grid, spec.basis)
+    c, spot = spec.weight.c, spec.basis.spot
+    measure = spec.ambit.measure(t, spec.basis.control)
+    return c * spot_mean(spot) * measure, c * c * spot_variance(spot) * measure
 
 
 def _poisson_rate_profile(spec, grid, realization, t):
@@ -341,19 +391,28 @@ def _poisson_rate_profile(spec, grid, realization, t):
     return _arc_add(profile, theta[live], widths, values[live], grid.dphi)
 
 
-def _poisson_tumour_terms(spec, grid, realization, t):
-    pts = realization.points()
-    lo, mid, hi = spec.ambit.band_split(t)
-    in1 = (pts.s >= lo - _EPS) & (pts.s <= mid + _EPS)
-    in2 = (pts.s > mid + _EPS) & (pts.s <= hi + _EPS)
-    angles = grid.phi_mids
-    b1 = np.cos(angles) * float(np.sum(np.cos(pts.theta[in1]))) + np.sin(
-        angles
-    ) * float(np.sum(np.sin(pts.theta[in1])))
-    b2 = np.zeros(grid.n_phi)
-    widths = spec.ambit.shrink_half_width(t, pts.s[in2])
-    b2 = _arc_add(b2, pts.theta[in2], widths, np.ones(int(in2.sum())), grid.dphi)
-    return b1, b2
+def _rate_point_moments(spec, grid, t):
+    """Mean and variance of :func:`_poisson_rate_profile` at one angle:
+    ``c^p m_p int 2 hw(t, s) L(s)^p g(s) ds`` for p = 1, 2, with ``m_p`` the
+    spot mean and variance and ``L`` the window length in the time union,
+    integrated between the kinks of ``hw`` and ``L``."""
+    family, g, spot = spec.ambit, spec.basis.control.g, spec.basis.spot
+    lo = max(grid.t_min, g.support_lo)
+    kinks = {family.window(0.0)[0], 0.0, family.window(t)[0]}
+    if isinstance(family, WedgeOverS):
+        kinks.add(family.theta / np.pi)
+    edges = [lo, *sorted(k for k in kinks if lo < k < t), t]
+    c = float(spec.weight.constant_value)
+
+    def integral(p):
+        def f(s):
+            length = float(_ambit.window_length_in_union(family, s, t))
+            return 2.0 * float(family.half_width(t, s)) * length**p * float(g(s))
+
+        tol = 1e-12 * (TWO_PI * abs(t - lo) ** p * float(g.integral(lo, t)) + 1.0)
+        return sum(adaptive_simpson(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
+
+    return c * spot_mean(spot) * integral(1), c * c * spot_variance(spot) * integral(2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +421,24 @@ def _poisson_tumour_terms(spec, grid, realization, t):
 
 
 def _term(spec, grid, t, mode):
-    """The ambit integral at time t, all grid angles, as a function of the
-    realization; mesh kernels are built here, once."""
+    """The ambit integral at time t, ``mode`` ``"direct"`` (instantaneous
+    set) or ``"rate"`` (time union): called on a realization it returns the
+    profile over all grid angles, and its ``moments`` are the (mean,
+    variance) of that value.  Mesh kernels are built here, once."""
     if _point_path(spec, mode):
-        profile = _poisson_direct_profile if mode == "direct" else _poisson_rate_profile
-        return lambda realization: profile(spec, grid, realization, t)
+        if mode == "rate":
+            return _PointTerm(_poisson_rate_profile, _rate_point_moments, spec, grid, t)
+        return _PointTerm(_poisson_direct_profile, _direct_point_moments, spec, grid, t)
     if mode == "direct":
-        return _MeshTerm(mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0]))
-    return _MeshTerm(_rate_kernel(spec, grid, t))
+        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+    else:
+        kernel = _rate_kernel(spec, grid, t)
+    return _MeshTerm(kernel, grid, spec.basis)
 
 
 def _stochastic_term(spec, grid, realization, t, mode):
     """Profile of the ambit integral at time t, all grid angles."""
     return _term(spec, grid, t, mode)(realization)
-
-
-def _center_shift(spec, grid, t):
-    """Mean of the direct ambit integral, matching the evaluation path in use."""
-    if not spec.center_stochastic_mean:
-        return 0.0
-    mz = spot_mean(spec.basis.spot)
-    if _point_path(spec, "direct"):
-        return mz * spec.ambit.measure(t, spec.basis.control)
-    return mz * mesh_measure(spec.ambit, grid, spec.basis.control, t, grid.phi_mids[0])
 
 
 def _check_exponential_domain(spec, t):
@@ -400,38 +454,34 @@ def _check_exponential_domain(spec, t):
         )
 
 
-class _TumourCellTerms:
-    """The two band integrals of the tumour model at time t, for cell-valued
-    realizations."""
+@dataclass(frozen=True)
+class _Radius:
+    """The radius at one time, ``scale * link(level + term(realization))``;
+    ``level + term`` is the linear predictor (see :mod:`levygrowth.cli`)."""
 
-    def __init__(self, spec, grid, t):
-        lo, mid, hi = spec.ambit.band_split(t)
-        s = grid.t_mids
-        self.rows1 = np.flatnonzero((s >= lo - _EPS) & (s <= mid + _EPS))
-        rows2 = (s > mid + _EPS) & (s <= hi + _EPS)
-        angles = grid.phi_mids
-        self.cos, self.sin = np.cos(angles), np.sin(angles)
-        # band 2: shrinking-cone indicator kernel
-        kernel = np.zeros((grid.n_t, grid.n_phi))
-        hw = spec.ambit.shrink_half_width(t, s[rows2])
-        kernel[rows2] = cyc_dist(angles, angles[0])[None, :] <= hw[:, None] + _EPS
-        self.band2 = _MeshTerm(kernel)
+    term: object
+    level: object  # a number, or one value per grid angle
+    scale: object = 1.0
+    link: Optional[Callable] = None
 
     def __call__(self, realization):
-        # band 1: cosine harmonic of the increments
-        z1 = realization.increments[self.rows1]
-        ck = float(np.sum(z1 * self.cos[None, :]))
-        sk = float(np.sum(z1 * self.sin[None, :]))
-        return self.cos * ck + self.sin * sk, self.band2(realization)
+        x = self.level + self.term(realization)
+        return self.scale * (x if self.link is None else self.link(x))
+
+    def moments(self):
+        """Mean and variance of the linear predictor at the first grid angle."""
+        mean, var = self.term.moments
+        return float(np.ravel(self.level)[0]) + mean, var
 
 
 class _Plan:
     """Everything in a simulation of (spec, grid, times) but the realization.
 
-    Holds the validated, sorted times and, per time, the radius profile as a
-    function of the realization, with its kernel spectra, centring shift,
-    drift and profile values computed up front.  Replicates run the same
-    plan, so each does exactly the arithmetic of a single :func:`simulate`.
+    Holds the validated, sorted times and, per time, the :class:`_Radius`
+    with its term's kernel spectra, centring, drift and profile values
+    computed up front.  Replicates run the same plan, so each does exactly
+    the arithmetic of a single :func:`simulate`; ``levygrowth moments``
+    reads the same radii's moments.
     """
 
     def __init__(self, spec, grid, times):
@@ -444,47 +494,34 @@ class _Plan:
             else:
                 lo = max(spec.ambit.window(t)[0], support_lo)
             if not grid.covers(lo, t):
-                raise ValueError(f"grid window does not cover the model at t={t}")
-        self.radius_fns = [self._radius_fn(t) for t in self.times]
+                raise RegionOutsideGrid(f"grid window does not cover the model at t={t}")
+        self.radii = [self._radius(t) for t in self.times]
         self.spec_hash = config_hash(spec, grid)
 
-    def _radius_fn(self, t):
+    def _radius(self, t):
         spec, grid = self.spec, self.grid
         angles = grid.phi_mids
-        if spec.kind in ("direct", "direct_scaled"):
-            term = _term(spec, grid, t, "direct")
-            level = spec.drift(t) - _center_shift(spec, grid, t)
-            if spec.kind == "direct":
-                return lambda realization: level + term(realization)
-            multiplier = np.asarray(spec.multiplier(angles), dtype=float)
-            return lambda realization: multiplier * (level + term(realization))
         if spec.kind in ("rate_linear", "rate_of_log"):
             term = _term(spec, grid, t, "rate")
             accumulated = spec.drift.integral(t)
             r0 = spec.r0_profile(angles)
             if spec.kind == "rate_linear":
-                return lambda realization: r0 + accumulated + term(realization)
-            return lambda realization: r0 * np.exp(accumulated + term(realization))
-        # exponential_tumour
-        _check_exponential_domain(spec, t)
-        if spec.basis.spot.kind == "poisson":
-            bands = lambda realization: _poisson_tumour_terms(spec, grid, realization, t)
-        else:
-            bands = _TumourCellTerms(spec, grid, t)
-        mu = spec.drift(t)
-        alpha, beta = float(spec.weight.alpha(t)), float(spec.weight.beta(t))
-
-        def radius(realization):
-            b1, b2 = bands(realization)
-            return np.exp(mu + alpha * b1 + beta * b2)
-
-        return radius
+                return _Radius(term, r0 + accumulated)
+            return _Radius(term, accumulated, r0, np.exp)
+        if spec.kind == "exponential_tumour":
+            _check_exponential_domain(spec, t)
+            return _Radius(_term(spec, grid, t, "direct"), spec.drift(t), link=np.exp)
+        term = _term(spec, grid, t, "direct")
+        level = spec.drift(t) - (term.moments[0] if spec.center_stochastic_mean else 0.0)
+        if spec.kind == "direct":
+            return _Radius(term, level)
+        return _Radius(term, level, np.asarray(spec.multiplier(angles), dtype=float))
 
     def profiles(self, seed):
         """Radii (n_times, n_phi) on the realization drawn from ``seed``."""
         realization = sample_realization(self.spec.basis, self.grid, seed)
         out = np.empty((self.times.size, self.grid.n_phi))
-        for i, radius in enumerate(self.radius_fns):
+        for i, radius in enumerate(self.radii):
             out[i] = radius(realization)
         if not np.all(np.isfinite(out)):
             raise NonFiniteValue("simulation produced non-finite radii")
@@ -513,20 +550,14 @@ def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthH
     return _Plan(spec, grid, times).history(seed)
 
 
-def simulate_replicates(spec, grid, seed, times, n_replicates, keep="profiles"):
-    """Histories for replicates r = 0..n-1 with derived seeds mix(seed, r).
-
-    The kernels are built once for all replicates; replicate r equals
-    ``simulate(spec, grid, mix_seed(seed, r), times)`` bit for bit.
-    ``keep='profiles'`` returns an array (n_replicates, n_times, n_phi).
-    """
+def simulate_replicates(spec, grid, seed, times, n_replicates):
+    """Radii (n_replicates, n_times, n_phi) of replicates r = 0..n-1, seeded
+    mix(seed, r), from kernels built once; replicate r equals
+    ``simulate(spec, grid, mix_seed(seed, r), times).profiles`` bit for bit."""
     plan = _Plan(spec, grid, times)
-    seeds = [mix_seed(seed, r) for r in range(n_replicates)]
-    if keep != "profiles":
-        return [plan.history(s) for s in seeds]
     out = np.empty((n_replicates, plan.times.size, grid.n_phi))
-    for r, s in enumerate(seeds):
-        out[r] = plan.profiles(s)
+    for r in range(n_replicates):
+        out[r] = plan.profiles(mix_seed(seed, r))
     return out
 
 

@@ -189,10 +189,6 @@ class ControlMeasure:
     def lebesgue():
         return ControlMeasure(TimeDensity.constant(1.0))
 
-    def band_measure(self, t_lo, t_hi, angular_width=TWO_PI):
-        """Measure of ``{angle set of given width} x [t_lo, t_hi]``."""
-        return angular_width * self.g.integral(t_lo, t_hi)
-
     def describe(self):
         return {"g": self.g.describe()}
 

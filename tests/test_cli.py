@@ -175,6 +175,13 @@ def test_model_error_exits_3(tmp_path, capsys):
     assert "Kumulant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "moments"])
+def test_grid_short_of_the_times_exits_3(tmp_path, capsys, command):
+    args = [command, "--preset", "ex4", "--set", "grid.t_max=40", "--out-dir", str(tmp_path)]
+    assert run(args) == 3
+    assert "RegionOutsideGrid" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cov / moments
 # ---------------------------------------------------------------------------
@@ -344,3 +351,123 @@ def test_moments_command_centered_preset(tmp_path):
     rows = {float(l.split(",")[0]): float(l.split(",")[1]) for l in lines[2:]}
     assert rows[20.0] == pytest.approx(16.0)
     assert rows[80.0] == pytest.approx(32.0)
+
+
+# ---------------------------------------------------------------------------
+# moments: the simulator's own terms
+# ---------------------------------------------------------------------------
+
+
+def _document(preset, **override):
+    from levygrowth.config import _deep_merge, preset_document
+
+    return _deep_merge(preset_document(preset), override)
+
+
+def _moments_table(tmp_path, doc):
+    path = tmp_path / "moments-config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "moments-out"
+    assert run(["moments", "--config", str(path), "--out-dir", str(out)]) == 0
+    lines = (out / "moments.csv").read_text().splitlines()
+    assert lines[1] == "t,mean,variance"
+    return np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+
+
+def _ex3_closed_form(t, a=10.0, theta=0.5, lag=1.0):
+    # R_t = sum over points of L(s) on the 1/s-wedge, g(s) = a s, c = theta / pi
+    c = theta / math.pi
+    mean = 2 * a * theta * ((t - lag - c) * lag + lag**2 / 2) + math.pi * a * lag * c * c
+    var = 2 * a * theta * ((t - lag - c) * lag**2 + lag**3 / 3) + math.pi * a * lag**2 * c * c
+    return mean, var
+
+
+def test_moments_ex3_matches_closed_form(tmp_path):
+    table = _moments_table(tmp_path, _document("ex3"))
+    assert list(table[:, 0]) == [75.0, 100.0, 125.0]
+    for t, mean, var in table:
+        want_mean, want_var = _ex3_closed_form(t)
+        assert mean == pytest.approx(want_mean, rel=1e-10)
+        assert var == pytest.approx(want_var, rel=1e-10)
+
+
+def _z_scores(x, mean, var):
+    """z of the sample mean and the sample variance of ``x`` against
+    ``mean`` and ``var``; the variance's standard error is that of the
+    mean of the squared deviations."""
+    n = x.size
+    dev2 = (x - x.mean()) ** 2
+    z_mean = (x.mean() - mean) / (x.std(ddof=1) / math.sqrt(n))
+    z_var = (x.var(ddof=1) - var) / (dev2.std(ddof=1) / math.sqrt(n))
+    return z_mean, z_var
+
+
+AGREEMENT_MODELS = {
+    "ex3": ("ex3", {"grid": {"dphi_divisor": 100, "t_max": 12.0}, "times": [6.0, 12.0]}),
+    "ex4": ("ex4", {"grid": {"dphi_divisor": 100}}),
+    "ex5": ("ex5", {"grid": {"dphi_divisor": 100}}),
+    "ex6": ("ex6", {"grid": {"dphi_divisor": 100}}),
+    "tumour": ("tumour", {"grid": {"dphi_divisor": 100}}),
+    "ex4-rate_linear": (
+        "ex4",
+        {
+            "model": {
+                "kind": "rate_linear",
+                "ambit": {"theta": {"kind": "constant", "value": math.pi / 5}},
+            },
+            "grid": {"dphi_divisor": 200, "t_max": 45.0},
+            "times": [20.0, 45.0],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_MODELS))
+def test_moments_agree_with_simulation(tmp_path, name):
+    from levygrowth.config import parse_config
+    from levygrowth.growth import simulate_replicates
+
+    preset, override = AGREEMENT_MODELS[name]
+    doc = _document(preset, **override)
+    table = _moments_table(tmp_path, doc)
+    cfg = parse_config(doc)
+    radii = simulate_replicates(cfg.spec, cfg.grid, 1, cfg.times, 400)[:, :, 0]
+    if cfg.spec.kind == "exponential_tumour":
+        radii = np.log(radii)
+    elif cfg.spec.kind == "direct_scaled":
+        radii = radii / cfg.spec.multiplier(cfg.grid.phi_mids[:1])
+    assert list(table[:, 0]) == sorted(cfg.times)
+    for i, (t, mean, var) in enumerate(table):
+        z_mean, z_var = _z_scores(radii[:, i], mean, var)
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4, (name, t, z_mean, z_var)
+
+
+def test_centring_subtracts_the_weighted_mean(tmp_path):
+    from levygrowth.config import parse_config
+    from levygrowth.growth import simulate_replicates
+
+    doc = _document(
+        "ex5",
+        model={"weight": {"kind": "constant", "value": 2.0}},
+        grid={"dphi_divisor": 100},
+    )
+    table = _moments_table(tmp_path, doc)
+    drift = {20.0: 16.0, 45.0: 24.0, 80.0: 32.0}
+    for t, mean, _ in table:
+        assert abs(mean - drift[t]) <= 1e-9
+    cfg = parse_config(doc)
+    radii = simulate_replicates(cfg.spec, cfg.grid, 2, cfg.times, 400)[:, :, 0]
+    for i, (t, mean, var) in enumerate(table):
+        z_mean, _ = _z_scores(radii[:, i], mean, var)
+        assert abs(z_mean) <= 4, (t, z_mean)
+
+
+def test_fine_replicate_history_hash_is_that_of_the_simulated_grid(tmp_path):
+    out = tmp_path / "fine"
+    args = ["simulate", "--preset", "ex4", "--seed", "3", "--replicates", "2", "--fine"]
+    args += ["--set", "grid.dphi_divisor=50", "--set", "times=[20]", "--out-dir", str(out)]
+    assert run(args) == 0
+    history = (out / "history.csv").read_text().splitlines()[0]
+    outline = (out / "outline.csv").read_text().splitlines()[0]
+    config = [part for part in history.split() if part.startswith("config=")]
+    assert config and config == [p for p in outline.split() if p.startswith("config=")]
