@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
-from .errors import NonMonotoneRadius
+from .errors import NonMonotoneRadius, RegionOutsideGrid
 from .levy_core import ControlMeasure, GridSpec, TimeDensity
 from .quadrature import adaptive_simpson
 from .timefn import TimeFn
@@ -354,6 +354,15 @@ def self_intersection_measure(h, g: TimeDensity, phi, tol=1e-10, *, integrated=F
     return 2.0 * first + 2.0 * second - TWO_PI * hbar(np.pi)
 
 
+def check_covered(family: AmbitFamily, control, grid, t, *, union=False):
+    """Raise :class:`RegionOutsideGrid` unless the grid's time window holds
+    the part of ``A_t`` (with ``union``, of the union of ``A_u`` over apexes
+    ``u`` in [0, t]) where the control measure lives."""
+    lo = min(family.window(0.0)[0], 0.0) if union else family.window(t)[0]
+    if not grid.covers(max(lo, control.g.support_lo), t):
+        raise RegionOutsideGrid(f"grid window does not cover the model at t={t}")
+
+
 # ---------------------------------------------------------------------------
 # regions for stochastic integration
 # ---------------------------------------------------------------------------
@@ -559,27 +568,6 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
         return acc
 
     return fbar
-
-
-@dataclass(frozen=True)
-class TimeUnionRegion:
-    """Union of the ambit sets with apexes in [0, t] (region protocol)."""
-
-    family: AmbitFamily
-    t: float
-    phi: float
-
-    def time_window(self):
-        lo = min(self.family.window(u)[0] for u in np.linspace(0.0, self.t, 65))
-        return (max(lo, 0.0), self.t)
-
-    def contains(self, theta, s):
-        fbar = induced_weight(self.family, 1.0, self.t, self.phi)
-        return np.asarray(fbar(theta, s)) > 0
-
-
-def time_union(family: AmbitFamily, t, phi=0.0):
-    return TimeUnionRegion(family, t, phi)
 
 
 # ---------------------------------------------------------------------------

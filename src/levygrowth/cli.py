@@ -14,7 +14,11 @@ predictor: the radius (with ``r0``) for ``rate_linear``, ``log(R / r0)`` for
 ``rate_of_log``, the log radius for the tumour model, the radius for
 ``direct`` and the radius before the angular multiplier for
 ``direct_scaled``.  ``mc-verify`` checks the instantaneous ambit integral of
-a :class:`~levygrowth.moments.MomentQuery`, whatever the model kind is.
+a :class:`~levygrowth.moments.MomentQuery`, whatever the model kind is, with
+the model's own standard errors (:func:`~levygrowth.moments.mc_verify`).
+Its checks are validated before any sampling: an unknown statistic, the
+wrong number of points or missing exponents exit 2, and a point whose ambit
+window the grid does not hold exits 3.
 
 Every command takes a JSON configuration (``--config``) and/or a built-in
 preset (``--preset``), overridable field by field with repeated
@@ -46,7 +50,7 @@ from .inference import (
     rect_direct_cov_model,
 )
 from .levy_core import config_hash
-from .moments import MomentQuery, mc_verify
+from .moments import MomentQuery, check_problem, mc_verify
 from .rngtools import mix_seed
 
 EXIT_OK = 0
@@ -143,35 +147,46 @@ def cmd_moments(args):
     return EXIT_OK
 
 
-def cmd_mc_verify(args):
-    cfg = _load(args)
+def _mc_queries(cfg):
+    """The mc-verify checks as (query, statistic, n_replicates), all validated
+    before any sampling; a bad check is a ConfigError at its dotted path."""
     if cfg.mc is None:
         raise ConfigError("mc-verify needs an 'mc' block", "mc")
-    block = cfg.mc
-    checks = block.get("checks") or [block]
+    listed = cfg.mc.get("checks")
+    blocks = [("mc", cfg.mc)]
+    if listed:
+        blocks = [(f"mc.checks[{i}]", chk) for i, chk in enumerate(listed)]
     grid = _effective_grid(cfg)
-    reports = []
-    for chk in checks:
+    queries = []
+    for path, chk in blocks:
+        if not isinstance(chk, dict):
+            raise ConfigError("expected a mapping", path)
         statistic = chk.get("statistic")
-        points = tuple((float(t), float(p)) for t, p in chk.get("points", []))
+        try:
+            points = tuple((float(t), float(p)) for t, p in chk.get("points", []))
+        except (TypeError, ValueError):
+            raise ConfigError("points must be [t, phi] pairs", f"{path}.points") from None
         if statistic is None or not points:
-            raise ConfigError("each check needs 'statistic' and 'points'", "mc")
-        q = MomentQuery(
-            basis=cfg.spec.basis,
-            ambit=cfg.spec.ambit,
-            weight=cfg.spec.weight,
-            grid=grid,
-            points=points,
-            lambdas=tuple(chk["lambdas"]) if chk.get("lambdas") else None,
-        )
-        rep = mc_verify(
-            q,
-            statistic,
-            int(chk.get("n_replicates", 1000)),
-            cfg.seed,
-            threads=cfg.threads,
-        )
-        reports.append(json.loads(rep.to_json()))
+            raise ConfigError("each check needs 'statistic' and 'points'", path)
+        lambdas = tuple(chk["lambdas"]) if chk.get("lambdas") else None
+        problem = check_problem(statistic, points, lambdas)
+        if problem is not None:
+            raise ConfigError(problem[1], f"{path}.{problem[0]}")
+        n = int(chk.get("n_replicates", 1000))
+        if n < 2:
+            raise ConfigError("needs at least 2 replicates", f"{path}.n_replicates")
+        spec = cfg.spec
+        q = MomentQuery(spec.basis, spec.ambit, spec.weight, grid, points, lambdas)
+        queries.append((q, statistic, n))
+    return queries
+
+
+def cmd_mc_verify(args):
+    cfg = _load(args)
+    reports = [
+        json.loads(mc_verify(q, statistic, n, cfg.seed, threads=cfg.threads).to_json())
+        for q, statistic, n in _mc_queries(cfg)
+    ]
     path = os.path.join(cfg.out_dir, "mc_report.json")
     with open(path, "w") as fh:
         json.dump({"provenance": _provenance(cfg), "reports": reports}, fh, indent=2)

@@ -55,25 +55,20 @@ from .ambit import (
     Tumour,
     WedgeOverS,
     as_weight,
+    check_covered,
     mesh_kernel,
 )
 from .circle_cov import FourierWeight
 from .cyclic import TWO_PI, cyc_dist
-from .errors import (
-    KumulantDomainError,
-    NonFiniteValue,
-    RegionOutsideGrid,
-    UnknownId,
-    WrongBasisKind,
-)
+from .errors import NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
     BasisSpec,
     GridSpec,
+    check_kumulant_domain,
     config_hash,
-    kumulant_domain_sup,
+    constant_weight_cumulant,
+    cumulant_sum,
     sample_realization,
-    spot_mean,
-    spot_variance,
 )
 from .quadrature import adaptive_simpson
 from .rngtools import mix_seed
@@ -221,13 +216,9 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
 
 
 def _kernel_moments(kernel, grid, basis):
-    """Mean and variance of the sum of ``kernel`` times the increments (rows
-    summed first: the centring of simulated radii depends on that order)."""
+    """Mean and variance of the sum of ``kernel`` times the increments."""
     mu = grid.cell_mu(basis.control)
-    return (
-        spot_mean(basis.spot) * float(np.sum(kernel.sum(axis=1) * mu)),
-        spot_variance(basis.spot) * float(np.sum((kernel * kernel).sum(axis=1) * mu)),
-    )
+    return cumulant_sum(basis.spot, mu, kernel), cumulant_sum(basis.spot, mu, kernel, kernel)
 
 
 class _MeshTerm:
@@ -373,7 +364,7 @@ def _direct_point_moments(spec, grid, t):
         return _kernel_moments(kernel, grid, spec.basis)
     c, spot = spec.weight.c, spec.basis.spot
     measure = spec.ambit.measure(t, spec.basis.control)
-    return c * spot_mean(spot) * measure, c * c * spot_variance(spot) * measure
+    return tuple(constant_weight_cumulant(spot, c, measure, p) for p in (1, 2))
 
 
 def _poisson_rate_profile(spec, grid, realization, t):
@@ -412,7 +403,7 @@ def _rate_point_moments(spec, grid, t):
         tol = 1e-12 * (TWO_PI * abs(t - lo) ** p * float(g.integral(lo, t)) + 1.0)
         return sum(adaptive_simpson(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
 
-    return c * spot_mean(spot) * integral(1), c * c * spot_variance(spot) * integral(2)
+    return tuple(constant_weight_cumulant(spot, c, integral(p), p) for p in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +425,6 @@ def _term(spec, grid, t, mode):
     else:
         kernel = _rate_kernel(spec, grid, t)
     return _MeshTerm(kernel, grid, spec.basis)
-
-
-def _stochastic_term(spec, grid, realization, t, mode):
-    """Profile of the ambit integral at time t, all grid angles."""
-    return _term(spec, grid, t, mode)(realization)
-
-
-def _check_exponential_domain(spec, t):
-    spot = spec.basis.spot
-    sup = kumulant_domain_sup(spot)
-    if math.isinf(sup):
-        return
-    peak = spec.weight.max_positive_value(t)
-    if peak >= sup:
-        raise KumulantDomainError(
-            f"tumour weight peak {peak} at t={t} reaches the "
-            f"{spot.kind} kumulant bound {sup}; exponential moments diverge"
-        )
 
 
 @dataclass(frozen=True)
@@ -487,14 +460,9 @@ class _Plan:
     def __init__(self, spec, grid, times):
         self.spec, self.grid = spec, grid
         self.times = np.sort(np.asarray(times, dtype=float))
-        support_lo = spec.basis.control.g.support_lo
+        union = spec.kind in ("rate_linear", "rate_of_log")
         for t in self.times:
-            if spec.kind in ("rate_linear", "rate_of_log"):
-                lo = max(support_lo, min(spec.ambit.window(0.0)[0], 0.0))
-            else:
-                lo = max(spec.ambit.window(t)[0], support_lo)
-            if not grid.covers(lo, t):
-                raise RegionOutsideGrid(f"grid window does not cover the model at t={t}")
+            check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
         self.radii = [self._radius(t) for t in self.times]
         self.spec_hash = config_hash(spec, grid)
 
@@ -509,7 +477,7 @@ class _Plan:
                 return _Radius(term, r0 + accumulated)
             return _Radius(term, accumulated, r0, np.exp)
         if spec.kind == "exponential_tumour":
-            _check_exponential_domain(spec, t)
+            check_kumulant_domain(spec.basis.spot, spec.weight.max_positive_value(t))
             return _Radius(_term(spec, grid, t, "direct"), spec.drift(t), link=np.exp)
         term = _term(spec, grid, t, "direct")
         level = spec.drift(t) - (term.moments[0] if spec.center_stochastic_mean else 0.0)

@@ -29,6 +29,7 @@ import numpy as np
 from .cyclic import TWO_PI
 from .errors import (
     DomainError,
+    KumulantDomainError,
     RegionOutsideGrid,
     UnboundedRegion,
 )
@@ -299,24 +300,68 @@ def kumulant_array(spot: SpotLaw, theta):
     return spot.eta * spot.gamma * (1.0 - np.sqrt(1.0 - 2.0 * theta / spot.gamma**2))
 
 
-def spot_mean(spot: SpotLaw):
+def spot_cumulant(spot: SpotLaw, p):
+    """``p``-th cumulant of the spot variable, the ``p``-th derivative of its
+    kumulant at 0."""
     if spot.kind == "poisson":
         return 1.0
     if spot.kind == "gaussian":
-        return spot.a_tilde
+        return (spot.a_tilde, spot.b_tilde)[p - 1] if p <= 2 else 0.0
     if spot.kind == "gamma":
-        return spot.beta / spot.alpha
-    return spot.eta / spot.gamma
+        return spot.beta * math.factorial(p - 1) / spot.alpha**p
+    return spot.eta * math.prod(range(2 * p - 3, 0, -2)) / spot.gamma ** (2 * p - 1)
+
+
+def spot_mean(spot: SpotLaw):
+    return spot_cumulant(spot, 1)
 
 
 def spot_variance(spot: SpotLaw):
-    if spot.kind == "poisson":
-        return 1.0
-    if spot.kind == "gaussian":
-        return spot.b_tilde
-    if spot.kind == "gamma":
-        return spot.beta / spot.alpha**2
-    return spot.eta / spot.gamma**3
+    return spot_cumulant(spot, 2)
+
+
+def check_kumulant_domain(spot: SpotLaw, args):
+    """Raise :class:`KumulantDomainError` when a kumulant argument reaches the
+    end of the spot law's finite domain (an exponential moment diverges)."""
+    sup = kumulant_domain_sup(spot)
+    m = float(np.max(args)) if np.size(args) else 0.0
+    if m >= sup:
+        raise KumulantDomainError(
+            f"weights reach {m}, at or beyond the {spot.kind} kumulant bound {sup}; "
+            "exponential moments diverge"
+        )
+
+
+def cumulant_sum(spot: SpotLaw, mu_rows, *kernels):
+    """Joint cumulant of the integrals ``int K_i dL``, one per kernel.
+
+    Cumulants of an independently scattered basis add over cells, so with
+    ``p = len(kernels)`` this is ``kappa_p(spot) * sum_l (sum_j prod_i
+    K_i[l, j]) * mu_l``: the mean for one kernel, the variance for ``(K, K)``,
+    a covariance for ``(K1, K2)``.  Kernels have shape (n_t, n_phi) and
+    ``mu_rows`` is the measure of one cell per time row; rows are summed
+    first (the centring of simulated radii depends on that order).
+    """
+    prod = kernels[0]
+    for kernel in kernels[1:]:
+        prod = prod * kernel
+    return spot_cumulant(spot, len(kernels)) * float(np.sum(prod.sum(axis=1) * mu_rows))
+
+
+def constant_weight_cumulant(spot: SpotLaw, c, integral, p):
+    """``c**p * kappa_p(spot) * integral``: the ``p``-th cumulant of the basis
+    integral of ``c * k`` where ``int k**p dmu = integral``; for the indicator
+    of a set that is ``mu`` of the set, for every ``p``."""
+    return c**p * spot_cumulant(spot, p) * integral
+
+
+def log_laplace_sum(spot: SpotLaw, mu_rows, lambdas, kernels):
+    """``log E exp(sum_i lambda_i int K_i dL) = sum kumulant(sum_i lambda_i
+    K_i) * mu`` over the cells; raises :class:`KumulantDomainError` where the
+    summed kernel leaves the kumulant's domain."""
+    total = sum(float(lam) * kernel for lam, kernel in zip(lambdas, kernels))
+    check_kumulant_domain(spot, total)
+    return float(np.sum(kumulant_array(spot, total).sum(axis=1) * mu_rows))
 
 
 @dataclass(frozen=True)
@@ -617,81 +662,22 @@ class RegionUnion:
         return sum(r.measure(control) for r in self.rects)
 
 
-class WholeGrid:
-    """Sentinel region covering the full realized window."""
-
-    def contains(self, theta, s):
-        return np.ones(np.broadcast(np.asarray(theta), np.asarray(s)).shape, dtype=bool)
-
-
-WHOLE_GRID = WholeGrid()
-
-
-def measure_of(region, control: ControlMeasure):
-    """mu of a bounded region (rectangles, unions, or ambit-style regions)."""
-    if region is None:
-        return 0.0
-    if isinstance(region, WholeGrid):
-        raise UnboundedRegion("whole-cylinder measure requires explicit bounds")
-    return float(region.measure(control))
-
-
-def _coverage_fractions(region, grid: GridSpec, control: ControlMeasure, refine=4):
-    """mu-weighted coverage fraction of each cell, shape (n_t, n_phi).
-
-    Full/empty cells are detected from their four corners; boundary cells
-    are resolved on a ``refine x refine`` sub-cell midpoint test weighted by
-    the sub-cell measures.
-    """
-    pe, te = grid.phi_edges, grid.t_edges
-    corner = region.contains(pe[None, :], te[:, None])
-    csum = (
-        corner[:-1, :-1].astype(int)
-        + corner[:-1, 1:]
-        + corner[1:, :-1]
-        + corner[1:, 1:]
-    )
-    frac = np.zeros((grid.n_t, grid.n_phi))
-    frac[csum == 4] = 1.0
-    boundary = (csum > 0) & (csum < 4)
-    if not np.any(boundary):
-        return frac
-    rows, cols = np.nonzero(boundary)
-    off = (np.arange(refine) + 0.5) / refine
-    sub_t = te[rows][:, None] + grid.dt * off[None, :]  # (nb, refine)
-    sub_th = pe[cols][:, None] + grid.dphi * off[None, :]
-    sub_edges_t = te[rows][:, None] + grid.dt * np.arange(refine + 1) / refine
-    w_t = control.g.integral(sub_edges_t[:, :-1], sub_edges_t[:, 1:])  # (nb, refine)
-    tot = w_t.sum(axis=1)
-    inside = region.contains(
-        sub_th[:, None, :], sub_t[:, :, None]
-    )  # (nb, refine_t, refine_phi)
-    w = inside * w_t[:, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(tot > 0, w.sum(axis=(1, 2)) / (tot * refine), 0.0)
-    frac[rows, cols] = f
-    return frac
-
-
-def integrate(f, region, realization: BasisRealization, *, boundary_refine=4):
+def integrate(f, region, realization: BasisRealization):
     """Stochastic integral of ``f`` over ``region`` against one realization.
 
-    ``f`` is a vectorized callable ``f(theta, s)`` or a constant.  Gaussian
-    increments of partially covered cells are scaled by the covered fraction
-    of the cell measure; Gamma / inverse Gaussian increments are never split
-    (a cell is included when at least half its measure is covered, resolved
-    at ``boundary_refine`` times the grid resolution); Poisson realizations
-    are integrated exactly over their point pattern.
+    ``f`` is a vectorized callable ``f(theta, s)`` or a constant.  A cell of a
+    cell-valued basis counts whole, with ``f`` at its midpoint, when its
+    midpoint lies in the region: the membership rule of
+    :func:`levygrowth.ambit.mesh_kernel` and the simulator.  Poisson
+    realizations are integrated exactly over their point pattern.
     """
     grid = realization.grid
-    if not isinstance(region, WholeGrid):
-        t_lo, t_hi = region.time_window()
-        lo_eff = max(t_lo, realization.spec.control.g.support_lo)
-        if not grid.covers(lo_eff, t_hi):
-            raise RegionOutsideGrid(
-                f"region window [{t_lo}, {t_hi}] outside grid "
-                f"[{grid.t_min}, {grid.t_max}]"
-            )
+    t_lo, t_hi = region.time_window()
+    if not grid.covers(max(t_lo, realization.spec.control.g.support_lo), t_hi):
+        raise RegionOutsideGrid(
+            f"region window [{t_lo}, {t_hi}] outside grid "
+            f"[{grid.t_min}, {grid.t_max}]"
+        )
     if callable(f):
         fv = f
     else:
@@ -700,20 +686,11 @@ def integrate(f, region, realization: BasisRealization, *, boundary_refine=4):
 
     if realization.kind == "poisson":
         pts = realization.points()
-        if pts.theta.size == 0:
-            return 0.0
         mask = region.contains(pts.theta, pts.s)
         if not np.any(mask):
             return 0.0
         return float(np.sum(fv(pts.theta[mask], pts.s[mask])))
 
-    if isinstance(region, WholeGrid):
-        frac = np.ones((grid.n_t, grid.n_phi))
-    else:
-        frac = _coverage_fractions(
-            region, grid, realization.spec.control, boundary_refine
-        )
-    if realization.kind != "gaussian":
-        frac = (frac >= 0.5).astype(float)
-    weights = fv(grid.phi_mids[None, :], grid.t_mids[:, None]) * frac
+    theta, s = grid.phi_mids[None, :], grid.t_mids[:, None]
+    weights = np.where(region.contains(theta, s), fv(theta, s), 0.0)
     return float(np.sum(weights * realization.increments))

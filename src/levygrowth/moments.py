@@ -1,13 +1,19 @@
 """Analytic moments of linear and exponential spot-field integrals, plus the
 Monte Carlo cross-check harness.
 
-All analytic values are evaluated on the simulation mesh by default: weights
-and ambit indicators at cell midpoints, exact cell measures.  Monte Carlo
-replicates use the same mesh, so analytic/empirical comparisons share the
-discretization and z-scores test only the sampling.  A ``fine`` mode
-re-evaluates on a refined mesh to quantify the discretization bias, and an
-``angle_exact`` path integrates the angular direction in closed form for
-angle-independent weights (for comparisons against continuum formulas).
+Every analytic value is a sum over the cells of the simulation mesh, with
+weights and ambit indicators at cell midpoints and exact cell measures, the
+kernels :func:`levygrowth.ambit.mesh_kernel` builds for the simulator.
+Cumulants of the Levy basis add over cells, so moments come from
+:func:`levygrowth.levy_core.cumulant_sum` and exponential moments from
+:func:`levygrowth.levy_core.log_laplace_sum`.  A ``fine`` query re-evaluates
+on a refined mesh to quantify the discretization bias, and ``angle_exact``
+gives a constant weight's continuum mean and variance.
+
+:func:`mc_verify` draws replicates on the same mesh, so a z-score tests only
+the sampling.  Its standard errors are the model's own, from the same
+cumulant sums, rather than a resampling estimate (see the README's numerical
+conventions).
 """
 
 from __future__ import annotations
@@ -15,21 +21,22 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ambit import AmbitFamily, as_weight, mesh_kernel
-from .errors import KumulantDomainError
+from .ambit import AmbitFamily, as_weight, check_covered, mesh_kernel
 from .levy_core import (
     BasisSpec,
     GridSpec,
     _sample_increments,
+    check_kumulant_domain,
+    constant_weight_cumulant,
+    cumulant_sum,
     kumulant_array,
-    kumulant_domain_sup,
-    spot_mean,
-    spot_variance,
+    log_laplace_sum,
 )
 from .rngtools import replicate_rng
 
@@ -41,6 +48,8 @@ class MomentQuery:
     ``points`` is a sequence of (t, phi); ``lambdas`` are the optional
     exponents of the mixed exponential moment.  ``drift(t, phi)`` is the
     deterministic mean offset of the linear field (zero when omitted).
+    Raises :class:`~levygrowth.errors.RegionOutsideGrid` when the grid does
+    not hold a point's ambit window.
     """
 
     basis: BasisSpec
@@ -53,15 +62,12 @@ class MomentQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", as_weight(self.weight))
-
-    def with_grid(self, grid):
-        return MomentQuery(
-            self.basis, self.ambit, self.weight, grid, self.points, self.lambdas, self.drift
-        )
+        for t, _ in self.points:
+            check_covered(self.ambit, self.basis.control, self.grid, t)
 
     def fine(self, factor=4):
         """Same query on a mesh refined by ``factor`` in both axes."""
-        return self.with_grid(self.grid.refined(factor, factor))
+        return replace(self, grid=self.grid.refined(factor, factor))
 
     def _drift_at(self, idx):
         if self.drift is None:
@@ -69,84 +75,71 @@ class MomentQuery:
         t, phi = self.points[idx]
         return float(self.drift(t, phi))
 
-    def weight_matrix(self, idx):
-        """Mesh weights (ambit indicator times weight) for one point."""
-        t, phi = self.points[idx]
-        return mesh_kernel(self.ambit, self.weight, self.grid, t, phi)
+    @cached_property
+    def kernels(self):
+        """Mesh weights (ambit indicator times weight), one per point."""
+        return tuple(
+            mesh_kernel(self.ambit, self.weight, self.grid, t, phi) for t, phi in self.points
+        )
 
     def cell_mu(self):
-        return np.broadcast_to(
-            self.grid.cell_mu(self.basis.control)[:, None],
-            (self.grid.n_t, self.grid.n_phi),
-        )
+        """mu of one cell per time row."""
+        return self.grid.cell_mu(self.basis.control)
+
+
+def _cumulant(query, *idx):
+    """Joint cumulant of the field at the query points ``idx`` (repeats allowed)."""
+    kernels = [query.kernels[j] for j in idx]
+    return cumulant_sum(query.basis.spot, query.cell_mu(), *kernels)
+
+
+def _exp_moment(query, lambdas):
+    """``E exp(sum_j lambdas[j] X_j)`` over the query points."""
+    spot, mu = query.basis.spot, query.cell_mu()
+    return math.exp(log_laplace_sum(spot, mu, lambdas, query.kernels))
+
+
+def _single_point_cumulant(query, p, angle_exact, name):
+    if len(query.points) != 1:
+        raise ValueError(f"{name} expects exactly one evaluation point")
+    if not angle_exact:
+        return _cumulant(query, *(0,) * p)
+    const = getattr(query.weight, "constant_value", None)
+    if const is None:
+        raise ValueError("angle-exact mode supports constant weights only")
+    t, _ = query.points[0]
+    measure = query.ambit.measure(t, query.basis.control)
+    return constant_weight_cumulant(query.basis.spot, float(const), measure, p)
 
 
 def mean_linear(query: MomentQuery, *, angle_exact=False):
-    """Mean of the linear field at the single query point (drift included)."""
-    if len(query.points) != 1:
-        raise ValueError("mean_linear expects exactly one evaluation point")
-    mz = spot_mean(query.basis.spot)
-    if angle_exact:
-        t, _ = query.points[0]
-        f = _constant_weight_value(query.weight)
-        return query._drift_at(0) + f * mz * query.ambit.measure(t, query.basis.control)
-    w = query.weight_matrix(0)
-    return query._drift_at(0) + float(np.sum(w * query.cell_mu())) * mz
+    """Mean of the linear field at the single query point (drift included);
+    with ``angle_exact``, a constant weight's continuum value."""
+    return query._drift_at(0) + _single_point_cumulant(query, 1, angle_exact, "mean_linear")
 
 
 def var_linear(query: MomentQuery, *, angle_exact=False):
-    """Variance of the linear field at the single query point."""
-    if len(query.points) != 1:
-        raise ValueError("var_linear expects exactly one evaluation point")
-    vz = spot_variance(query.basis.spot)
-    if angle_exact:
-        t, _ = query.points[0]
-        f = _constant_weight_value(query.weight)
-        return f * f * vz * query.ambit.measure(t, query.basis.control)
-    w = query.weight_matrix(0)
-    return float(np.sum(w * w * query.cell_mu())) * vz
+    """Variance of the linear field at the single query point; with
+    ``angle_exact``, a constant weight's continuum value."""
+    return _single_point_cumulant(query, 2, angle_exact, "var_linear")
 
 
 def cov_linear(query: MomentQuery):
     """Covariance of the linear field between the two query points."""
     if len(query.points) != 2:
         raise ValueError("cov_linear expects exactly two evaluation points")
-    vz = spot_variance(query.basis.spot)
-    w1 = query.weight_matrix(0)
-    w2 = query.weight_matrix(1)
-    return float(np.sum(w1 * w2 * query.cell_mu())) * vz
-
-
-def _constant_weight_value(weight):
-    const = getattr(weight, "constant_value", None)
-    if const is None:
-        raise ValueError("angle-exact mode supports constant weights only")
-    return float(const)
-
-
-def _check_kumulant_domain(spot, args):
-    sup = kumulant_domain_sup(spot)
-    m = float(np.max(args)) if np.size(args) else 0.0
-    if m >= sup:
-        raise KumulantDomainError(
-            f"summed weight reaches {m}, at or beyond the {spot.kind} domain bound {sup}"
-        )
+    return _cumulant(query, 0, 1)
 
 
 def mixed_exponential_moment(query: MomentQuery):
     """Mixed moment ``E prod_j exp(lambda_j X_j)`` of the exponential field.
 
-    Exponent of the mesh integral of the log Laplace transform of the summed
-    weighted indicators; the domain is checked pointwise on the mesh.
+    Exponent of the mesh sum of the log Laplace transform of the summed
+    weighted indicators; the domain is checked on every cell.
     """
     if query.lambdas is None or len(query.lambdas) != len(query.points):
         raise ValueError("mixed moment needs one exponent per point")
-    total = np.zeros((query.grid.n_t, query.grid.n_phi))
-    for j, lam in enumerate(query.lambdas):
-        total += float(lam) * query.weight_matrix(j)
-    _check_kumulant_domain(query.basis.spot, total)
-    mu = query.cell_mu()
-    return float(np.exp(np.sum(kumulant_array(query.basis.spot, total) * mu)))
+    return _exp_moment(query, query.lambdas)
 
 
 def relative_second_moment(query: MomentQuery):
@@ -157,28 +150,14 @@ def relative_second_moment(query: MomentQuery):
     """
     if len(query.points) != 2:
         raise ValueError("relative_second_moment expects two evaluation points")
-    spot = query.basis.spot
-    w1 = query.weight_matrix(0)
-    w2 = query.weight_matrix(1)
-    _check_kumulant_domain(spot, w1 + w2)
-    mu = query.cell_mu()
-    const = getattr(query.weight, "constant_value", None)
-    if const is not None:
-        both = (w1 != 0) & (w2 != 0)
-        mu_cap = float(np.sum(mu[both]))
-        return math.exp(cbar(spot, const) * mu_cap)
-    gk = (
-        kumulant_array(spot, w1 + w2)
-        - kumulant_array(spot, w1)
-        - kumulant_array(spot, w2)
-    )
-    return float(np.exp(np.sum(gk * mu)))
+    pair = _exp_moment(query, (1, 1))
+    return pair / (_exp_moment(query, (1, 0)) * _exp_moment(query, (0, 1)))
 
 
 def cbar(spot, f):
     """Log pair-moment rate for a constant weight: ``K(2f) - 2 K(f)``."""
     args = np.asarray([2.0 * f, f], dtype=float)
-    _check_kumulant_domain(spot, args)
+    check_kumulant_domain(spot, args)
     k2, k1 = kumulant_array(spot, args)
     return float(k2 - 2.0 * k1)
 
@@ -219,10 +198,27 @@ class MCReport:
         )
 
 
-def _jackknife_se(loo_values):
-    loo = np.asarray(loo_values, dtype=float)
-    n = loo.size
-    return math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
+# Points each statistic takes; None means any number, one exponent each.
+STATISTICS = {
+    "mean": 1,
+    "var": 1,
+    "cov": 2,
+    "relative_second_moment": 2,
+    "mixed_exponential": None,
+}
+
+
+def check_problem(statistic, points, lambdas):
+    """``(key, message)`` naming what makes an :func:`mc_verify` check
+    invalid (``key`` is ``statistic``, ``points`` or ``lambdas``), or None."""
+    if statistic not in STATISTICS:
+        return "statistic", f"unknown statistic {statistic!r}, one of {list(STATISTICS)}"
+    wanted = STATISTICS[statistic]
+    if wanted is not None and len(points) != wanted:
+        return "points", f"{statistic} takes {wanted} point(s), got {len(points)}"
+    if wanted is None and (lambdas is None or len(lambdas) != len(points)):
+        return "lambdas", f"{statistic} needs one exponent per point"
+    return None
 
 
 def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
@@ -231,11 +227,11 @@ def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
     Replicate ``r`` draws from the derived stream ``mix(seed, r)``; only
     cells supporting at least one point's weight are sampled.
     """
-    weights = [query.weight_matrix(j) for j in range(len(query.points))]
+    weights = query.kernels
     mask = np.zeros(weights[0].shape, dtype=bool)
     for w in weights:
         mask |= w != 0
-    mu = query.cell_mu()[mask]
+    mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
     wm = np.stack([w[mask] for w in weights], axis=1)  # (cells, P)
     spot = query.basis.spot
 
@@ -251,45 +247,65 @@ def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
     return np.asarray(rows)
 
 
-def mc_verify(
-    query: MomentQuery, statistic, n_replicates, seed, *, threads=1, angle_exact=False
-):
-    """Monte Carlo estimate vs analytic value, with jackknife standard error.
-
-    ``statistic`` is one of ``mean``, ``var``, ``cov``,
-    ``relative_second_moment``, ``mixed_exponential``.  The report carries
-    the z-score; ``flagged`` marks ``|z| > 3``.
-    """
-    x = _sample_fields(query, n_replicates, seed, threads)
-    n = n_replicates
+def _analytic_and_variance(query, statistic, n):
+    """The statistic's analytic value and its estimator's variance over ``n``
+    replicates, both from the model's cumulant sums."""
     if statistic == "mean":
-        analytic = mean_linear(query, angle_exact=angle_exact) - query._drift_at(0)
-        est = float(x[:, 0].mean())
-        se = float(x[:, 0].std(ddof=1)) / math.sqrt(n)
-    elif statistic == "var":
-        analytic = var_linear(query, angle_exact=angle_exact)
-        v = x[:, 0]
-        est = float(v.var(ddof=1))
-        loo = _loo_var(v)
-        se = _jackknife_se(loo)
-    elif statistic == "cov":
-        analytic = cov_linear(query)
-        est, loo = _cov_and_loo(x[:, 0], x[:, 1])
-        se = _jackknife_se(loo)
-    elif statistic == "relative_second_moment":
-        analytic = relative_second_moment(query)
-        y1 = np.exp(x[:, 0])
-        y2 = np.exp(x[:, 1])
-        est, loo = _ratio_and_loo(y1, y2)
-        se = _jackknife_se(loo)
-    elif statistic == "mixed_exponential":
-        analytic = mixed_exponential_moment(query)
-        lam = np.asarray(query.lambdas, dtype=float)
-        prod = np.exp(x @ lam)
-        est = float(prod.mean())
-        se = float(prod.std(ddof=1)) / math.sqrt(n)
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
+        return _cumulant(query, 0), _cumulant(query, 0, 0) / n
+    if statistic == "var":
+        var = var_linear(query)
+        return var, _cumulant(query, 0, 0, 0, 0) / n + 2.0 * var * var / (n - 1)
+    if statistic == "cov":
+        cov = cov_linear(query)
+        k22 = _cumulant(query, 0, 0, 1, 1)
+        v1, v2 = _cumulant(query, 0, 0), _cumulant(query, 1, 1)
+        return cov, k22 / n + (v1 * v2 + cov * cov) / (n - 1)
+    if statistic == "mixed_exponential":
+        m = mixed_exponential_moment(query)
+        return m, (_exp_moment(query, [2.0 * lam for lam in query.lambdas]) - m * m) / n
+    # delta method for mean(Y1 Y2) / (mean(Y1) mean(Y2)), Y_j = exp(X_j), over
+    # the moments M(a, b) = E Y1^a Y2^b of the three sample means' terms
+    M = {(a, b): _exp_moment(query, (a, b)) for a in range(3) for b in range(3)}
+    terms = ((1, 1), (1, 0), (0, 1))
+    cov = np.array(
+        [[M[a + c, b + d] - M[a, b] * M[c, d] for c, d in terms] for a, b in terms]
+    )
+    ratio = relative_second_moment(query)
+    grad = ratio * np.array([1.0 / M[1, 1], -1.0 / M[1, 0], -1.0 / M[0, 1]])
+    return ratio, float(grad @ cov @ grad) / n
+
+
+def _estimate(statistic, x, lambdas):
+    if statistic == "mean":
+        return float(x[:, 0].mean())
+    if statistic == "var":
+        return float(x[:, 0].var(ddof=1))
+    if statistic == "cov":
+        return float(np.cov(x[:, 0], x[:, 1])[0, 1])
+    if statistic == "mixed_exponential":
+        return float(np.exp(x @ np.asarray(lambdas, dtype=float)).mean())
+    y1, y2 = np.exp(x[:, 0]), np.exp(x[:, 1])
+    return float(np.mean(y1 * y2) / (y1.mean() * y2.mean()))
+
+
+def mc_verify(query: MomentQuery, statistic, n_replicates, seed, *, threads=1):
+    """Monte Carlo estimate vs analytic value, with the model's standard error.
+
+    ``statistic`` is a key of :data:`STATISTICS`.  The standard error is the
+    estimator's exact or delta-method spread under the model, from the same
+    cumulant sums as the analytic value; a needed exponential moment outside
+    the kumulant domain raises :class:`~levygrowth.errors.KumulantDomainError`.
+    The report carries the z-score; ``flagged`` marks ``|z| > 3``.
+    """
+    problem = check_problem(statistic, query.points, query.lambdas)
+    if problem is not None:
+        raise ValueError(problem[1])
+    if n_replicates < 2:
+        raise ValueError("mc_verify needs at least 2 replicates")
+    n = n_replicates
+    analytic, variance = _analytic_and_variance(query, statistic, n)
+    se = math.sqrt(max(variance, 0.0))
+    est = _estimate(statistic, _sample_fields(query, n, seed, threads), query.lambdas)
     z = (est - analytic) / se if se > 0 else 0.0 if est == analytic else math.inf
     return MCReport(
         statistic=statistic,
@@ -304,31 +320,3 @@ def mc_verify(
             "points": [list(map(float, p)) for p in query.points],
         },
     )
-
-
-def _loo_var(v):
-    n = v.size
-    s = v.sum()
-    q = float(np.sum(v * v))
-    m_loo = (s - v) / (n - 1)
-    return (q - v * v - (n - 1) * m_loo**2) / (n - 2)
-
-
-def _cov_and_loo(a, b):
-    n = a.size
-    sa, sb, sab = a.sum(), b.sum(), float(np.sum(a * b))
-    est = (sab - sa * sb / n) / (n - 1)
-    ma = (sa - a) / (n - 1)
-    mb = (sb - b) / (n - 1)
-    loo = (sab - a * b - (n - 1) * ma * mb) / (n - 2)
-    return float(est), loo
-
-
-def _ratio_and_loo(y1, y2):
-    n = y1.size
-    s1, s2, s12 = y1.sum(), y2.sum(), float(np.sum(y1 * y2))
-    est = (s12 / n) / ((s1 / n) * (s2 / n))
-    loo = ((s12 - y1 * y2) / (n - 1)) / (
-        ((s1 - y1) / (n - 1)) * ((s2 - y2) / (n - 1))
-    )
-    return float(est), loo

@@ -20,7 +20,6 @@ from levygrowth.ambit import (
     intersection_measure,
     self_intersection_measure,
     time_overlap,
-    time_union,
     window_length_in_union,
 )
 from levygrowth.cyclic import arc_overlap_length, cyc_dist, wrap
@@ -310,10 +309,10 @@ def test_window_length_wedge_negative_slice():
 
 def test_time_union_region_contains():
     family = Rectangular.of(0.5, TimeFn.constant(2.0))
-    region = time_union(family, 5.0)
-    assert bool(region.contains(0.2, 3.0))
-    assert not bool(region.contains(2.5, 3.0))
-    assert not bool(region.contains(0.0, 6.0))
+    fbar = induced_weight(family, 1.0, 5.0)
+    assert float(fbar(0.2, 3.0)) > 0
+    assert not float(fbar(2.5, 3.0)) > 0
+    assert not float(fbar(0.0, 6.0)) > 0
 
 
 def test_monotone_window_start_warning():

@@ -282,6 +282,59 @@ def test_mc_verify_flags_exit_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+def _mc_check_config(tmp_path, mc):
+    cfg = json.loads(_mc_config(tmp_path).read_text())
+    cfg["mc"] = mc
+    path = tmp_path / "mc_check.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mc, dotted",
+    [
+        ({"statistic": "kurtosis", "points": [[5.0, 0.0]]}, "mc.statistic"),
+        ({"statistic": "cov", "points": [[5.0, 0.0]]}, "mc.points"),
+        ({"statistic": "mean", "points": [[5.0]]}, "mc.points"),
+        ({"checks": ["mean"]}, "mc.checks[0]"),
+        ({"statistic": "var", "points": [[5.0, 0.0], [5.5, 0.3]]}, "mc.points"),
+        ({"statistic": "mixed_exponential", "points": [[5.0, 0.0]]}, "mc.lambdas"),
+        (
+            {"statistic": "mixed_exponential", "points": [[5.0, 0.0]], "lambdas": [1.0, 1.0]},
+            "mc.lambdas",
+        ),
+        (
+            {
+                "checks": [
+                    {"statistic": "mean", "points": [[5.0, 0.0]]},
+                    {"statistic": "relative_second_moment", "points": [[5.0, 0.0]]},
+                ]
+            },
+            "mc.checks[1].points",
+        ),
+    ],
+)
+def test_mc_verify_rejects_a_bad_check_before_sampling(
+    tmp_path, capsys, monkeypatch, mc, dotted
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a check ran before every check was validated")
+
+    monkeypatch.setattr(cli, "mc_verify", no_sampling)
+    path = _mc_check_config(tmp_path, mc)
+    assert run(["mc-verify", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {dotted}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [500.0, 90.0])
+def test_mc_verify_point_past_the_grid_exits_3(tmp_path, capsys, t):
+    path = tmp_path / "mc.json"
+    mc = {"statistic": "mean", "points": [[t, 0.0]]}
+    path.write_text(json.dumps({"preset": "ex4", "mc": mc}))
+    assert run(["mc-verify", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "RegionOutsideGrid" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

@@ -161,19 +161,19 @@ def brute_force_direct(spec, grid, realization, t):
 
 
 def test_direct_kernel_matches_brute_force_gaussian():
-    from levygrowth.growth import _stochastic_term
+    from levygrowth.growth import _term
 
     grid = small_grid()
     fam = Rectangular.of(0.9, TimeFn.constant(2.0))
     spec = GrowthModelSpec("direct", Drift.zero(), ConstantWeight(1.0), gaussian_basis(), fam)
     real = sample_realization(spec.basis, grid, 21)
-    got = _stochastic_term(spec, grid, real, 3.5, "direct")
+    got = _term(spec, grid, 3.5, "direct")(real)
     ref = brute_force_direct(spec, grid, real, 3.5)
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_direct_point_path_matches_brute_force_poisson():
-    from levygrowth.growth import _stochastic_term
+    from levygrowth.growth import _term
 
     grid = small_grid()
     fam = Rectangular.of(0.9, TimeFn.constant(2.0))
@@ -185,7 +185,7 @@ def test_direct_point_path_matches_brute_force_poisson():
         fam,
     )
     real = sample_realization(spec.basis, grid, 22)
-    got = _stochastic_term(spec, grid, real, 3.5, "direct")
+    got = _term(spec, grid, 3.5, "direct")(real)
     pts = real.points()
     ref = np.empty(grid.n_phi)
     for i, phi in enumerate(grid.phi_mids):
@@ -196,7 +196,7 @@ def test_direct_point_path_matches_brute_force_poisson():
 
 def test_rate_point_path_matches_brute_force_poisson():
     from levygrowth.ambit import window_length_in_union
-    from levygrowth.growth import _stochastic_term
+    from levygrowth.growth import _term
 
     grid = small_grid(n_phi=32, dt=0.25, t_max=4.0)
     fam = WedgeOverS(theta=0.5, T=1.0)
@@ -209,7 +209,7 @@ def test_rate_point_path_matches_brute_force_poisson():
     )
     t = 3.5
     real = sample_realization(spec.basis, grid, 23)
-    got = _stochastic_term(spec, grid, real, t, "rate")
+    got = _term(spec, grid, t, "rate")(real)
     pts = real.points()
     lengths = window_length_in_union(fam, pts.s, t)
     widths = fam.half_width(t, pts.s)
@@ -221,7 +221,7 @@ def test_rate_point_path_matches_brute_force_poisson():
 
 
 def test_rate_kernel_matches_induced_weight_sum_gamma():
-    from levygrowth.growth import _stochastic_term
+    from levygrowth.growth import _term
 
     grid = small_grid(n_phi=16, dt=0.5, t_max=4.0)
     fam = Rectangular.of(0.8, TimeFn.constant(1.5))
@@ -234,7 +234,7 @@ def test_rate_kernel_matches_induced_weight_sum_gamma():
     )
     t = 3.5
     real = sample_realization(spec.basis, grid, 24)
-    got = _stochastic_term(spec, grid, real, t, "rate")
+    got = _term(spec, grid, t, "rate")(real)
     fbar = induced_weight(fam, 1.0, t, phi=0.0)
     ref = np.empty(grid.n_phi)
     theta = grid.phi_mids[None, :]

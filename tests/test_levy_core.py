@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from levygrowth.ambit import AmbitRegion, WedgeOverS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levygrowth.ambit import (
+    AmbitRegion,
+    FullAngle,
+    Rectangular,
+    WedgeOverS,
+    as_weight,
+    mesh_kernel,
+)
 from levygrowth.errors import DomainError, RegionOutsideGrid
 from levygrowth.levy_core import (
     BasisSpec,
@@ -17,11 +27,9 @@ from levygrowth.levy_core import (
     RegionUnion,
     SpotLaw,
     TimeDensity,
-    WHOLE_GRID,
     cumulant,
     integrate,
     kumulant,
-    measure_of,
     sample_realization,
     spot_mean,
     spot_variance,
@@ -33,6 +41,10 @@ KS_CRIT_1PC = 1.6276  # asymptotic Kolmogorov critical value at level 0.01
 
 def unit_basis(spot, g=None):
     return BasisSpec(spot, ControlMeasure(g or TimeDensity.constant(1.0)))
+
+
+def whole_grid(grid):
+    return Rect(-math.pi, math.pi, grid.t_min, grid.t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +140,19 @@ def test_kumulant_derivatives_match_moments(spot):
 def test_measure_full_band():
     control = ControlMeasure(TimeDensity.constant(1.0))
     region = Rect(-math.pi, math.pi, 0.0, 3.0)
-    assert measure_of(region, control) == pytest.approx(2.0 * math.pi * 3.0)
+    assert region.measure(control) == pytest.approx(2.0 * math.pi * 3.0)
 
 
 def test_measure_empty_region():
     control = ControlMeasure(TimeDensity.constant(1.0))
-    assert measure_of(RegionUnion(()), control) == 0.0
-    assert measure_of(None, control) == 0.0
+    assert RegionUnion(()).measure(control) == 0.0
 
 
 def test_measure_wedge_linear_density_closed_form():
     # half-width Theta/s over [t - T, t] with g = a s integrates to 2 Theta a T
     control = ControlMeasure(TimeDensity.linear(10.0))
     region = AmbitRegion(WedgeOverS(theta=0.5, T=1.0), t=75.0, phi=0.0)
-    assert measure_of(region, control) == pytest.approx(10.0, abs=1e-8)
+    assert region.measure(control) == pytest.approx(10.0, abs=1e-8)
 
 
 def test_time_density_integrals():
@@ -298,7 +309,7 @@ def test_mix_seed_distinct_streams():
 def test_integrate_zero_weight():
     grid = GridSpec(2 * math.pi / 8, 0.5, 0.0, 4.0)
     real = sample_realization(unit_basis(SpotLaw.gamma_law(1.0, 1.0)), grid, 1)
-    assert integrate(0.0, WHOLE_GRID, real) == 0.0
+    assert integrate(0.0, whole_grid(grid), real) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -313,7 +324,7 @@ def test_integrate_zero_weight():
 def test_integrate_whole_grid_is_total(spot):
     grid = GridSpec(2 * math.pi / 8, 0.5, 0.0, 4.0)
     real = sample_realization(unit_basis(spot), grid, 2)
-    assert integrate(1.0, WHOLE_GRID, real) == pytest.approx(real.total(), rel=1e-12)
+    assert integrate(1.0, whole_grid(grid), real) == pytest.approx(real.total(), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -345,7 +356,7 @@ def test_integrate_gaussian_law_mean_and_variance():
     basis = unit_basis(SpotLaw.gaussian(0.0, 1.0), g)
     e, te = grid.phi_edges, grid.t_edges
     region = Rect(e[0], e[2], te[0], te[4])
-    mu = measure_of(region, basis.control)
+    mu = region.measure(basis.control)
     assert mu == pytest.approx(4.0)
     n = 10_000
     vals = np.empty(n)
@@ -359,14 +370,44 @@ def test_integrate_gaussian_law_mean_and_variance():
     assert abs(var - 4.0) < 3 * se_var
 
 
-def test_integrate_gaussian_partial_cell_fraction():
+def test_integrate_gaussian_partial_cell_by_midpoint():
+    # a partly covered cell counts whole when the region holds its midpoint
     grid = GridSpec(2 * math.pi / 4, 1.0, 0.0, 1.0)
     basis = unit_basis(SpotLaw.gaussian(0.0, 1.0))
     real = sample_realization(basis, grid, 8)
     e = grid.phi_edges
-    half = Rect(e[0], 0.5 * (e[0] + e[1]), 0.0, 1.0)
-    got = integrate(1.0, half, real)
-    assert got == pytest.approx(0.5 * real.increments[0, 0], rel=1e-6)
+    past_mid = Rect(e[0], e[0] + 0.6 * grid.dphi, 0.0, 1.0)
+    short_of_mid = Rect(e[0], e[0] + 0.4 * grid.dphi, 0.0, 1.0)
+    assert integrate(1.0, past_mid, real) == real.increments[0, 0]
+    assert integrate(1.0, short_of_mid, real) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spot=st.sampled_from(
+        [
+            SpotLaw.gaussian(0.3, 1.2),
+            SpotLaw.gamma_law(1.5, 2.0),
+            SpotLaw.inverse_gaussian(1.0, 1.5),
+        ]
+    ),
+    family=st.sampled_from(
+        [
+            Rectangular.of(0.45, 1.3),
+            WedgeOverS(theta=0.6, T=1.7),
+            FullAngle.of(0.8),
+        ]
+    ),
+    t=st.floats(2.0, 4.0),
+    phi=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32),
+)
+def test_integrate_over_ambit_set_is_the_mesh_kernel_sum(spot, family, t, phi, seed):
+    grid = GridSpec(2 * math.pi / 24, 0.25, 0.0, 4.0)
+    real = sample_realization(unit_basis(spot), grid, seed)
+    got = integrate(1.0, AmbitRegion(family, t, phi), real)
+    kernel = mesh_kernel(family, as_weight(1.0), grid, t, phi)
+    assert got == pytest.approx(np.sum(kernel * real.increments), rel=1e-12, abs=1e-12)
 
 
 def test_integrate_jump_kind_snaps_cells():
@@ -422,11 +463,9 @@ def test_integrate_gaussian_law_with_drift_and_weight():
     target_var = 1.3 * float(np.sum(w * w)) * mu_cell
     n = 4000
     vals = np.empty(n)
-    from levygrowth.levy_core import WHOLE_GRID
-
     for r in range(n):
         real = sample_realization(basis, grid, mix_seed(77, r))
-        vals[r] = integrate(f, WHOLE_GRID, real)
+        vals[r] = integrate(f, whole_grid(grid), real)
     se_mean = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - target_mean) < 3 * se_mean
     var = vals.var(ddof=1)

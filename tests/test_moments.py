@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from levygrowth.ambit import FullAngle, Rectangular, WedgeOverS
-from levygrowth.errors import KumulantDomainError
-from levygrowth.growth import ConstantWeight
+from levygrowth.errors import KumulantDomainError, RegionOutsideGrid
+from levygrowth.growth import ConstantWeight, _Plan, example_preset
 from levygrowth.levy_core import (
     BasisSpec,
     ControlMeasure,
@@ -25,6 +25,7 @@ from levygrowth.moments import (
     relative_second_moment,
     var_linear,
 )
+from levygrowth.rngtools import mix_seed
 from levygrowth.timefn import TimeFn
 
 TWO_PI = 2 * math.pi
@@ -101,6 +102,25 @@ def test_cov_constant_weight_frozen_value():
         weight=ConstantWeight(2.0),
     )
     assert cov_linear(q) == pytest.approx(2.8, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [500.0, 90.0])
+def test_query_past_the_grid_raises(t):
+    # ex4's grid ends at t = 80: the window [400, 500] lies beyond it and
+    # [72, 90] is cut by it
+    p = example_preset("ex4")
+    with pytest.raises(RegionOutsideGrid):
+        MomentQuery(p.spec.basis, p.spec.ambit, p.spec.weight, p.grid, ((t, 0.0),))
+
+
+@pytest.mark.parametrize("name", ["ex4", "ex5", "ex6", "tumour"])
+def test_query_moments_equal_the_simulator_terms(name):
+    p = example_preset(name)
+    plan = _Plan(p.spec, p.grid, p.times)
+    phi = p.grid.phi_mids[0]
+    for t, radius in zip(plan.times, plan.radii):
+        q = MomentQuery(p.spec.basis, p.spec.ambit, p.spec.weight, p.grid, ((t, phi),))
+        assert (mean_linear(q), var_linear(q)) == radius.term.moments
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +202,7 @@ def test_relative_moment_disjoint_is_one():
         TimeDensity.constant(1.0),
         FullAngle.of(1.0),
         [(2.0, 0.0), (9.0, 0.0)],
+        grid=GridSpec(TWO_PI / 64, 0.25, 0.0, 10.0),
     )
     assert relative_second_moment(q) == pytest.approx(1.0)
 
@@ -310,6 +331,34 @@ def test_mc_var_and_mean_poisson():
     assert abs(rep_m.z) <= 3.0
     assert abs(rep_v.z) <= 3.0
     assert rep_m.analytic == pytest.approx(1.5 * TWO_PI * 0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("spot", [SpotLaw.gaussian(0.2, 1.0), SpotLaw.poisson()])
+def test_mc_standard_errors_match_the_spread_over_seeds(spot):
+    # the model SE of the var and cov estimates against their standard
+    # deviation over 200 seeds fixed here, 100 replicates each
+    fam = Rectangular.of(0.5, TimeFn.constant(1.0))
+    grid = GridSpec(TWO_PI / 16, 0.5, 0.0, 3.0)
+    g = TimeDensity.constant(0.5)
+    for stat, points in (("var", [(3.0, 0.0)]), ("cov", [(3.0, 0.0), (2.5, 0.4)])):
+        q = make_query(spot, g, fam, points, grid=grid)
+        reps = [mc_verify(q, stat, 100, seed=mix_seed(2024, k)) for k in range(200)]
+        spread = np.std([r.estimate for r in reps], ddof=1)
+        assert abs(spread / reps[0].se - 1.0) <= 0.2, (stat, spread, reps[0].se)
+
+
+def test_mc_standard_error_outside_the_kumulant_domain_raises():
+    # E exp(X) exists (weight 1 < alpha) but its spread needs E exp(2X)
+    q = make_query(
+        SpotLaw.gamma_law(1.0, 1.5),
+        TimeDensity.constant(0.05),
+        FullAngle.of(1.0),
+        [(3.0, 0.0)],
+        lambdas=(1.0,),
+    )
+    assert math.isfinite(mixed_exponential_moment(q))
+    with pytest.raises(KumulantDomainError):
+        mc_verify(q, "mixed_exponential", 100, seed=1)
 
 
 def test_mc_report_json_fields():
