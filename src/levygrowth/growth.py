@@ -30,7 +30,9 @@ A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
 kernels, kept as the spectra of their nonzero (ambit-window) rows, the
 centring shifts and the drift values.  Each replicate then samples its
-realization and transforms only the window rows of its increments.
+realization and does once what several times read: the transform of each
+increment row in any time's window, and for Poisson point sums the points
+and, where the half-width does not depend on the time, their arcs.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -221,12 +223,21 @@ def _kernel_moments(kernel, grid, basis):
     return cumulant_sum(basis.spot, mu, kernel), cumulant_sum(basis.spot, mu, kernel, kernel)
 
 
-class _MeshTerm:
+class _Term:
+    """The ambit integral at one time.  ``read(draw)`` gives its profile from
+    a :class:`_Draw` shared with other terms; calling the term on a
+    realization reads a draw made for this term alone."""
+
+    def __call__(self, realization):
+        return self.read(_Draw(realization, _reads([self])))
+
+
+class _MeshTerm(_Term):
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
     Only the kernel's nonzero rows (the ambit window) are kept, with their
-    conjugated spectra, so a call transforms just those increment rows.
-    ``moments`` is the (mean, variance) of the value at each angle.
+    conjugated spectra; the draw supplies the spectra of those increment
+    rows.  ``moments`` is the (mean, variance) of the value at each angle.
     """
 
     def __init__(self, kernel, grid, basis):
@@ -235,28 +246,155 @@ class _MeshTerm:
         self.spectrum = np.conj(np.fft.rfft(kernel[self.rows], axis=1))
         self.moments = _kernel_moments(kernel, grid, basis)
 
-    def __call__(self, realization):
+    def read(self, draw):
         if self.rows.size == 0:
             return np.zeros(self.n_phi)
-        zf = np.fft.rfft(realization.increments[self.rows], axis=1)
+        zf = draw.row_spectra(self.rows)
         return np.fft.irfft((zf * self.spectrum).sum(axis=0), n=self.n_phi)
 
 
-class _PointTerm:
-    """A sum over the points of a Poisson realization,
-    ``profile(spec, grid, realization, t)``; its ``moments``, the (mean,
-    variance) of the value at each angle, are computed on first use."""
+class _PointTerm(_Term):
+    """A sum over the points of a Poisson realization that arrived in
+    ``window`` (to 1e-12): ``profile(spec, grid, t, points, sel)``, where
+    ``points`` is the draw's :class:`_PointBlock` holding the time rows
+    ``span`` and ``sel`` picks the window's points from it.  ``moments``, the
+    (mean, variance) of the value at each angle, are computed on first use."""
 
-    def __init__(self, profile, moments, spec, grid, t):
-        self.profile, self._moments, self.args = profile, moments, (spec, grid, t)
+    def __init__(self, profile, moments, spec, grid, t, window):
+        self.profile, self._moments = profile, moments
+        self.spec, self.grid, self.t, self.window = spec, grid, t, window
+        edges = grid.t_edges
+        # Points of row l lie in [edges[l], edges[l] + dt]; one spare row
+        # below absorbs the rounding of that upper end.
+        lo = int(np.searchsorted(edges, window[0] - _EPS, side="left")) - 2
+        hi = int(np.searchsorted(edges, window[1] + _EPS, side="right"))
+        self.span = (max(lo, 0), min(hi, grid.n_t))
 
-    def __call__(self, realization):
-        spec, grid, t = self.args
-        return self.profile(spec, grid, realization, t)
+    def read(self, draw):
+        points = draw.points(self.span)
+        sel = points.select(*self.window)
+        return self.profile(self.spec, self.grid, self.t, points, sel)
 
     @cached_property
     def moments(self):
-        return self._moments(*self.args)
+        return self._moments(self.spec, self.grid, self.t)
+
+
+def _shares_arcs(spec):
+    """Whether a point sum of ``spec`` adds one weight over each point's arc
+    whose half-width does not depend on the apex time, so that every time
+    can read the same arcs."""
+    return isinstance(spec.weight, ConstantWeight) and spec.ambit.factorizes
+
+
+class _Arcs(NamedTuple):
+    """The grid cells whose midpoints lie within the half-width (+1e-12) of
+    each point's angle: ``full`` marks half-widths >= pi, the others cover
+    cells ``start .. end - 1`` taken mod n.  Full arcs and arcs covering no
+    midpoint have ``start = end = n``."""
+
+    full: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def take(self, sel):
+        return _Arcs(*(a[sel] for a in self))
+
+
+def _arcs(theta, widths, grid):
+    """The :class:`_Arcs` of points at angles ``theta`` with half-widths
+    ``widths``."""
+    n = grid.n_phi
+    full = widths >= np.pi - _EPS
+    center = (theta + np.pi) / grid.dphi - 0.5
+    reach = (widths + _EPS) / grid.dphi
+    lo = np.ceil(center - reach)
+    length = np.clip(np.floor(center + reach) - lo + 1, 0, n)
+    length[full] = 0
+    start = np.where(length == 0, n, lo.astype(np.int32) % n)
+    return _Arcs(full, start, start + length.astype(np.int32))
+
+
+def _arc_sum(arcs, values, n):
+    """Per grid angle, the sum of ``values`` over the arcs covering it.
+
+    The difference array takes the arc starts in point order, then the arc
+    ends (slot n collects what no cell reads), so points in the same order
+    give the same bits whether or not zero values or empty arcs are among
+    them.  Zero values are left out of the full-circle sum for that reason.
+    """
+    wrap = arcs.end > n
+    diff = np.zeros(n + 1)
+    np.add.at(diff, arcs.start, values)
+    np.add.at(diff, np.minimum(arcs.end, n), -values)
+    np.add.at(diff, np.zeros(np.count_nonzero(wrap), dtype=np.int32), values[wrap])
+    np.add.at(diff, arcs.end[wrap] - n, -values[wrap])
+    full = values[arcs.full]
+    profile = np.zeros(n)
+    profile += float(np.sum(full[full != 0.0]))
+    profile += np.cumsum(diff[:n])
+    return profile
+
+
+class _PointBlock:
+    """The points of a realization in time rows ``span`` (views, in pattern
+    order, so sorted by row), and their :class:`_Arcs` when every time reads
+    the same arcs (:func:`_shares_arcs`; ``term`` is any term of the block)."""
+
+    def __init__(self, realization, span, term):
+        pts = realization.points()
+        a, b = np.searchsorted(pts.row, span)
+        self.span = span
+        self.theta, self.s = pts.theta[a:b], pts.s[a:b]
+        self.arcs = None
+        if _shares_arcs(term.spec):
+            widths = np.asarray(term.spec.ambit.half_width(term.t, self.s), dtype=float)
+            self.arcs = _arcs(self.theta, widths, term.grid)
+
+    def select(self, lo, hi):
+        """Index of the points with ``lo - 1e-12 <= s <= hi + 1e-12``: a
+        slice when they are contiguous, as a time window's points are
+        except for rounding at its end rows, else a boolean mask."""
+        inside = (self.s >= lo - _EPS) & (self.s <= hi + _EPS)
+        count = int(np.count_nonzero(inside))
+        first = int(np.argmax(inside))
+        if inside[first : first + count].all():
+            return slice(first, first + count)
+        return inside
+
+
+def _reads(terms):
+    """What ``terms`` read of a realization: the sorted union of the mesh
+    terms' rows, and the point-term row spans merged where they overlap,
+    each with one of its terms."""
+    mesh = [term.rows for term in terms if isinstance(term, _MeshTerm)]
+    rows = np.unique(np.concatenate(mesh)) if mesh else np.empty(0, dtype=np.intp)
+    spans = []
+    for term in sorted((t for t in terms if isinstance(t, _PointTerm)), key=lambda t: t.span):
+        lo, hi = term.span
+        if spans and lo <= spans[-1][0][1]:
+            lo, hi = spans[-1][0][0], max(hi, spans[-1][0][1])
+            spans.pop()
+        spans.append(((lo, hi), term))
+    return rows, spans
+
+
+class _Draw:
+    """A realization with the work its terms share, done once whichever
+    times read it: one ``rfft`` per increment row that a mesh term reads,
+    and one :class:`_PointBlock` per run of overlapping point-term spans."""
+
+    def __init__(self, realization, reads):
+        self.rows, spans = reads
+        if self.rows.size:
+            self.spectra = np.fft.rfft(realization.increments[self.rows], axis=1)
+        self.blocks = [_PointBlock(realization, span, term) for span, term in spans]
+
+    def row_spectra(self, rows):
+        return self.spectra[np.searchsorted(self.rows, rows)]
+
+    def points(self, span):
+        return next(b for b in self.blocks if b.span[0] <= span[0] and span[1] <= b.span[1])
 
 
 def _rate_kernel(spec, grid, t):
@@ -264,35 +402,6 @@ def _rate_kernel(spec, grid, t):
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
     )
     return np.asarray(fbar(grid.phi_mids[None, :], grid.t_mids[:, None]), dtype=float)
-
-
-def _arc_add(profile, theta, widths, values, dphi):
-    """Add ``values`` to all grid angles within ``widths`` of each point."""
-    n = profile.size
-    full = widths >= np.pi - _EPS
-    if np.any(full):
-        profile += float(np.sum(values[full]))
-    theta = theta[~full]
-    widths = widths[~full]
-    values = values[~full]
-    if theta.size == 0:
-        return profile
-    center = (theta + np.pi) / dphi - 0.5
-    lo = np.ceil(center - (widths + _EPS) / dphi).astype(np.int64)
-    hi = np.floor(center + (widths + _EPS) / dphi).astype(np.int64)
-    length = np.clip(hi - lo + 1, 0, n)
-    keep = length > 0
-    lo, length, values = lo[keep] % n, length[keep], values[keep]
-    diff = np.zeros(n + 1)
-    end = lo + length
-    wrap_over = end > n
-    np.add.at(diff, lo, values)
-    np.add.at(diff, np.where(wrap_over, n, end), -values)
-    if np.any(wrap_over):
-        np.add.at(diff, np.zeros(int(wrap_over.sum()), dtype=np.int64), values[wrap_over])
-        np.add.at(diff, end[wrap_over] - n, -values[wrap_over])
-    profile += np.cumsum(diff[:-1])
-    return profile
 
 
 def _point_path(spec, mode):
@@ -306,7 +415,7 @@ def _point_path(spec, mode):
     if spec.basis.spot.kind != "poisson":
         return False
     if mode == "rate":
-        return isinstance(spec.weight, ConstantWeight) and spec.ambit.factorizes
+        return _shares_arcs(spec)
     if isinstance(spec.weight, FourierWeight):
         return isinstance(spec.ambit, FullAngle)
     if isinstance(spec.weight, TumourWeight):
@@ -314,21 +423,21 @@ def _point_path(spec, mode):
     return isinstance(spec.weight, ConstantWeight)
 
 
-def _poisson_direct_profile(spec, grid, realization, t):
-    pts = realization.points()
-    lo, hi = spec.ambit.window(t)
-    keep = (pts.s >= lo - _EPS) & (pts.s <= hi + _EPS)
-    theta, s = pts.theta[keep], pts.s[keep]
+def _poisson_direct_profile(spec, grid, t, points, sel):
+    theta, s = points.theta[sel], points.s[sel]
     profile = np.zeros(grid.n_phi)
     if theta.size == 0:
         return profile
     if isinstance(spec.weight, FourierWeight):
         return _harmonic_point_profile(spec.weight, grid, t, theta, s, profile)
     if isinstance(spec.weight, TumourWeight):
-        return _tumour_point_profile(spec.weight, grid, t, theta, s, profile)
+        return _tumour_point_profile(spec.weight, grid, t, theta, s)
+    if points.arcs is None:
+        arcs = _arcs(theta, np.asarray(spec.ambit.half_width(t, s), dtype=float), grid)
+    else:
+        arcs = points.arcs.take(sel)
     c = float(spec.weight.constant_value)
-    widths = np.asarray(spec.ambit.half_width(t, s), dtype=float)
-    return _arc_add(profile, theta, widths, np.full(theta.shape, c), grid.dphi)
+    return _arc_sum(arcs, np.full(theta.shape, c), grid.n_phi)
 
 
 def _harmonic_point_profile(weight, grid, t, theta, s, profile):
@@ -341,10 +450,10 @@ def _harmonic_point_profile(weight, grid, t, theta, s, profile):
     return profile
 
 
-def _tumour_point_profile(weight, grid, t, theta, s, profile):
+def _tumour_point_profile(weight, grid, t, theta, s):
     """alpha(t) times the cosine harmonic of the old band's points plus
     beta(t) times the count of recent-band points whose cone covers each
-    angle."""
+    angle; the cone's half-width depends on t, so its arcs are per time."""
     _, mid, _ = weight.family.band_split(t)
     old = s <= mid + _EPS
     angles = grid.phi_mids
@@ -352,7 +461,7 @@ def _tumour_point_profile(weight, grid, t, theta, s, profile):
         np.sum(np.sin(theta[old]))
     )
     widths = weight.family.shrink_half_width(t, s[~old])
-    band2 = _arc_add(profile, theta[~old], widths, np.ones(widths.shape), grid.dphi)
+    band2 = _arc_sum(_arcs(theta[~old], widths, grid), np.ones(widths.shape), grid.n_phi)
     return float(weight.alpha(t)) * band1 + float(weight.beta(t)) * band2
 
 
@@ -367,19 +476,10 @@ def _direct_point_moments(spec, grid, t):
     return tuple(constant_weight_cumulant(spot, c, measure, p) for p in (1, 2))
 
 
-def _poisson_rate_profile(spec, grid, realization, t):
-    pts = realization.points()
-    keep = (pts.s <= t + _EPS) & (pts.s >= min(0.0, grid.t_min) - _EPS)
-    theta, s = pts.theta[keep], pts.s[keep]
-    profile = np.zeros(grid.n_phi)
-    if theta.size == 0:
-        return profile
-    lengths = _ambit.window_length_in_union(spec.ambit, s, t)
+def _poisson_rate_profile(spec, grid, t, points, sel):
+    lengths = _ambit.window_length_in_union(spec.ambit, points.s[sel], t)
     c = float(spec.weight.constant_value)
-    values = c * lengths
-    live = values != 0.0
-    widths = np.asarray(spec.ambit.half_width(t, s[live]), dtype=float)
-    return _arc_add(profile, theta[live], widths, values[live], grid.dphi)
+    return _arc_sum(points.arcs.take(sel), c * lengths, grid.n_phi)
 
 
 def _rate_point_moments(spec, grid, t):
@@ -418,8 +518,13 @@ def _term(spec, grid, t, mode):
     variance) of that value.  Mesh kernels are built here, once."""
     if _point_path(spec, mode):
         if mode == "rate":
-            return _PointTerm(_poisson_rate_profile, _rate_point_moments, spec, grid, t)
-        return _PointTerm(_poisson_direct_profile, _direct_point_moments, spec, grid, t)
+            window = (min(0.0, grid.t_min), t)
+            return _PointTerm(
+                _poisson_rate_profile, _rate_point_moments, spec, grid, t, window
+            )
+        return _PointTerm(
+            _poisson_direct_profile, _direct_point_moments, spec, grid, t, spec.ambit.window(t)
+        )
     if mode == "direct":
         kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
     else:
@@ -437,8 +542,8 @@ class _Radius:
     scale: object = 1.0
     link: Optional[Callable] = None
 
-    def __call__(self, realization):
-        x = self.level + self.term(realization)
+    def __call__(self, draw):
+        x = self.level + self.term.read(draw)
         return self.scale * (x if self.link is None else self.link(x))
 
     def moments(self):
@@ -464,6 +569,7 @@ class _Plan:
         for t in self.times:
             check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
         self.radii = [self._radius(t) for t in self.times]
+        self.reads = _reads([radius.term for radius in self.radii])
         self.spec_hash = config_hash(spec, grid)
 
     def _radius(self, t):
@@ -487,10 +593,10 @@ class _Plan:
 
     def profiles(self, seed):
         """Radii (n_times, n_phi) on the realization drawn from ``seed``."""
-        realization = sample_realization(self.spec.basis, self.grid, seed)
+        draw = _Draw(sample_realization(self.spec.basis, self.grid, seed), self.reads)
         out = np.empty((self.times.size, self.grid.n_phi))
         for i, radius in enumerate(self.radii):
-            out[i] = radius(realization)
+            out[i] = radius(draw)
         if not np.all(np.isfinite(out)):
             raise NonFiniteValue("simulation produced non-finite radii")
         return out

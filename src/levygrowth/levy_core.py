@@ -148,14 +148,17 @@ class TimeDensity:
         return self._antideriv(hi) - self._antideriv(lo)
 
     def max_on(self, a, b):
-        """Upper bound for g on [a, b] (supported kinds are monotone)."""
-        cands = [float(np.max(self(np.asarray([a, b]))))]
+        """Upper bound for g on each interval [a[i], b[i]]: the larger end
+        value (the closed-form kinds are monotone), or for the tabulated
+        kind also the largest node value inside the interval."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        out = np.maximum(self(a), self(b))
         if self.kind == "tabulated":
-            nodes, values = (np.asarray(v) for v in self.table)
+            nodes, values = (np.asarray(v)[:, None] for v in self.table)
             inside = (nodes >= a) & (nodes <= b)
-            if np.any(inside):
-                cands.append(float(values[inside].max()))
-        return max(cands)
+            out = np.maximum(out, np.where(inside, values, -np.inf).max(axis=0))
+        return out
 
     def scaled(self, factor):
         """Pointwise scaling ``factor * g`` (same antiderivative machinery)."""
@@ -588,17 +591,16 @@ def _place_points(spec, grid, counts, seed):
     row = np.repeat(rows, reps)
     col = np.repeat(cols, reps)
     theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
-    t_lo = grid.t_edges[row]
+    edges = grid.t_edges
+    t_lo = edges[row]
     g = spec.control.g
-    g_max = np.array(
-        [g.max_on(grid.t_edges[l], grid.t_edges[l + 1]) for l in range(grid.n_t)]
-    )
-    s = np.empty(total)
-    pending = np.arange(total)
+    g_max = g.max_on(edges[:-1], edges[1:])
+    # Every point proposes, then the rejected ones propose again.
+    s = t_lo + grid.dt * rng.uniform(size=total)
+    pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
     while pending.size:
         prop = t_lo[pending] + grid.dt * rng.uniform(size=pending.size)
-        bound = g_max[row[pending]]
-        accept = rng.uniform(size=pending.size) * bound <= g(prop)
+        accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
         s[pending[accept]] = prop[accept]
         pending = pending[~accept]
     return PointPattern(theta, s, row, col)

@@ -220,6 +220,116 @@ def test_rate_point_path_matches_brute_force_poisson():
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
+ARC_ANGLES = st.one_of(
+    st.floats(-math.pi, -math.pi + 0.1),
+    st.floats(math.pi - 0.1, math.pi, exclude_max=True),
+    st.floats(-math.pi, math.pi, exclude_max=True),
+)
+# half-widths in cells (0, below one cell, several cells), or in radians
+# from pi - 1e-12 to pi, which cover the whole circle
+ARC_WIDTHS = st.one_of(
+    st.just(("cells", 0.0)),
+    st.tuples(st.just("cells"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("cells"), st.floats(1.0, 6.0)),
+    st.tuples(st.just("radians"), st.floats(math.pi - 1e-12, math.pi)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(ARC_ANGLES, ARC_WIDTHS, st.floats(-5.0, 5.0)), max_size=30),
+    st.sampled_from([8, 16, 40]),
+)
+def test_arc_sum_equals_brute_force_membership(points, n_phi):
+    from levygrowth.growth import _arc_sum, _arcs
+
+    grid = GridSpec(TWO_PI / n_phi, 1.0, 0.0, 1.0)
+    theta = np.array([p[0] for p in points], dtype=float)
+    widths = np.array(
+        [min(w * grid.dphi, math.pi) if unit == "cells" else w for _, (unit, w), _ in points],
+        dtype=float,
+    )
+    values = np.array([p[2] for p in points], dtype=float)
+    got = _arc_sum(_arcs(theta, widths, grid), values, n_phi)
+    inside = cyc_dist(theta[None, :], grid.phi_mids[:, None]) <= widths[None, :] + 1e-12
+    want = (inside * values[None, :]).sum(axis=1)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9
+
+
+def test_point_selection_is_a_slice_only_when_contiguous():
+    from levygrowth.growth import _PointBlock
+
+    block = object.__new__(_PointBlock)
+    block.s = np.array([0.2, 0.5, 1.0 + 1e-13, 1.4, 2.5, 1.2])
+    assert block.select(0.0, 1.0) == slice(0, 3)
+    assert block.select(1.1, 1.3) == slice(5, 6)
+    inside = block.select(0.3, 1.3)
+    assert np.array_equal(block.s[inside], [0.5, 1.0 + 1e-13, 1.2])
+    assert block.select(5.0, 6.0) == slice(0, 0)
+
+
+def _poisson_basis(c):
+    return BasisSpec(SpotLaw.poisson(), ControlMeasure(TimeDensity.constant(c)))
+
+
+def _multi_time_case(name):
+    ex4 = example_preset("ex4")
+    if name == "ex3":
+        ex3 = example_preset("ex3")
+        return ex3.spec, GridSpec(TWO_PI / 100, 0.5, 0.0, 20.0), (5.0, 12.0, 20.0)
+    if name == "ex4-poisson":  # windows of 20 and 22 overlap, 45 and 80 stand alone
+        return replace(ex4.spec, basis=_poisson_basis(100.0)), ex4.grid, (20.0, 22.0, 45.0, 80.0)
+    if name == "tumour-poisson":
+        tumour = example_preset("tumour")
+        return replace(tumour.spec, basis=_poisson_basis(1.0)), tumour.grid, tumour.times
+    if name == "cosine-full-angle-poisson":
+        from levygrowth.circle_cov import FourierWeight
+
+        weight = FourierWeight.constant_coeffs([1.0, 0.5])
+        spec = GrowthModelSpec(
+            "direct", Drift.zero(), weight, _poisson_basis(20.0), FullAngle.of(2.0)
+        )
+        return spec, GridSpec(TWO_PI / 64, 0.25, 0.0, 8.0), (2.0, 3.0, 8.0)
+    if name == "constant-tumour-family-poisson":  # half-width depends on t
+        spec = GrowthModelSpec(
+            "direct", Drift.zero(), 1.0, _poisson_basis(5.0), Tumour.of(3.0, 1.0, 1.0)
+        )
+        return spec, small_grid(n_phi=32, dt=0.25, t_max=6.0), (3.0, 4.0, 6.0)
+    if name == "ex4-mesh":
+        return ex4.spec, ex4.grid, (20.0, 22.0, 45.0, 80.0)
+    return replace(ex4.spec, kind="rate_linear"), ex4.grid, ex4.times
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ex3",
+        "ex4-poisson",
+        "tumour-poisson",
+        "cosine-full-angle-poisson",
+        "constant-tumour-family-poisson",
+        "ex4-mesh",
+        "ex4-rate-mesh",
+    ],
+)
+def test_multi_time_simulation_equals_single_time_terms(name):
+    # the work shared by a call's times gives each time what its term alone gives
+    from levygrowth.growth import _Plan, _term
+
+    spec, grid, times = _multi_time_case(name)
+    mode = "rate" if spec.kind in ("rate_linear", "rate_of_log") else "direct"
+    seed = 31
+    profiles = simulate(spec, grid, seed, times).profiles
+    real = sample_realization(spec.basis, grid, seed)
+    plan = _Plan(spec, grid, times)
+    for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
+        alone = _term(spec, grid, t, mode)(real)
+        assert np.any(alone != 0.0)
+        x = radius.level + alone
+        expected = radius.scale * (x if radius.link is None else radius.link(x))
+        assert np.array_equal(profiles[i], expected), (name, t)
+
+
 def test_rate_kernel_matches_induced_weight_sum_gamma():
     from levygrowth.growth import _term
 

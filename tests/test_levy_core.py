@@ -165,6 +165,38 @@ def test_time_density_integrals():
     assert tab.integral(0.0, 0.5) == pytest.approx(0.125)
 
 
+def _max_on_one_row(g, a, b):
+    """The bound of one row [a, b] as it was computed row by row."""
+    cands = [float(np.max(g(np.asarray([a, b]))))]
+    if g.kind == "tabulated":
+        nodes, values = (np.asarray(v) for v in g.table)
+        inside = (nodes >= a) & (nodes <= b)
+        if np.any(inside):
+            cands.append(float(values[inside].max()))
+    return max(cands)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        TimeDensity.constant(2.0, support_lo=0.6),
+        TimeDensity.linear(3.0),
+        TimeDensity.exponential(2.0, 0.7),
+        TimeDensity.power(1.5, 0.5),
+        TimeDensity.tabulated([0.3, 1.1, 1.6, 2.9], [0.5, 4.0, 0.2, 1.0]),
+    ],
+    ids=lambda g: g.kind,
+)
+def test_max_on_rows_equals_the_row_by_row_bound(g):
+    edges = GridSpec(2 * math.pi, 0.25, 0.0, 3.0).t_edges
+    got = g.max_on(edges[:-1], edges[1:])
+    want = [_max_on_one_row(g, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(got, want)
+    if g.kind == "tabulated":
+        # node 1.1 lies strictly inside row [1.0, 1.25] and tops both ends
+        assert got[4] == 4.0 > max(g(1.0), g(1.25))
+
+
 # ---------------------------------------------------------------------------
 # sampling: exact marginals (KS at level 0.01, fixed seeds)
 # ---------------------------------------------------------------------------
