@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
 from .errors import NonMonotoneRadius, RegionOutsideGrid
 from .levy_core import ControlMeasure, GridSpec, TimeDensity
@@ -588,8 +589,7 @@ class EmbeddedAmbit:
             if header:
                 fh.write(header if header.endswith("\n") else header + "\n")
             fh.write("x,y\n")
-            for x, y in self.boundary_xy:
-                fh.write(f"{float(x)!r},{float(y)!r}\n")
+            fh.write(csv_block(reprs(self.boundary_xy[:, 0]), reprs(self.boundary_xy[:, 1])))
 
 
 def _radius_lookup(history, theta, s):

@@ -348,6 +348,26 @@ def overlap_coeffs_from_boundary(gammas, n_terms=None):
     return lam
 
 
+def overlap_constant_term(gammas):
+    """Constant term of the self-overlap cosine series, derived by
+    integrating the overlap formula term by term::
+
+        lam_0 = sum_{k odd} (2*pi - 8/(pi k^2)) gamma_k
+                - 2*pi * sum_{k even, k >= 2} gamma_k
+
+    It agrees with :func:`boundary_overlap_oracle`.  The closed form of
+    :func:`overlap_coeffs_from_boundary` has 16 in place of 8 and a
+    ``gamma_0`` term, which cancels in the overlap integral.
+    """
+    g = np.asarray(gammas, dtype=float)
+    ks = np.arange(g.size)
+    odd = ks % 2 == 1
+    return float(
+        np.sum((2.0 * np.pi - 8.0 / (np.pi * ks[odd] ** 2)) * g[odd])
+        - 2.0 * np.pi * np.sum(g[2::2])
+    )
+
+
 def boundary_overlap_oracle(gammas, n_grid=2048, n_terms=8):
     """Brute-force coefficients: quadrature of the overlap integral, then DFT.
 

@@ -40,6 +40,7 @@ from . import __version__
 from .ambit import FullAngle, Rectangular
 from .circle_cov import CircleCovModel, FourierWeight, harmonic_cov
 from .config import RunConfig, apply_overrides, load_config_file, parse_config
+from .csvrows import csv_block, reprs
 from .errors import ConfigError, LevyGrowthError
 from .growth import _Plan
 from .inference import (
@@ -93,11 +94,14 @@ def cmd_simulate(args):
     cfg = _load(args)
     plan = _simulation_plan(cfg, "simulate")
     n = cfg.replicates
-    seeds = [cfg.seed] if n == 1 else [mix_seed(cfg.seed, r) for r in range(n)]
-    histories = [plan.history(s) for s in seeds]
-    ds = ProfileDataset.from_histories(histories)
+    if n == 1:
+        seed0, profiles = cfg.seed, plan.profiles(cfg.seed)[None]
+    else:
+        seed0, profiles = mix_seed(cfg.seed, 0), plan.replicates(cfg.seed, n)
+    ds = ProfileDataset(plan.times, plan.grid.phi_mids, profiles)
     ds.to_csv(os.path.join(cfg.out_dir, "history.csv"), _provenance(cfg))
-    histories[0].to_polyline_csv(os.path.join(cfg.out_dir, "outline.csv"))
+    outline = plan.history(profiles[0], seed0)
+    outline.to_polyline_csv(os.path.join(cfg.out_dir, "outline.csv"))
     print(f"wrote {cfg.out_dir}/history.csv and {cfg.out_dir}/outline.csv")
     return EXIT_OK
 
@@ -124,11 +128,8 @@ def cmd_cov(args):
         fh.write(_provenance(cfg) + "\n")
         fh.write("t1,t2,dphi,cov\n")
         for t1, t2 in pairs:
-            for d in dphis:
-                fh.write(
-                    f"{float(t1)!r},{float(t2)!r},{float(d)!r},"
-                    f"{float(model.cov(t1, 0.0, t2, d))!r}\n"
-                )
+            covs = [float(model.cov(t1, 0.0, t2, d)) for d in dphis]
+            fh.write(csv_block(repr(float(t1)), repr(float(t2)), reprs(dphis), reprs(covs)))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -140,9 +141,8 @@ def cmd_moments(args):
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
         fh.write("t,mean,variance\n")
-        for t, radius in zip(plan.times, plan.radii):
-            mean, var = radius.moments()
-            fh.write(f"{float(t)!r},{float(mean)!r},{float(var)!r}\n")
+        mean, var = zip(*(radius.moments() for radius in plan.radii))
+        fh.write(csv_block(reprs(plan.times), reprs(mean), reprs(var)))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -61,6 +61,7 @@ from .ambit import (
     mesh_kernel,
 )
 from .circle_cov import FourierWeight
+from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, cyc_dist
 from .errors import NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
@@ -195,14 +196,12 @@ class GrowthHistory:
         dataset.to_csv(path, self.provenance())
 
     def to_polyline_csv(self, path):
+        cos, sin = np.cos(self.angles), np.sin(self.angles)
         with open(path, "w") as fh:
             fh.write(self.provenance() + "\n")
             fh.write("t,x,y\n")
-            for i, t in enumerate(self.times):
-                x = self.profiles[i] * np.cos(self.angles)
-                y = self.profiles[i] * np.sin(self.angles)
-                for xv, yv in zip(x, y):
-                    fh.write(f"{float(t)!r},{float(xv)!r},{float(yv)!r}\n")
+            for t, profile in zip(reprs(self.times), self.profiles):
+                fh.write(csv_block(t, reprs(profile * cos), reprs(profile * sin)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +600,16 @@ class _Plan:
             raise NonFiniteValue("simulation produced non-finite radii")
         return out
 
-    def history(self, seed):
-        profiles = self.profiles(seed)
+    def replicates(self, seed, n_replicates):
+        """Radii (n_replicates, n_times, n_phi) of replicates r = 0..n-1,
+        replicate r drawn from ``mix_seed(seed, r)``."""
+        out = np.empty((n_replicates, self.times.size, self.grid.n_phi))
+        for r in range(n_replicates):
+            out[r] = self.profiles(mix_seed(seed, r))
+        return out
+
+    def history(self, profiles, seed):
+        """The :class:`GrowthHistory` of radii drawn from ``seed``."""
         return GrowthHistory(
             times=self.times.copy(),
             angles=self.grid.phi_mids,
@@ -621,18 +628,15 @@ def simulate(spec: GrowthModelSpec, grid: GridSpec, seed: int, times) -> GrowthH
     are kept and counted in ``flags['nonpositive_values']`` rather than
     clamped, so moment checks stay unbiased.
     """
-    return _Plan(spec, grid, times).history(seed)
+    plan = _Plan(spec, grid, times)
+    return plan.history(plan.profiles(seed), seed)
 
 
 def simulate_replicates(spec, grid, seed, times, n_replicates):
     """Radii (n_replicates, n_times, n_phi) of replicates r = 0..n-1, seeded
     mix(seed, r), from kernels built once; replicate r equals
     ``simulate(spec, grid, mix_seed(seed, r), times).profiles`` bit for bit."""
-    plan = _Plan(spec, grid, times)
-    out = np.empty((n_replicates, plan.times.size, grid.n_phi))
-    for r in range(n_replicates):
-        out[r] = plan.profiles(mix_seed(seed, r))
-    return out
+    return _Plan(spec, grid, times).replicates(seed, n_replicates)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 import numpy as np
 
+from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, wrap
 from .errors import (
     InfeasibleBounds,
@@ -48,70 +50,139 @@ class ProfileDataset:
     def n_reps(self):
         return self.profiles.shape[0]
 
-    @staticmethod
-    def from_histories(histories):
-        if not histories:
-            raise InsufficientData("no histories given")
-        t0 = histories[0].times
-        a0 = histories[0].angles
-        stack = np.stack([h.profiles for h in histories], axis=0)
-        return ProfileDataset(np.asarray(t0, float), np.asarray(a0, float), stack)
-
     def to_csv(self, path, header_comment=None):
+        """Write ``t,phi,r[,replicate]`` rows (the replicate column only when
+        there are several), one ``write`` per (replicate, time) block."""
+        times, phis = reprs(self.times), reprs(self.angles)
+        with_rep = self.n_reps > 1
         with open(path, "w") as fh:
             if header_comment:
                 fh.write(header_comment.rstrip("\n") + "\n")
-            with_rep = self.n_reps > 1
             fh.write("t,phi,r,replicate\n" if with_rep else "t,phi,r\n")
             for r in range(self.n_reps):
-                for i, t in enumerate(self.times):
-                    for j, phi in enumerate(self.angles):
-                        row = (
-                            f"{float(t)!r},{float(phi)!r},"
-                            f"{float(self.profiles[r, i, j])!r}"
-                        )
-                        fh.write(row + (f",{r}\n" if with_rep else "\n"))
+                tail = (str(r),) if with_rep else ()
+                for t, values in zip(times, self.profiles[r]):
+                    fh.write(csv_block(t, phis, reprs(values), *tail))
 
 
 def ingest_profiles(path, require_positive=False) -> ProfileDataset:
     """Read a (t, phi, r[, replicate]) CSV into a validated dataset.
 
     Angles are wrapped to [-pi, pi) and must form one uniform grid shared
-    by every (time, replicate) block.
+    by every (time, replicate) block; rows may come in any order.  The data
+    rows are parsed in one numpy call.  A file that this parse or the block
+    checks reject is read again row by row, which raises the typed error
+    (with its line number) or reads what the parse could not.
     """
-    rows = []
     with open(path) as fh:
-        # provenance comments may precede the header
-        pos = fh.tell()
+        dataset = _ingest_blocks(fh, _read_header(fh))
+    if dataset is None:
+        with open(path) as fh:
+            dataset = _ingest_rows(fh, _read_header(fh))
+    if require_positive and np.any(dataset.profiles <= 0):
+        raise NonPositiveRadius("exponential-model fitting needs strictly positive radii")
+    return dataset
+
+
+def _read_header(fh):
+    """Skip the provenance comments and check the header; ``fh`` is left at
+    the first data row.  Returns whether there is a replicate column."""
+    line = fh.readline()
+    while line.startswith("#"):
         line = fh.readline()
-        while line.startswith("#"):
-            pos = fh.tell()
-            line = fh.readline()
-        fh.seek(pos)
-        reader = csv.reader(fh)
+    if not line:
+        raise MalformedFile("empty file")
+    header = next(csv.reader([line]))
+    cols = [c.strip().lower() for c in header]
+    if cols[:3] != ["t", "phi", "r"] or len(cols) > 4 or (
+        len(cols) == 4 and cols[3] != "replicate"
+    ):
+        raise MalformedFile(f"expected header t,phi,r[,replicate]; got {header}")
+    return len(cols) == 4
+
+
+def _check_grid(angles):
+    """``angles`` (sorted) must be one uniform grid over the circle."""
+    if angles.size < 2:
+        raise NonUniformGrid("need at least two angles")
+    d = np.diff(angles)
+    if np.any(np.abs(d - d[0]) > 1e-9) or abs(angles.size * d[0] - TWO_PI) > 1e-6:
+        raise NonUniformGrid("angles are not one uniform grid over the circle")
+
+
+_FIELDS = [("t", float), ("phi", float), ("r", float), ("replicate", np.int64)]
+
+
+def _ingest_blocks(fh, has_rep):
+    """The dataset from one parse of the data rows, or None when the parse
+    fails or the rows are not whole (replicate, time) blocks on one grid.
+
+    The integer dtype rejects a replicate field such as ``1.0``, as ``int``
+    does; the angle grid is taken from the block of the first data row, and
+    every other block must match it to 1e-9.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            rows = np.loadtxt(
+                fh, dtype=_FIELDS[: 3 + has_rep], delimiter=",", comments=None, ndmin=1
+            )
+    except ValueError:
+        return None
+    n = rows.size
+    t, phi, r = (np.array(rows[name]) for name in ("t", "phi", "r"))
+    rep = np.array(rows["replicate"]) if has_rep else np.zeros(n, np.int64)
+    del rows
+    if n == 0 or not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
+        return None
+    a = wrap(phi)
+    same_rep, same_t = rep[1:] == rep[:-1], t[1:] == t[:-1]
+    if np.all(
+        (rep[1:] > rep[:-1])
+        | (same_rep & ((t[1:] > t[:-1]) | (same_t & (a[1:] > a[:-1]))))
+    ):
+        first = 0  # writer order: replicate, then time, then angle
+    else:
+        order = np.lexsort((a, t, rep))
+        first = int(np.flatnonzero(order == 0)[0])
+        rep, t, a, r = rep[order], t[order], a[order], r[order]
+    new_block = np.flatnonzero((rep[1:] != rep[:-1]) | (t[1:] != t[:-1])) + 1
+    n_blocks = new_block.size + 1
+    n_phi = n // n_blocks
+    if n_phi * n_blocks != n or not np.array_equal(
+        new_block, np.arange(1, n_blocks) * n_phi
+    ):
+        return None
+    block_rep, block_t = rep[::n_phi], t[::n_phi]
+    n_times = np.unique(block_t).size
+    n_reps = np.count_nonzero(block_rep[1:] != block_rep[:-1]) + 1
+    if n_reps * n_times != n_blocks:
+        return None  # some (replicate, time) block is missing
+    angles = a.reshape(n_blocks, n_phi)
+    ref = angles[first // n_phi].copy()
+    _check_grid(ref)
+    if np.any(np.abs(angles - ref) > 1e-9):
+        return None
+    return ProfileDataset(block_t[:n_times].copy(), ref, r.reshape(n_reps, n_times, n_phi))
+
+
+def _ingest_rows(fh, has_rep):
+    """Row-by-row reader of the files :func:`_ingest_blocks` rejects; a
+    malformed row raises :class:`MalformedFile` naming its line."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != 3 + has_rep:
+            raise MalformedFile(f"line {lineno}: wrong field count")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedFile("empty file") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:3] != ["t", "phi", "r"] or len(cols) > 4 or (
-            len(cols) == 4 and cols[3] != "replicate"
-        ):
-            raise MalformedFile(f"expected header t,phi,r[,replicate]; got {header}")
-        has_rep = len(cols) == 4
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(cols):
-                raise MalformedFile(f"line {lineno}: wrong field count")
-            try:
-                t = float(row[0])
-                phi = float(row[1])
-                r = float(row[2])
-                rep = int(row[3]) if has_rep else 0
-            except ValueError as exc:
-                raise MalformedFile(f"line {lineno}: {exc}") from None
-            rows.append((rep, t, phi, r))
+            t = float(row[0])
+            phi = float(row[1])
+            r = float(row[2])
+            rep = int(row[3]) if has_rep else 0
+        except ValueError as exc:
+            raise MalformedFile(f"line {lineno}: {exc}") from None
+        rows.append((rep, t, phi, r))
     if not rows:
         raise MalformedFile("no data rows")
     reps = sorted({r[0] for r in rows})
@@ -126,11 +197,7 @@ def ingest_profiles(path, require_positive=False) -> ProfileDataset:
         a = np.array([v[0] for v in vals])
         if angles_ref is None:
             n_phi = a.size
-            if n_phi < 2:
-                raise NonUniformGrid("need at least two angles")
-            d = np.diff(a)
-            if np.any(np.abs(d - d[0]) > 1e-9) or abs(n_phi * d[0] - TWO_PI) > 1e-6:
-                raise NonUniformGrid("angles are not one uniform grid over the circle")
+            _check_grid(a)
             angles_ref = a
         else:
             if a.size != n_phi or np.any(np.abs(a - angles_ref) > 1e-9):
@@ -138,8 +205,6 @@ def ingest_profiles(path, require_positive=False) -> ProfileDataset:
     profiles = np.empty((len(reps), len(times), n_phi))
     for (rep, t), vals in by_key.items():
         profiles[reps.index(rep), times.index(t)] = [v[1] for v in vals]
-    if require_positive and np.any(profiles <= 0):
-        raise NonPositiveRadius("exponential-model fitting needs strictly positive radii")
     return ProfileDataset(np.asarray(times), angles_ref, profiles)
 
 

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI
 from .errors import (
     DomainError,
@@ -512,19 +513,19 @@ class BasisRealization:
     def to_csv(self, path):
         """Debug export: one row per cell (theta_lo, theta_hi, t_lo, t_hi, increment)."""
         grid = self.grid
-        pe, te = grid.phi_edges, grid.t_edges
         with open(path, "w") as fh:
             fh.write(
                 f"# levygrowth realization seed={self.seed} "
                 f"config={config_hash(self.spec, self.grid)}\n"
             )
             fh.write("theta_lo,theta_hi,t_lo,t_hi,increment\n")
+            phis, ts = reprs(grid.phi_edges), reprs(grid.t_edges)
             for l in range(grid.n_t):
-                for j in range(grid.n_phi):
-                    fh.write(
-                        f"{float(pe[j])!r},{float(pe[j + 1])!r},{float(te[l])!r},"
-                        f"{float(te[l + 1])!r},{float(self.increments[l, j])!r}\n"
+                fh.write(
+                    csv_block(
+                        phis[:-1], phis[1:], ts[l], ts[l + 1], reprs(self.increments[l])
                     )
+                )
 
 
 def _sample_increments(spot: SpotLaw, mu, rng):

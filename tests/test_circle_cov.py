@@ -14,6 +14,7 @@ from levygrowth.circle_cov import (
     cov_full_angle,
     harmonic_cov,
     overlap_coeffs_from_boundary,
+    overlap_constant_term,
     pth_order_target,
     pth_order_weight,
     spatial_corr,
@@ -239,6 +240,16 @@ def test_overlap_coeffs_third_harmonic_vs_oracle():
     closed = overlap_coeffs_from_boundary(gammas, n_terms=6)
     oracle = boundary_overlap_oracle(gammas, n_grid=2048, n_terms=6)
     assert np.max(np.abs(closed[1:] - oracle[1:])) < 1e-6
+
+
+def test_derived_constant_term_matches_the_oracle():
+    g0, g1 = 1.0, 0.5
+    assert overlap_constant_term([g0, g1]) == pytest.approx((2 * math.pi - 8 / math.pi) * g1)
+    gammas = [0.8, 0.5, 0.1, 0.08, 0.05, 0.03]
+    oracle = boundary_overlap_oracle(gammas, n_grid=256, n_terms=0)[0]
+    assert overlap_constant_term(gammas) == pytest.approx(oracle, abs=1e-4)
+    # the paper's closed form, kept as the reproduction record, stays off
+    assert overlap_coeffs_from_boundary(gammas)[0] == pytest.approx(-4.734, abs=1e-3)
 
 
 def test_overlap_report_surfaces_constant_term_discrepancy():

@@ -115,6 +115,25 @@ def test_simulate_replicates_written_with_index(tmp_path):
     assert header == "t,phi,r,replicate"
 
 
+def test_simulate_writes_the_replicate_array_and_replicate_0_outline(tmp_path):
+    from levygrowth.config import parse_config
+    from levygrowth.growth import simulate
+    from levygrowth.inference import ingest_profiles
+    from levygrowth.rngtools import mix_seed
+
+    out = tmp_path / "reps"
+    sets = ["--set", "grid.dphi_divisor=40", "--set", "times=[20, 45]"]
+    assert run(["simulate", "--preset", "ex4", "--seed", "5", "--replicates", "3"]
+               + sets + ["--out-dir", str(out)]) == 0
+    cfg = parse_config({"preset": "ex4", "grid": {"dphi_divisor": 40}, "times": [20, 45]})
+    first = simulate(cfg.spec, cfg.grid, mix_seed(5, 0), cfg.times)
+    data = ingest_profiles(out / "history.csv")
+    assert data.n_reps == 3
+    assert np.array_equal(data.profiles[0], first.profiles)
+    first.to_polyline_csv(tmp_path / "outline.csv")
+    assert (out / "outline.csv").read_bytes() == (tmp_path / "outline.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config errors
 # ---------------------------------------------------------------------------

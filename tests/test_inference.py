@@ -1,12 +1,18 @@
 """Empirical moments, ingestion, and fitting round trips."""
 
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levygrowth.ambit import Rectangular, intersection_measure
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
+from levygrowth.cyclic import wrap
 from levygrowth.errors import (
     InfeasibleBounds,
     MalformedFile,
@@ -25,6 +31,8 @@ from levygrowth.growth import (
 from levygrowth.inference import (
     EmpiricalMoments,
     ProfileDataset,
+    _ingest_blocks,
+    _read_header,
     empirical_moments,
     fit_fourier_mle,
     fit_moments,
@@ -84,13 +92,7 @@ def test_empirical_variance_matches_mesh_analytic():
     p = example_preset("ex4", theta=math.pi / 5)
     grid = GridSpec(TWO_PI / 200, 1.0, 0.0, 80.0)
     n = 400
-    hists = [
-        ProfileDataset.from_histories(
-            [simulate(p.spec, grid, s, [20.0])]
-        ).profiles[0, 0]
-        for s in range(n)
-    ]
-    profs = np.asarray(hists)
+    profs = np.asarray([simulate(p.spec, grid, s, [20.0]).profiles[0] for s in range(n)])
     q = MomentQuery(p.spec.basis, p.spec.ambit, p.spec.weight, grid, ((20.0, grid.phi_mids[0]),))
     target = var_linear(q)
     v = profs[:, 0].var(ddof=1)
@@ -165,6 +167,215 @@ def test_ingest_rejects_nonpositive_for_exponential(tmp_path):
     with pytest.raises(NonPositiveRadius):
         ingest_profiles(path, require_positive=True)
     ingest_profiles(path)  # fine without the flag
+
+
+def _reference_to_csv(ds, path, header_comment=None):
+    """Reference writer: one f-string and one ``write`` per row."""
+    with open(path, "w") as fh:
+        if header_comment:
+            fh.write(header_comment.rstrip("\n") + "\n")
+        with_rep = ds.n_reps > 1
+        fh.write("t,phi,r,replicate\n" if with_rep else "t,phi,r\n")
+        for r in range(ds.n_reps):
+            for i, t in enumerate(ds.times):
+                for j, phi in enumerate(ds.angles):
+                    row = f"{float(t)!r},{float(phi)!r},{float(ds.profiles[r, i, j])!r}"
+                    fh.write(row + (f",{r}\n" if with_rep else "\n"))
+
+
+def _reference_ingest(path):
+    """Reference reader: one tuple per row, grouped into blocks in a dict."""
+    rows = []
+    with open(path) as fh:
+        pos = fh.tell()
+        line = fh.readline()
+        while line.startswith("#"):
+            pos = fh.tell()
+            line = fh.readline()
+        fh.seek(pos)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedFile("empty file") from None
+        cols = [c.strip().lower() for c in header]
+        if cols[:3] != ["t", "phi", "r"] or len(cols) > 4 or (
+            len(cols) == 4 and cols[3] != "replicate"
+        ):
+            raise MalformedFile(f"expected header t,phi,r[,replicate]; got {header}")
+        has_rep = len(cols) == 4
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(cols):
+                raise MalformedFile(f"line {lineno}: wrong field count")
+            try:
+                t = float(row[0])
+                phi = float(row[1])
+                r = float(row[2])
+                rep = int(row[3]) if has_rep else 0
+            except ValueError as exc:
+                raise MalformedFile(f"line {lineno}: {exc}") from None
+            rows.append((rep, t, phi, r))
+    if not rows:
+        raise MalformedFile("no data rows")
+    reps = sorted({r[0] for r in rows})
+    times = sorted({r[1] for r in rows})
+    by_key = {}
+    for rep, t, phi, r in rows:
+        by_key.setdefault((rep, t), []).append((float(wrap(phi)), r))
+    angles_ref = None
+    n_phi = None
+    for key, vals in by_key.items():
+        vals.sort()
+        a = np.array([v[0] for v in vals])
+        if angles_ref is None:
+            n_phi = a.size
+            if n_phi < 2:
+                raise NonUniformGrid("need at least two angles")
+            d = np.diff(a)
+            if np.any(np.abs(d - d[0]) > 1e-9) or abs(n_phi * d[0] - TWO_PI) > 1e-6:
+                raise NonUniformGrid("angles are not one uniform grid over the circle")
+            angles_ref = a
+        else:
+            if a.size != n_phi or np.any(np.abs(a - angles_ref) > 1e-9):
+                raise NonUniformGrid(f"angle grid differs in block {key}")
+    profiles = np.empty((len(reps), len(times), n_phi))
+    for (rep, t), vals in by_key.items():
+        profiles[reps.index(rep), times.index(t)] = [v[1] for v in vals]
+    return ProfileDataset(np.asarray(times), angles_ref, profiles)
+
+
+def _assert_same_dataset(got, want):
+    for name in ("times", "angles", "profiles"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1e308, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_reps=st.integers(1, 4),
+    n_times=st.integers(1, 3),
+    n_phi=st.integers(2, 40),
+    shift=st.sampled_from([-math.pi, 0.0]),
+    data=st.data(),
+)
+def test_block_csv_io_equals_the_row_by_row_reference(n_reps, n_times, n_phi, shift, data):
+    times = data.draw(
+        st.lists(st.floats(-1e6, 1e6), min_size=n_times, max_size=n_times, unique=True)
+    )
+    values = data.draw(
+        st.lists(
+            st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES)),
+            min_size=n_reps * n_times * n_phi,
+            max_size=n_reps * n_times * n_phi,
+        )
+    )
+    offset = data.draw(st.floats(0.0, 0.99))
+    angles = shift + (np.arange(n_phi) + offset) * (TWO_PI / n_phi)
+    ds = ProfileDataset(
+        np.array(times), angles, np.array(values).reshape(n_reps, n_times, n_phi)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref_path = os.path.join(tmp, "block.csv"), os.path.join(tmp, "ref.csv")
+        ds.to_csv(path, "# provenance")
+        _reference_to_csv(ds, ref_path, "# provenance")
+        with open(path, "rb") as a, open(ref_path, "rb") as b:
+            assert a.read() == b.read()
+        want = _reference_ingest(path)
+        _assert_same_dataset(ingest_profiles(path), want)
+        with open(path) as fh:
+            parsed = _ingest_blocks(fh, _read_header(fh))  # no row-by-row pass
+    assert parsed is not None
+    _assert_same_dataset(parsed, want)
+
+
+def _toy_lines(tmp_path, n_reps=2):
+    path = tmp_path / "toy.csv"
+    toy_dataset(n_reps=n_reps, n_phi=8, seed=11).to_csv(path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "case, error, line",
+    [
+        ("replicate 1.0", MalformedFile, 18),
+        ("replicate x", MalformedFile, 5),
+        ("field count", MalformedFile, 5),
+        ("comment", MalformedFile, 5),
+        ("duplicated block", NonUniformGrid, None),
+        ("shifted block", NonUniformGrid, None),
+    ],
+)
+def test_ingest_errors_match_the_row_by_row_reference(tmp_path, case, error, line):
+    path, lines = _toy_lines(tmp_path)
+    if case == "replicate 1.0":  # every row of replicate 1, so the blocks stay whole
+        lines = [row[:-2] + ",1.0" if row.endswith(",1") else row for row in lines]
+    elif case == "replicate x":
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",x"
+    elif case == "field count":
+        lines[4] = lines[4].rsplit(",", 1)[0]
+    elif case == "comment":
+        lines.insert(4, "# a comment after the header")
+    elif case == "duplicated block":
+        lines += lines[9:17]  # replicate 0's second time block, again
+    else:  # replicate 1's first block, half a cell round the circle
+        for i in range(17, 25):
+            t, phi, rest = lines[i].split(",", 2)
+            lines[i] = f"{t},{float(phi) + math.pi / 8!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as got:
+        ingest_profiles(path)
+    with pytest.raises(error) as want:
+        _reference_ingest(path)
+    assert str(got.value) == str(want.value)
+    if line is not None:
+        assert str(got.value).startswith(f"line {line}:")
+
+
+def test_ingest_skips_blank_lines_and_accepts_any_row_order(tmp_path):
+    path, lines = _toy_lines(tmp_path, n_reps=3)
+    want = ingest_profiles(path)
+    body = lines[1:]
+    np.random.default_rng(4).shuffle(body)
+    rows = [lines[0], ""]
+    for i, row in enumerate(body):
+        rows += [row, ""] if i % 2 else [row]
+    path.write_text("\n".join(rows) + "\n")
+    _assert_same_dataset(ingest_profiles(path), want)
+    _assert_same_dataset(_reference_ingest(path), want)
+
+
+def test_ingest_takes_the_angle_grid_of_the_first_rows_block(tmp_path):
+    # blocks may differ by up to 1e-9 in angle; the returned grid is that of
+    # the block holding the first data row, here not the first block in order
+    angles = -math.pi + (np.arange(8) + 0.5) * (TWO_PI / 8)
+    rows = ["t,phi,r,replicate"]
+    for rep, t in [(1, 2.0), (0, 1.0), (1, 1.0), (0, 2.0)]:
+        for a in angles + 1e-10 * (2 * rep + t):
+            rows.append(f"{t!r},{float(a)!r},{float(a) + rep!r},{rep}")
+    path = tmp_path / "jitter.csv"
+    path.write_text("\n".join(rows) + "\n")
+    got = ingest_profiles(path)
+    _assert_same_dataset(got, _reference_ingest(path))
+    assert np.array_equal(got.angles, wrap(angles + 4e-10))
+
+
+def test_ingest_wraps_angles_of_every_block(tmp_path):
+    n_phi = 12
+    angles = (np.arange(n_phi) + 0.25) * (TWO_PI / n_phi)  # in [0, 2 pi)
+    profiles = np.arange(3 * 2 * n_phi, dtype=float).reshape(3, 2, n_phi)
+    ds = ProfileDataset(np.array([1.0, 2.0]), angles, profiles)
+    path = tmp_path / "wrapped.csv"
+    ds.to_csv(path)
+    got = ingest_profiles(path)
+    assert got.angles.min() >= -math.pi and got.angles.max() < math.pi
+    _assert_same_dataset(got, _reference_ingest(path))
+    # the value written at angle a sits at wrap(a)
+    j = int(np.argmin(np.abs(got.angles - wrap(angles[-1]))))
+    assert np.array_equal(got.profiles[:, :, j], ds.profiles[:, :, -1])
 
 
 # ---------------------------------------------------------------------------
