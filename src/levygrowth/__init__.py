@@ -5,7 +5,12 @@ closed-form space-time moments and circle covariances, Fourier analysis of
 radial profiles, Monte Carlo verification, and moment / likelihood fitting.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# Silent unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from . import ambit, circle_cov, fourier_radial, growth, inference, levy_core, moments
 from .errors import LevyGrowthError

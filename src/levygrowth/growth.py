@@ -30,7 +30,8 @@ A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
 kernels, kept as the spectra of their nonzero (ambit-window) rows, the
 centring shifts and the drift values.  Each replicate then samples its
-realization and does once what several times read: the transform of each
+realization, only the rows its terms read unless a point sum needs every
+row's counts, and does once what several times read: the transform of each
 increment row in any time's window, and for Poisson point sums the points
 and, where the half-width does not depend on the time, their arcs.
 
@@ -386,7 +387,10 @@ class _Draw:
     def __init__(self, realization, reads):
         self.rows, spans = reads
         if self.rows.size:
-            self.spectra = np.fft.rfft(realization.increments[self.rows], axis=1)
+            increments = realization.increments
+            if realization.rows is None:  # else drawn for these reads alone
+                increments = increments[self.rows]
+            self.spectra = np.fft.rfft(increments, axis=1)
         self.blocks = [_PointBlock(realization, span, term) for span, term in spans]
 
     def row_spectra(self, rows):
@@ -591,8 +595,15 @@ class _Plan:
         return _Radius(term, level, np.asarray(spec.multiplier(angles), dtype=float))
 
     def profiles(self, seed):
-        """Radii (n_times, n_phi) on the realization drawn from ``seed``."""
-        draw = _Draw(sample_realization(self.spec.basis, self.grid, seed), self.reads)
+        """Radii (n_times, n_phi) on the realization drawn from ``seed``.
+
+        Without point terms only the rows the mesh terms read are drawn;
+        point placement needs the counts of every row."""
+        rows, spans = self.reads
+        realization = sample_realization(
+            self.spec.basis, self.grid, seed, rows=None if spans else rows
+        )
+        draw = _Draw(realization, self.reads)
         out = np.empty((self.times.size, self.grid.n_phi))
         for i, radius in enumerate(self.radii):
             out[i] = radius(draw)

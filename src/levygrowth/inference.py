@@ -86,10 +86,11 @@ def ingest_profiles(path, require_positive=False) -> ProfileDataset:
 
 def _read_header(fh):
     """Skip the provenance comments and check the header; ``fh`` is left at
-    the first data row.  Returns whether there is a replicate column."""
-    line = fh.readline()
+    the first data row.  Returns whether there is a replicate column and the
+    header's line number."""
+    lineno, line = 1, fh.readline()
     while line.startswith("#"):
-        line = fh.readline()
+        lineno, line = lineno + 1, fh.readline()
     if not line:
         raise MalformedFile("empty file")
     header = next(csv.reader([line]))
@@ -98,7 +99,7 @@ def _read_header(fh):
         len(cols) == 4 and cols[3] != "replicate"
     ):
         raise MalformedFile(f"expected header t,phi,r[,replicate]; got {header}")
-    return len(cols) == 4
+    return len(cols) == 4, lineno
 
 
 def _check_grid(angles):
@@ -113,14 +114,16 @@ def _check_grid(angles):
 _FIELDS = [("t", float), ("phi", float), ("r", float), ("replicate", np.int64)]
 
 
-def _ingest_blocks(fh, has_rep):
-    """The dataset from one parse of the data rows, or None when the parse
-    fails or the rows are not whole (replicate, time) blocks on one grid.
+def _ingest_blocks(fh, header):
+    """The dataset from one parse of the data rows (``header`` from
+    :func:`_read_header`), or None when the parse fails or the rows are not
+    whole (replicate, time) blocks on one grid.
 
     The integer dtype rejects a replicate field such as ``1.0``, as ``int``
     does; the angle grid is taken from the block of the first data row, and
     every other block must match it to 1e-9.
     """
+    has_rep = header[0]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data rows
@@ -166,11 +169,13 @@ def _ingest_blocks(fh, has_rep):
     return ProfileDataset(block_t[:n_times].copy(), ref, r.reshape(n_reps, n_times, n_phi))
 
 
-def _ingest_rows(fh, has_rep):
+def _ingest_rows(fh, header):
     """Row-by-row reader of the files :func:`_ingest_blocks` rejects; a
-    malformed row raises :class:`MalformedFile` naming its line."""
+    malformed row raises :class:`MalformedFile` naming its physical line,
+    a missing (replicate, time) block :class:`NonUniformGrid`."""
+    has_rep, header_line = header
     rows = []
-    for lineno, row in enumerate(csv.reader(fh), start=2):
+    for lineno, row in enumerate(csv.reader(fh), start=header_line + 1):
         if not row:
             continue
         if len(row) != 3 + has_rep:
@@ -202,6 +207,9 @@ def _ingest_rows(fh, has_rep):
         else:
             if a.size != n_phi or np.any(np.abs(a - angles_ref) > 1e-9):
                 raise NonUniformGrid(f"angle grid differs in block {key}")
+    for key in ((rep, t) for rep in reps for t in times):
+        if key not in by_key:
+            raise NonUniformGrid(f"block (replicate, t) = {key} is missing")
     profiles = np.empty((len(reps), len(times), n_phi))
     for (rep, t), vals in by_key.items():
         profiles[reps.index(rep), times.index(t)] = [v[1] for v in vals]

@@ -14,7 +14,8 @@ closed-form marginal with parameter ``mu(A)``:
 
 Sampling draws each grid cell directly from that marginal, so realizations
 are exact in distribution on the cell algebra; no series truncation is
-involved.
+involved.  Each time row draws from its own stream
+(:class:`~levygrowth.rngtools.RowStreams`), so rows can be drawn alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     RegionOutsideGrid,
     UnboundedRegion,
 )
-from .rngtools import mix_seed
+from .rngtools import RowStreams, mix_seed
 
 _POINTS_STREAM = 0x706F696E  # sub-stream tag for Poisson point placement
 
@@ -482,16 +483,18 @@ class PointPattern:
 class BasisRealization:
     """Cell increments of one basis draw on a grid.
 
-    ``increments`` has shape (n_t, n_phi), time-major.  For the Poisson kind
-    the underlying point pattern is materialized lazily and deterministically
-    from a sub-stream of the realization seed; per cell, the number of points
-    equals the cell increment.
+    ``increments`` has shape (n_t, n_phi), time-major, or (len(rows), n_phi)
+    holding the time rows ``rows`` when only those were drawn.  For the
+    Poisson kind the underlying point pattern is materialized lazily and
+    deterministically from a sub-stream of the realization seed; per cell,
+    the number of points equals the cell increment.
     """
 
     spec: BasisSpec
     grid: GridSpec
     seed: int
     increments: np.ndarray
+    rows: Optional[np.ndarray] = None
     _points: Optional[PointPattern] = None
 
     @property
@@ -504,6 +507,8 @@ class BasisRealization:
     def points(self) -> PointPattern:
         if self.kind != "poisson":
             raise ValueError("point pattern only exists for the Poisson kind")
+        if self.rows is not None:
+            raise ValueError("point placement needs the counts of every row")
         if self._points is None:
             self._points = _place_points(
                 self.spec, self.grid, self.increments, mix_seed(self.seed, _POINTS_STREAM)
@@ -528,55 +533,128 @@ class BasisRealization:
                 )
 
 
-def _sample_increments(spot: SpotLaw, mu, rng):
-    """Draw independent increments with per-cell measures ``mu`` (any shape)."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
-        raise ValueError("cell measures must be nonnegative")
-    if spot.kind == "gaussian":
-        return spot.a_tilde * mu + np.sqrt(spot.b_tilde * mu) * rng.standard_normal(
-            mu.shape
-        )
-    if spot.kind == "poisson":
-        return rng.poisson(mu).astype(float)
-    if spot.kind == "gamma":
-        return rng.gamma(shape=spot.beta * mu, scale=1.0 / spot.alpha)
-    return _sample_ig(spot.eta * mu, spot.gamma, rng)
+class CellSampler:
+    """Increments of one spot law for cells of measures ``mu``, with the
+    arithmetic that depends only on a measure done once per measure.
 
+    ``mu`` has the shape that broadcasts against the increments: (n_rows, 1)
+    for grid rows, each row drawing its cells from its own stream
+    (``fill(rng, out, j)`` for row ``j``), or (n_cells,) for cells that one
+    stream draws together, one stream per replicate (``fill(rng, out)``).
+    Raw draws of many rows or replicates are stacked along a first axis, and
+    :meth:`finish` turns the stack into increments in one step.
 
-def _sample_ig(delta, gamma, rng):
-    """Inverse Gaussian draws via the transformation-with-rejection method.
-
-    One chi-square (squared normal) and one uniform per draw; the smaller
-    root of the transformed quadratic is chosen with the usual probability.
-    Cells with ``delta == 0`` return exactly 0.
+    The raw draws are standard normals (Gaussian), counts (Poisson) or
+    standard gamma variates (Gamma), one per cell.  An inverse Gaussian cell
+    takes a normal and a uniform, all normals of a stream before its
+    uniforms, so its raw draws have shape (2, cells); cells of zero measure
+    take none and are 0.  ``drawn`` indexes the first axis of ``mu`` where
+    draws are taken.
     """
-    delta = np.asarray(delta, dtype=float)
-    out = np.zeros(delta.shape)
-    mask = delta > 0
-    if not np.any(mask):
+
+    def __init__(self, spot: SpotLaw, mu):
+        mu = np.asarray(mu, dtype=float)
+        if np.any(mu < 0):
+            raise ValueError("cell measures must be nonnegative")
+        self.kind, self.n = spot.kind, mu.shape[0]
+        self.drawn = np.arange(self.n)
+        if self.kind == "gaussian":
+            self.scale, self.shift = np.sqrt(spot.b_tilde * mu), spot.a_tilde * mu
+        elif self.kind == "poisson":
+            self.lam = mu
+        elif self.kind == "gamma":
+            self.shape, self.scale = spot.beta * mu, 1.0 / spot.alpha
+        else:
+            self.drawn = np.flatnonzero(np.ravel(mu) > 0)
+            delta = spot.eta * mu[self.drawn]
+            self.mean, self.lam = delta / spot.gamma, delta * delta
+
+    def raw_shape(self, cells):
+        """Shape of one stream's raw draws for ``cells`` cells."""
+        return (2, cells) if self.kind == "inverse_gaussian" else (cells,)
+
+    def fill(self, rng, out, j=None):
+        """Raw draws from ``rng`` into ``out``: every cell of measure
+        ``mu[j]``, or every drawn cell of ``mu`` when ``j`` is None."""
+        if self.kind == "gaussian":
+            rng.standard_normal(out=out)
+        elif self.kind == "poisson":
+            out[...] = rng.poisson(self.lam if j is None else self.lam.flat[j], out.shape)
+        elif self.kind == "gamma":
+            rng.standard_gamma(self.shape if j is None else self.shape.flat[j], out=out)
+        else:
+            rng.standard_normal(out=out[0])
+            rng.random(out=out[1])
+
+    def finish(self, raw):
+        """Increments from a stack of raw draws, in place where the kind
+        allows: the cells' values ``a mu + sqrt(b mu) z`` (Gaussian), the
+        counts, ``scale * gamma(beta mu)`` (Gamma), or the inverse Gaussian
+        root below."""
+        if self.kind == "gaussian":
+            raw *= self.scale
+            raw += self.shift
+            return raw
+        if self.kind == "poisson":
+            return raw
+        if self.kind == "gamma":
+            raw *= self.scale
+            return raw
+        x = _ig_root(raw[:, 0], raw[:, 1], self.mean, self.lam)
+        if self.drawn.size == self.n:
+            return x
+        axis = x.ndim - self.mean.ndim  # the axis that ``mu``'s first one maps to
+        out = np.zeros(x.shape[:axis] + (self.n,) + x.shape[axis + 1 :])
+        out[(slice(None),) * axis + (self.drawn,)] = x
         return out
-    d = delta[mask]
-    m = d / gamma  # mean
-    lam = d * d  # shape
-    y = rng.standard_normal(d.shape) ** 2
+
+
+def _ig_root(z, u, m, lam):
+    """Inverse Gaussian draws of mean ``m`` and shape ``lam`` by the
+    transformation-with-rejection method, from standard normals ``z`` and
+    uniforms ``u``: the smaller root of the transformed quadratic, or its
+    reflection ``m**2 / x`` with the usual probability."""
+    y = z**2
     x = m + (m * m * y) / (2.0 * lam) - (m / (2.0 * lam)) * np.sqrt(
         4.0 * m * lam * y + (m * y) ** 2
     )
-    u = rng.uniform(size=d.shape)
-    pick_other = u > m / (m + x)
-    x[pick_other] = (m[pick_other] ** 2) / x[pick_other]
-    out[mask] = x
-    return out
+    np.divide(m**2, x, out=x, where=u > m / (m + x))
+    return x
 
 
-def sample_realization(spec: BasisSpec, grid: GridSpec, seed: int) -> BasisRealization:
-    """Sample one basis realization on the grid; deterministic in the seed."""
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    mu_rows = grid.cell_mu(spec.control)
-    mu = np.broadcast_to(mu_rows[:, None], (grid.n_t, grid.n_phi))
-    increments = _sample_increments(spec.spot, mu, rng)
-    return BasisRealization(spec, grid, int(seed), increments)
+def _sample_increments(spot: SpotLaw, mu, rng):
+    """Independent increments of cells of measures ``mu`` (any shape), every
+    cell drawn in order from the one stream ``rng``."""
+    mu = np.asarray(mu, dtype=float)
+    sampler = CellSampler(spot, mu.ravel())
+    raw = np.empty((1, *sampler.raw_shape(sampler.drawn.size)))
+    sampler.fill(rng, raw[0])
+    return sampler.finish(raw)[0].reshape(mu.shape)
+
+
+def sample_realization(
+    spec: BasisSpec, grid: GridSpec, seed: int, rows=None
+) -> BasisRealization:
+    """Sample one basis realization on the grid; deterministic in the seed.
+
+    Time row ``l`` draws from row ``l`` of
+    :class:`~levygrowth.rngtools.RowStreams` of ``seed``.  With ``rows``
+    (time-row indices), only those rows are drawn: ``increments`` holds them
+    in that order, each equal to its row of the full realization.
+    """
+    if rows is None:
+        index = np.arange(grid.n_t)
+    else:
+        index = np.asarray(rows, dtype=np.intp).reshape(-1)
+        if index.size and (index.min() < 0 or index.max() >= grid.n_t):
+            raise ValueError(f"rows must lie in [0, {grid.n_t})")
+    sampler = CellSampler(spec.spot, grid.cell_mu(spec.control)[index, None])
+    streams = RowStreams(seed)
+    raw = np.empty((sampler.drawn.size, *sampler.raw_shape(grid.n_phi)))
+    for i, j in enumerate(sampler.drawn):
+        sampler.fill(streams.at(index[j]), raw[i], j)
+    increments = sampler.finish(raw)
+    return BasisRealization(spec, grid, int(seed), increments, None if rows is None else index)
 
 
 def _place_points(spec, grid, counts, seed):

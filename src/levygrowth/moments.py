@@ -30,8 +30,8 @@ import numpy as np
 from .ambit import AmbitFamily, as_weight, check_covered, mesh_kernel
 from .levy_core import (
     BasisSpec,
+    CellSampler,
     GridSpec,
-    _sample_increments,
     check_kumulant_domain,
     constant_weight_cumulant,
     cumulant_sum,
@@ -39,6 +39,8 @@ from .levy_core import (
     log_laplace_sum,
 )
 from .rngtools import replicate_rng
+
+_BLOCK_VALUES = 1 << 16  # raw draws mc_verify transforms at once; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,9 @@ def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
     """Field values at every query point for each replicate, shape (n, P).
 
     Replicate ``r`` draws from the derived stream ``mix(seed, r)``; only
-    cells supporting at least one point's weight are sampled.
+    cells supporting at least one point's weight are sampled.  The sampler
+    is prepared once: per replicate, its stream's raw draws fill one row of
+    a block of replicates, and each block is transformed in one step.
     """
     weights = query.kernels
     mask = np.zeros(weights[0].shape, dtype=bool)
@@ -233,18 +237,25 @@ def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
         mask |= w != 0
     mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
     wm = np.stack([w[mask] for w in weights], axis=1)  # (cells, P)
-    spot = query.basis.spot
+    sampler = CellSampler(query.basis.spot, mu)
+    shape = sampler.raw_shape(sampler.drawn.size)
+    block = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
+    raw = np.empty((min(block, n_replicates), *shape))
+    out = np.empty((n_replicates, len(weights)))
 
-    def run(r):
-        draws = _sample_increments(spot, mu, replicate_rng(seed, r))
-        return draws @ wm
+    def run(mapper):
+        for start in range(0, n_replicates, block):
+            reps = range(start, min(start + block, n_replicates))
+            list(mapper(lambda r: sampler.fill(replicate_rng(seed, r), raw[r - start]), reps))
+            for r, row in zip(reps, sampler.finish(raw[: len(reps)])):
+                out[r] = row @ wm
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, range(n_replicates)))
+            run(pool.map)
     else:
-        rows = [run(r) for r in range(n_replicates)]
-    return np.asarray(rows)
+        run(map)
+    return out
 
 
 def _analytic_and_variance(query, statistic, n):

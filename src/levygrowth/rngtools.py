@@ -3,12 +3,20 @@
 Replicate ``r`` of a suite seeded with ``seed`` always draws from
 ``default_rng(mix_seed(seed, r))``, so replicates can run in any order or
 concurrently and still reproduce bit-for-bit.
+
+Cell increments are row-addressed: row ``l`` of the realization drawn from
+``seed`` draws from ``PCG64(SeedSequence(seed))`` advanced by
+``l * ROW_STRIDE`` (2**40) outputs, see :class:`RowStreams`.  A row takes far
+fewer than 2**40 outputs, so rows never overlap, and any set of rows can be
+drawn alone with the values a full draw gives them.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
+
+ROW_STRIDE = 1 << 40  # stream outputs reserved for one row of increments
 
 
 def _splitmix64(z):
@@ -31,3 +39,24 @@ def mix_seed(seed, stream):
 def replicate_rng(seed, replicate):
     """Generator for one Monte Carlo replicate."""
     return np.random.default_rng(mix_seed(seed, replicate))
+
+
+class RowStreams:
+    """The row-addressed streams of one seed.
+
+    One PCG64 is seeded once; :meth:`at` restores its seeded state and
+    advances it to the row, which costs far less than seeding a generator
+    per row.  The generator :meth:`at` returns is shared, so draw one row
+    before asking for the next.
+    """
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(int(seed) & _MASK64)
+        self._origin = self._bitgen.state
+        self._rng = np.random.Generator(self._bitgen)
+
+    def at(self, row):
+        """The generator positioned at the start of row ``row``."""
+        self._bitgen.state = self._origin
+        self._bitgen.advance(int(row) * ROW_STRIDE)
+        return self._rng

@@ -65,6 +65,27 @@ def test_cli_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_library_logging_is_silent_by_default():
+    # a fresh interpreter, where no handler but the package's is installed
+    src = os.path.dirname(os.path.dirname(levygrowth.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import logging, levygrowth\n"
+        "from levygrowth.growth import example_preset, simulate\n"
+        "handlers = logging.getLogger('levygrowth').handlers\n"
+        "assert any(isinstance(h, logging.NullHandler) for h in handlers)\n"
+        "logging.getLogger('levygrowth.growth').warning('a library warning')\n"
+        "p = example_preset('ex4')\n"
+        "simulate(p.spec, p.grid, 7, p.times)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

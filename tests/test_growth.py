@@ -330,6 +330,31 @@ def test_multi_time_simulation_equals_single_time_terms(name):
         assert np.array_equal(profiles[i], expected), (name, t)
 
 
+@pytest.mark.parametrize("name", ["ex4-mesh", "ex4-rate-mesh", "ex4-poisson", "tumour-poisson"])
+def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
+    from levygrowth import growth
+
+    spec, grid, times = _multi_time_case(name)
+    plan = growth._Plan(spec, grid, times)
+    drawn = []
+
+    def recording(*args, **kwargs):
+        real = sample_realization(*args, **kwargs)
+        drawn.append(real)
+        return real
+
+    monkeypatch.setattr(growth, "sample_realization", recording)
+    plan.profiles(5)
+    rows, spans = plan.reads
+    assert len(drawn) == 1
+    if spans:  # point sums place the points of every row's count
+        assert drawn[0].rows is None and drawn[0].increments.shape[0] == grid.n_t
+    else:
+        assert rows.size > 0
+        assert np.array_equal(drawn[0].rows, rows)
+        assert drawn[0].increments.shape[0] == rows.size
+
+
 def test_rate_kernel_matches_induced_weight_sum_gamma():
     from levygrowth.growth import _term
 

@@ -335,6 +335,24 @@ def test_ingest_errors_match_the_row_by_row_reference(tmp_path, case, error, lin
         assert str(got.value).startswith(f"line {line}:")
 
 
+def test_ingest_rejects_a_missing_block(tmp_path):
+    angles = -math.pi + (np.arange(4) + 0.5) * (TWO_PI / 4)
+    rows = ["t,phi,r,replicate"]
+    for rep, t in [(0, 1.0), (0, 2.0), (1, 1.0)]:  # replicate 1 lacks t = 2
+        rows += [f"{t!r},{float(a)!r},1.0,{rep}" for a in angles]
+    path = tmp_path / "missing.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(NonUniformGrid, match=r"\(1, 2\.0\) is missing"):
+        ingest_profiles(path)
+
+
+def test_ingest_names_the_physical_line_below_provenance(tmp_path):
+    path = tmp_path / "prov.csv"
+    path.write_text("# prov\nt,phi,r\n1.0,0.0,1.0\n1.0,x,1.0\n")
+    with pytest.raises(MalformedFile, match="^line 4:"):
+        ingest_profiles(path)
+
+
 def test_ingest_skips_blank_lines_and_accepts_any_row_order(tmp_path):
     path, lines = _toy_lines(tmp_path, n_reps=3)
     want = ingest_profiles(path)

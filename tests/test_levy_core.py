@@ -35,6 +35,7 @@ from levygrowth.levy_core import (
     spot_variance,
 )
 from levygrowth.rngtools import mix_seed
+from levygrowth.timefn import TimeFn
 
 KS_CRIT_1PC = 1.6276  # asymptotic Kolmogorov critical value at level 0.01
 
@@ -325,6 +326,144 @@ def test_determinism_bitwise():
         assert np.array_equal(r1.increments, r2.increments)
         r3 = sample_realization(basis, grid, 100)
         assert not np.array_equal(r1.increments, r3.increments)
+
+
+# ---------------------------------------------------------------------------
+# row-addressed sampling against the one-stream, per-cell reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_increments(spot, mu, rng):
+    """Reference sampler with nothing prepared: every cell's parameters
+    computed per cell, every cell drawn in order from ``rng`` (inverse Gaussian: all normals, then all uniforms, none for
+    cells of zero measure)."""
+    mu = np.asarray(mu, dtype=float)
+    if spot.kind == "gaussian":
+        return spot.a_tilde * mu + np.sqrt(spot.b_tilde * mu) * rng.standard_normal(mu.shape)
+    if spot.kind == "poisson":
+        return rng.poisson(mu).astype(float)
+    if spot.kind == "gamma":
+        return rng.gamma(shape=spot.beta * mu, scale=1.0 / spot.alpha)
+    delta = spot.eta * mu
+    out = np.zeros(delta.shape)
+    mask = delta > 0
+    if not np.any(mask):
+        return out
+    d = delta[mask]
+    m, lam = d / spot.gamma, d * d
+    y = rng.standard_normal(d.shape) ** 2
+    x = m + (m * m * y) / (2.0 * lam) - (m / (2.0 * lam)) * np.sqrt(
+        4.0 * m * lam * y + (m * y) ** 2
+    )
+    u = rng.uniform(size=d.shape)
+    pick_other = u > m / (m + x)
+    x[pick_other] = (m[pick_other] ** 2) / x[pick_other]
+    out[mask] = x
+    return out
+
+
+SAMPLER_SPOTS = (
+    SpotLaw.gaussian(0.3, 1.5),
+    SpotLaw.gaussian(-0.7, 0.0),
+    SpotLaw.poisson(),
+    SpotLaw.gamma_law(0.4, 2.0),
+    SpotLaw.inverse_gaussian(1.3, 1.6),
+)
+# rows below t = 1.5 have zero measure under the second density
+SAMPLER_DENSITIES = (TimeDensity.constant(2.0), TimeDensity.constant(0.7, support_lo=1.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spot=st.sampled_from(SAMPLER_SPOTS),
+    g=st.sampled_from(SAMPLER_DENSITIES),
+    n_phi=st.sampled_from([1, 7, 16]),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_row_draw_equals_the_full_draws_rows(spot, g, n_phi, seed, data):
+    grid = GridSpec(2 * math.pi / n_phi, 0.25, 0.0, 3.0)
+    rows = data.draw(st.lists(st.integers(0, grid.n_t - 1), unique=True, max_size=grid.n_t))
+    basis = unit_basis(spot, g)
+    full = sample_realization(basis, grid, seed)
+    part = sample_realization(basis, grid, seed, rows=rows)
+    assert part.increments.shape == (len(rows), n_phi)
+    assert np.array_equal(part.increments, full.increments[rows])
+    assert np.array_equal(part.rows, rows)
+
+
+@pytest.mark.parametrize("g", SAMPLER_DENSITIES)
+@pytest.mark.parametrize("spot", SAMPLER_SPOTS, ids=lambda s: s.kind)
+def test_row_l_draws_from_the_seeded_stream_advanced_l_strides(spot, g):
+    grid = GridSpec(2 * math.pi / 9, 0.25, 0.0, 3.0)
+    real = sample_realization(unit_basis(spot, g), grid, 2024)
+    mu = grid.cell_mu(ControlMeasure(g))
+    for l in range(grid.n_t):
+        bitgen = np.random.PCG64(2024)
+        bitgen.advance(l * 2**40)
+        expected = _reference_increments(
+            spot, np.full(grid.n_phi, mu[l]), np.random.Generator(bitgen)
+        )
+        assert np.array_equal(real.increments[l], expected), l
+
+
+def test_row_draw_rejects_rows_off_the_grid_and_point_placement():
+    grid = GridSpec(2 * math.pi / 8, 0.5, 0.0, 2.0)
+    basis = unit_basis(SpotLaw.poisson())
+    for rows in ([-1], [grid.n_t]):
+        with pytest.raises(ValueError):
+            sample_realization(basis, grid, 1, rows=rows)
+    with pytest.raises(ValueError):
+        sample_realization(basis, grid, 1, rows=[0, 1]).points()
+
+
+def test_one_stream_increments_equal_the_reference():
+    # the one-stream sampler (every cell in order) is the reference sampler
+    from levygrowth.levy_core import _sample_increments
+
+    mu = np.array([[0.0, 0.4, 1.3], [2.0, 0.0, 0.05]])
+    for spot in SAMPLER_SPOTS:
+        got = _sample_increments(spot, mu, np.random.default_rng(5))
+        assert np.array_equal(got, _reference_increments(spot, mu, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, threads):
+    from levygrowth import moments
+    from levygrowth.rngtools import replicate_rng
+
+    def reference_fields(query, n_replicates, seed, threads=1):
+        weights = query.kernels
+        mask = np.zeros(weights[0].shape, dtype=bool)
+        for w in weights:
+            mask |= w != 0
+        mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
+        wm = np.stack([w[mask] for w in weights], axis=1)
+        rows = []
+        for r in range(n_replicates):
+            draws = _reference_increments(query.basis.spot, mu, replicate_rng(seed, r))
+            rows.append(draws @ wm)
+        return np.asarray(rows)
+
+    grid = GridSpec(2 * math.pi / 40, 0.25, 0.0, 4.0)
+    family = Rectangular.of(0.4, TimeFn.constant(1.0))
+    cases = []
+    for spot in SAMPLER_SPOTS:
+        for g in SAMPLER_DENSITIES:
+            basis = unit_basis(spot, g)
+            for stat in moments.STATISTICS:
+                points = ((2.2, 0.1),) if stat in ("mean", "var") else ((2.2, 0.1), (2.5, 0.3))
+                lambdas = (0.2, 0.3) if stat == "mixed_exponential" else None
+                query = moments.MomentQuery(basis, family, 0.2, grid, points, lambdas)
+                cases.append((query, stat))
+    for block in (moments._BLOCK_VALUES, 100):  # one block, and several
+        monkeypatch.setattr(moments, "_BLOCK_VALUES", block)
+        for k, (query, stat) in enumerate(cases):
+            got = moments.mc_verify(query, stat, 37, seed=k, threads=threads)
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_sample_fields", reference_fields)
+                want = moments.mc_verify(query, stat, 37, seed=k, threads=threads)
+            assert got == want, (query.basis.spot.kind, stat, block)
 
 
 def test_mix_seed_distinct_streams():
