@@ -523,14 +523,15 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
     ``apex_dependent``.
 
     ``method='exact'`` uses the closed-form window length (factorizing
-    families, apex-independent weights); ``'direct'`` and ``'factorized'``
-    integrate over an apex mesh of spacing ``step`` and differ only in using
-    the full set indicator versus the window-indicator-times-cone shortcut.
+    families, apex-independent weights); ``'direct'`` integrates the set
+    indicator over an apex mesh of spacing ``step``.
     """
     weight = as_weight(weight)
     w_apex_dep = weight.apex_dependent
     if method == "auto":
         method = "exact" if (family.factorizes and not w_apex_dep) else "direct"
+    if method not in ("exact", "direct"):
+        raise ValueError(f"unknown induced-weight method {method!r}")
     if method == "exact" and (w_apex_dep or not family.factorizes):
         raise ValueError("exact induced weight needs a factorizing family and apex-free weight")
 
@@ -558,13 +559,7 @@ def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", st
         shape = np.broadcast(theta, s).shape
         acc = np.zeros(shape)
         for u in apexes:
-            if method == "factorized":
-                lo, hi = family.window(u)
-                in_b = (s >= lo) & (s <= hi)
-                hw = family.half_width(u, s)
-                member = in_b & (cyc_dist(theta, phi) <= hw)
-            else:
-                member = family.contains(u, phi, theta, s)
+            member = family.contains(u, phi, theta, s)
             acc += member * weight.value(u, theta, s, phi) * dt_apex
         return acc
 

@@ -70,15 +70,29 @@ def ingest_profiles(path, require_positive=False) -> ProfileDataset:
 
     Angles are wrapped to [-pi, pi) and must form one uniform grid shared
     by every (time, replicate) block; rows may come in any order.  The data
-    rows are parsed in one numpy call.  A file that this parse or the block
-    checks reject is read again row by row, which raises the typed error
-    (with its line number) or reads what the parse could not.
+    rows are parsed in one numpy call and checked as arrays.  Only when the
+    parse fails is the file read again, to name the malformed line.
     """
     with open(path) as fh:
-        dataset = _ingest_blocks(fh, _read_header(fh))
-    if dataset is None:
-        with open(path) as fh:
-            dataset = _ingest_rows(fh, _read_header(fh))
+        has_rep = _read_header(fh)[0]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                rows = np.loadtxt(
+                    fh,
+                    dtype=_FIELDS[: 3 + has_rep],
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=1,
+                )
+        except ValueError:
+            fh.seek(0)
+            raise _malformed_line(fh) from None
+    t, phi, r = (np.array(rows[name]) for name in ("t", "phi", "r"))
+    rep = np.array(rows["replicate"]) if has_rep else np.zeros(rows.size, np.int64)
+    del rows
+    dataset = _blocks(rep, t, phi, r)
     if require_positive and np.any(dataset.profiles <= 0):
         raise NonPositiveRadius("exponential-model fitting needs strictly positive radii")
     return dataset
@@ -102,6 +116,26 @@ def _read_header(fh):
     return len(cols) == 4, lineno
 
 
+def _malformed_line(fh):
+    """The :class:`MalformedFile` naming the first physical line of ``fh``
+    (read from the start) whose field count or ``float``/``int`` conversion
+    fails.  The integer dtype of the parse rejects a replicate field such as
+    ``1.0``, as ``int`` does; what only the parse rejects (``1_0`` digit
+    grouping, non-ASCII digits) gets no line."""
+    has_rep, header_line = _read_header(fh)
+    reader = csv.reader(fh)
+    for row in reader:
+        lineno = header_line + reader.line_num  # a quoted field may span lines
+        if row and len(row) != 3 + has_rep:
+            return MalformedFile(f"line {lineno}: wrong field count")
+        try:
+            for value, kind in zip(row, (float, float, float, int)):
+                kind(value)
+        except ValueError as exc:
+            return MalformedFile(f"line {lineno}: {exc}")
+    return MalformedFile("data rows are not plain decimal numbers")
+
+
 def _check_grid(angles):
     """``angles`` (sorted) must be one uniform grid over the circle."""
     if angles.size < 2:
@@ -114,106 +148,55 @@ def _check_grid(angles):
 _FIELDS = [("t", float), ("phi", float), ("r", float), ("replicate", np.int64)]
 
 
-def _ingest_blocks(fh, header):
-    """The dataset from one parse of the data rows (``header`` from
-    :func:`_read_header`), or None when the parse fails or the rows are not
-    whole (replicate, time) blocks on one grid.
+def _blocks(rep, t, phi, r):
+    """The dataset of data rows given in file order as columns.
 
-    The integer dtype rejects a replicate field such as ``1.0``, as ``int``
-    does; the angle grid is taken from the block of the first data row, and
-    every other block must match it to 1e-9.
+    The angle grid is that of the block holding the first row.  Every other
+    block must match it to 1e-9, else the first such block in file order is
+    named; then the first missing (replicate, time) block in sorted order is.
     """
-    has_rep = header[0]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data rows
-            rows = np.loadtxt(
-                fh, dtype=_FIELDS[: 3 + has_rep], delimiter=",", comments=None, ndmin=1
-            )
-    except ValueError:
-        return None
-    n = rows.size
-    t, phi, r = (np.array(rows[name]) for name in ("t", "phi", "r"))
-    rep = np.array(rows["replicate"]) if has_rep else np.zeros(n, np.int64)
-    del rows
-    if n == 0 or not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
-        return None
+    n = t.size
+    if n == 0:
+        raise MalformedFile("no data rows")
+    if not np.all(np.isfinite(t)):
+        raise MalformedFile(f"time {t[~np.isfinite(t)][0]} is not finite")
+    if not np.all(np.isfinite(phi)):
+        raise NonUniformGrid(f"angle {phi[~np.isfinite(phi)][0]} is not finite")
     a = wrap(phi)
     same_rep, same_t = rep[1:] == rep[:-1], t[1:] == t[:-1]
     if np.all(
         (rep[1:] > rep[:-1])
         | (same_rep & ((t[1:] > t[:-1]) | (same_t & (a[1:] > a[:-1]))))
     ):
-        first = 0  # writer order: replicate, then time, then angle
+        order = np.arange(n)  # writer order: replicate, then time, then angle
     else:
         order = np.lexsort((a, t, rep))
-        first = int(np.flatnonzero(order == 0)[0])
         rep, t, a, r = rep[order], t[order], a[order], r[order]
-    new_block = np.flatnonzero((rep[1:] != rep[:-1]) | (t[1:] != t[:-1])) + 1
-    n_blocks = new_block.size + 1
-    n_phi = n // n_blocks
-    if n_phi * n_blocks != n or not np.array_equal(
-        new_block, np.arange(1, n_blocks) * n_phi
-    ):
-        return None
-    block_rep, block_t = rep[::n_phi], t[::n_phi]
-    n_times = np.unique(block_t).size
-    n_reps = np.count_nonzero(block_rep[1:] != block_rep[:-1]) + 1
-    if n_reps * n_times != n_blocks:
-        return None  # some (replicate, time) block is missing
-    angles = a.reshape(n_blocks, n_phi)
-    ref = angles[first // n_phi].copy()
+    starts = np.flatnonzero(np.r_[True, (rep[1:] != rep[:-1]) | (t[1:] != t[:-1])])
+    sizes = np.diff(np.r_[starts, n])
+    first_row = np.minimum.reduceat(order, starts)  # each block's first file row
+    b = int(np.argmin(first_row))
+    n_phi = int(sizes[b])
+    ref = a[starts[b] : starts[b] + n_phi].copy()
     _check_grid(ref)
-    if np.any(np.abs(angles - ref) > 1e-9):
-        return None
-    return ProfileDataset(block_t[:n_times].copy(), ref, r.reshape(n_reps, n_times, n_phi))
-
-
-def _ingest_rows(fh, header):
-    """Row-by-row reader of the files :func:`_ingest_blocks` rejects; a
-    malformed row raises :class:`MalformedFile` naming its physical line,
-    a missing (replicate, time) block :class:`NonUniformGrid`."""
-    has_rep, header_line = header
-    rows = []
-    for lineno, row in enumerate(csv.reader(fh), start=header_line + 1):
-        if not row:
-            continue
-        if len(row) != 3 + has_rep:
-            raise MalformedFile(f"line {lineno}: wrong field count")
-        try:
-            t = float(row[0])
-            phi = float(row[1])
-            r = float(row[2])
-            rep = int(row[3]) if has_rep else 0
-        except ValueError as exc:
-            raise MalformedFile(f"line {lineno}: {exc}") from None
-        rows.append((rep, t, phi, r))
-    if not rows:
-        raise MalformedFile("no data rows")
-    reps = sorted({r[0] for r in rows})
-    times = sorted({r[1] for r in rows})
-    by_key = {}
-    for rep, t, phi, r in rows:
-        by_key.setdefault((rep, t), []).append((float(wrap(phi)), r))
-    angles_ref = None
-    n_phi = None
-    for key, vals in by_key.items():
-        vals.sort()
-        a = np.array([v[0] for v in vals])
-        if angles_ref is None:
-            n_phi = a.size
-            _check_grid(a)
-            angles_ref = a
-        else:
-            if a.size != n_phi or np.any(np.abs(a - angles_ref) > 1e-9):
-                raise NonUniformGrid(f"angle grid differs in block {key}")
-    for key in ((rep, t) for rep in reps for t in times):
-        if key not in by_key:
-            raise NonUniformGrid(f"block (replicate, t) = {key} is missing")
-    profiles = np.empty((len(reps), len(times), n_phi))
-    for (rep, t), vals in by_key.items():
-        profiles[reps.index(rep), times.index(t)] = [v[1] for v in vals]
-    return ProfileDataset(np.asarray(times), angles_ref, profiles)
+    # each row's position in its block, capped: a longer block fails on size
+    within = np.minimum(np.arange(n) - np.repeat(starts, sizes), n_phi - 1)
+    off = np.abs(a - ref[within]) > 1e-9
+    bad = (sizes != n_phi) | np.logical_or.reduceat(off, starts)
+    if np.any(bad):
+        b = np.flatnonzero(bad)[np.argmin(first_row[bad])]
+        key = (int(rep[starts[b]]), float(t[starts[b]]))
+        raise NonUniformGrid(f"angle grid differs in block {key}")
+    reps, times = np.unique(rep[starts]), np.unique(t[starts])
+    if starts.size != reps.size * times.size:
+        code = np.searchsorted(reps, rep[starts]) * times.size + np.searchsorted(
+            times, t[starts]
+        )
+        # codes rise from 0 in steps of one up to the first missing block
+        i = int(np.argmax(np.r_[code, -1] != np.arange(code.size + 1)))
+        key = (int(reps[i // times.size]), float(times[i % times.size]))
+        raise NonUniformGrid(f"block (replicate, t) = {key} is missing")
+    return ProfileDataset(times, ref, r.reshape(reps.size, times.size, n_phi))
 
 
 # ---------------------------------------------------------------------------

@@ -476,7 +476,6 @@ class PointPattern:
     theta: np.ndarray
     s: np.ndarray
     row: np.ndarray  # time-cell index
-    col: np.ndarray  # angle-cell index
 
 
 @dataclass
@@ -516,7 +515,8 @@ class BasisRealization:
         return self._points
 
     def to_csv(self, path):
-        """Debug export: one row per cell (theta_lo, theta_hi, t_lo, t_hi, increment)."""
+        """Debug export: one row per drawn cell (theta_lo, theta_hi, t_lo,
+        t_hi, increment)."""
         grid = self.grid
         with open(path, "w") as fh:
             fh.write(
@@ -525,12 +525,9 @@ class BasisRealization:
             )
             fh.write("theta_lo,theta_hi,t_lo,t_hi,increment\n")
             phis, ts = reprs(grid.phi_edges), reprs(grid.t_edges)
-            for l in range(grid.n_t):
-                fh.write(
-                    csv_block(
-                        phis[:-1], phis[1:], ts[l], ts[l + 1], reprs(self.increments[l])
-                    )
-                )
+            rows = range(grid.n_t) if self.rows is None else self.rows
+            for l, values in zip(rows, self.increments):
+                fh.write(csv_block(phis[:-1], phis[1:], ts[l], ts[l + 1], reprs(values)))
 
 
 class CellSampler:
@@ -664,7 +661,7 @@ def _place_points(spec, grid, counts, seed):
     total = int(counts.sum())
     if total == 0:
         e = np.empty(0)
-        return PointPattern(e, e.copy(), e.astype(int), e.astype(int))
+        return PointPattern(e, e.copy(), e.astype(int))
     rows, cols = np.nonzero(counts)
     reps = counts[rows, cols]
     row = np.repeat(rows, reps)
@@ -682,7 +679,7 @@ def _place_points(spec, grid, counts, seed):
         accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
         s[pending[accept]] = prop[accept]
         pending = pending[~accept]
-    return PointPattern(theta, s, row, col)
+    return PointPattern(theta, s, row)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +746,10 @@ def integrate(f, region, realization: BasisRealization):
     ``f`` is a vectorized callable ``f(theta, s)`` or a constant.  A cell of a
     cell-valued basis counts whole, with ``f`` at its midpoint, when its
     midpoint lies in the region: the membership rule of
-    :func:`levygrowth.ambit.mesh_kernel` and the simulator.  Poisson
-    realizations are integrated exactly over their point pattern.
+    :func:`levygrowth.ambit.mesh_kernel` and the simulator.  A realization
+    drawn on some rows only is summed over them, and the region's weight
+    must vanish on every other row.  Poisson realizations are integrated
+    exactly over their point pattern.
     """
     grid = realization.grid
     t_lo, t_hi = region.time_window()
@@ -774,4 +773,10 @@ def integrate(f, region, realization: BasisRealization):
 
     theta, s = grid.phi_mids[None, :], grid.t_mids[:, None]
     weights = np.where(region.contains(theta, s), fv(theta, s), 0.0)
-    return float(np.sum(weights * realization.increments))
+    increments = realization.increments
+    if realization.rows is not None:
+        rows, drawn = np.unique(realization.rows, return_index=True)
+        if np.any(np.delete(weights, rows, axis=0)):
+            raise ValueError("the region weighs time rows that were not drawn")
+        weights, increments = weights[rows], increments[drawn]
+    return float(np.sum(weights * increments))

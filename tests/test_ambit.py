@@ -277,18 +277,6 @@ def test_induced_weight_full_angle_constant_lag():
     assert float(fbar(0.3, t - 0.5)) == pytest.approx(0.5)
 
 
-def test_induced_weight_shortcut_equivalence():
-    family = Rectangular.of(0.6, TimeFn.constant(2.0))
-    t = 6.0
-    direct = induced_weight(family, 1.0, t, method="direct", step=0.05)
-    fact = induced_weight(family, 1.0, t, method="factorized", step=0.05)
-    theta = np.linspace(-math.pi, math.pi, 41)
-    s = np.linspace(-1.0, 7.0, 33)
-    a = direct(theta[None, :], s[:, None])
-    b = fact(theta[None, :], s[:, None])
-    assert np.max(np.abs(a - b)) <= 1e-10
-
-
 def test_induced_weight_exact_matches_quadrature():
     family = Rectangular.of(0.6, TimeFn.proportional(0.25))
     t = 6.0
@@ -299,6 +287,12 @@ def test_induced_weight_exact_matches_quadrature():
     a = exact(theta[None, :], s[:, None])
     b = quad(theta[None, :], s[:, None])
     assert np.max(np.abs(a - b)) < 5e-3
+
+
+def test_induced_weight_rejects_an_unknown_method():
+    family = Rectangular.of(0.6, TimeFn.constant(2.0))
+    with pytest.raises(ValueError, match="unknown induced-weight method"):
+        induced_weight(family, 1.0, 6.0, method="factorized")
 
 
 def test_window_length_wedge_negative_slice():

@@ -31,8 +31,6 @@ from levygrowth.growth import (
 from levygrowth.inference import (
     EmpiricalMoments,
     ProfileDataset,
-    _ingest_blocks,
-    _read_header,
     empirical_moments,
     fit_fourier_mle,
     fit_moments,
@@ -284,12 +282,7 @@ def test_block_csv_io_equals_the_row_by_row_reference(n_reps, n_times, n_phi, sh
         _reference_to_csv(ds, ref_path, "# provenance")
         with open(path, "rb") as a, open(ref_path, "rb") as b:
             assert a.read() == b.read()
-        want = _reference_ingest(path)
-        _assert_same_dataset(ingest_profiles(path), want)
-        with open(path) as fh:
-            parsed = _ingest_blocks(fh, _read_header(fh))  # no row-by-row pass
-    assert parsed is not None
-    _assert_same_dataset(parsed, want)
+        _assert_same_dataset(ingest_profiles(path), _reference_ingest(path))
 
 
 def _toy_lines(tmp_path, n_reps=2):
@@ -335,6 +328,71 @@ def test_ingest_errors_match_the_row_by_row_reference(tmp_path, case, error, lin
         assert str(got.value).startswith(f"line {line}:")
 
 
+@pytest.mark.parametrize(
+    "case, error, message, oracle",
+    [
+        ("block sizes", NonUniformGrid, "angle grid differs in block (1, 1.0)", True),
+        ("non-uniform first block", NonUniformGrid, "angles are not one uniform", True),
+        ("no data rows", MalformedFile, "no data rows", True),
+        ("missing blocks", NonUniformGrid, "block (replicate, t) = (0, 2.0) is missing", False),
+        ("digit grouping", MalformedFile, "data rows are not plain decimal numbers", False),
+        ("non-ASCII digit", MalformedFile, "data rows are not plain decimal numbers", False),
+    ],
+)
+def test_each_check_of_the_single_reader(tmp_path, case, error, message, oracle):
+    path, lines = _toy_lines(tmp_path)  # blocks (0, 1.0) (0, 2.0) (1, 1.0) (1, 2.0)
+    if case == "block sizes":  # in file order (1, 1.0) is the first bad block
+        moved = lines[9:16]  # (0, 2.0) less one row, moved to the end
+        lines = lines[:9] + lines[17:25] + ["1.0,0.1,5.0,1"] + lines[25:] + moved
+    elif case == "non-uniform first block":
+        t, phi, rest = lines[3].split(",", 2)
+        lines[3] = f"{t},{float(phi) + 0.01!r},{rest}"
+    elif case == "no data rows":
+        lines = ["# provenance"] + lines[:1]
+    elif case == "missing blocks":  # sorted order names (0, 2.0) before (1, 1.0)
+        lines = lines[:9] + lines[25:]
+    elif case == "digit grouping":
+        lines[6] = lines[6].rsplit(",", 2)[0] + ",1_0,0"
+    else:
+        lines[6] = lines[6].rsplit(",", 2)[0] + ",\u0661.5,0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(error) as got:
+        ingest_profiles(path)
+    assert message in str(got.value)
+    if oracle:
+        with pytest.raises(error) as want:
+            _reference_ingest(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_ingest_reads_quoted_fields_as_the_reference_does(tmp_path):
+    path, lines = _toy_lines(tmp_path, n_reps=3)
+    want = ingest_profiles(path)
+    quoted = [",".join(f'"{field}"' for field in row.split(",")) for row in lines[1:]]
+    path.write_text("\n".join(lines[:1] + quoted) + "\n")
+    _assert_same_dataset(ingest_profiles(path), want)
+    _assert_same_dataset(_reference_ingest(path), want)
+
+
+@pytest.mark.parametrize(
+    "column, value, error",
+    [
+        ("phi", "nan", NonUniformGrid),
+        ("phi", "inf", NonUniformGrid),
+        ("t", "inf", MalformedFile),
+        ("t", "nan", MalformedFile),
+    ],
+)
+def test_ingest_rejects_non_finite_times_and_angles(tmp_path, column, value, error):
+    angles = [repr(float(a)) for a in -math.pi + (np.arange(4) + 0.5) * (TWO_PI / 4)]
+    rows = [["1.0", a, "2.0"] for a in angles]
+    rows[3][0 if column == "t" else 1] = value
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("t,phi,r\n" + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(error, match="not finite"):
+        ingest_profiles(path)
+
+
 def test_ingest_rejects_a_missing_block(tmp_path):
     angles = -math.pi + (np.arange(4) + 0.5) * (TWO_PI / 4)
     rows = ["t,phi,r,replicate"]
@@ -350,6 +408,13 @@ def test_ingest_names_the_physical_line_below_provenance(tmp_path):
     path = tmp_path / "prov.csv"
     path.write_text("# prov\nt,phi,r\n1.0,0.0,1.0\n1.0,x,1.0\n")
     with pytest.raises(MalformedFile, match="^line 4:"):
+        ingest_profiles(path)
+
+
+def test_ingest_counts_every_line_of_a_quoted_field(tmp_path):
+    path = tmp_path / "multiline.csv"
+    path.write_text('# prov\nt,phi,r\n1.0,0.0,1.0\n1.0,"1.5\n",1.0\n1.0,x,1.0\n')
+    with pytest.raises(MalformedFile, match="^line 6:"):
         ingest_profiles(path)
 
 

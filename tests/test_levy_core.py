@@ -277,12 +277,13 @@ def test_point_counts_match_increments():
     basis = unit_basis(SpotLaw.poisson(), TimeDensity.linear(3.0))
     real = sample_realization(basis, grid, 11)
     pts = real.points()
+    col = np.searchsorted(grid.phi_edges, pts.theta, side="right") - 1
     counted = np.zeros_like(real.increments)
-    np.add.at(counted, (pts.row, pts.col), 1.0)
+    np.add.at(counted, (pts.row, col), 1.0)
     assert np.array_equal(counted, real.increments)
     # each point inside its own cell
-    assert np.all(pts.theta >= grid.phi_edges[pts.col])
-    assert np.all(pts.theta <= grid.phi_edges[pts.col + 1])
+    assert np.all(pts.theta >= grid.phi_edges[col])
+    assert np.all(pts.theta <= grid.phi_edges[col + 1])
     assert np.all(pts.s >= grid.t_edges[pts.row])
     assert np.all(pts.s <= grid.t_edges[pts.row + 1])
 
@@ -619,6 +620,45 @@ def test_realization_csv_export(tmp_path):
     assert lines[0].startswith("# levygrowth realization seed=5")
     assert lines[1] == "theta_lo,theta_hi,t_lo,t_hi,increment"
     assert len(lines) == 2 + grid.n_phi * grid.n_t
+
+
+def _row_draw_case():
+    grid = GridSpec(2 * math.pi / 8, 1.0, 0.0, 4.0)
+    basis = unit_basis(SpotLaw.gaussian(0.0, 1.0))
+    return grid, basis, sample_realization(basis, grid, 3)
+
+
+@pytest.mark.parametrize("rows", [[2], [1, 2], [2, 1], [2, 2, 1]])
+def test_integrate_sums_a_row_draw_over_its_rows(rows):
+    grid, basis, full = _row_draw_case()
+    part = sample_realization(basis, grid, 3, rows=rows)
+    region = Rect(-math.pi, math.pi, min(rows), max(rows) + 1.0)
+    f = lambda theta, s: 1.0 + np.cos(theta) * s
+    want = integrate(f, region, full)
+    assert integrate(f, region, part) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    wedge = Rect(-1.0, 0.5, min(rows), max(rows) + 1.0)
+    assert integrate(1.0, wedge, part) == pytest.approx(integrate(1.0, wedge, full), abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [[2], [1, 2], []])
+def test_integrate_rejects_a_region_on_undrawn_rows(rows):
+    grid, basis, full = _row_draw_case()
+    assert integrate(1.0, whole_grid(grid), full) == pytest.approx(full.total())
+    part = sample_realization(basis, grid, 3, rows=rows)
+    with pytest.raises(ValueError, match="not drawn"):
+        integrate(1.0, whole_grid(grid), part)
+
+
+def test_realization_csv_export_of_a_row_draw(tmp_path):
+    grid, basis, full = _row_draw_case()
+    full.to_csv(tmp_path / "full.csv")
+    sample_realization(basis, grid, 3, rows=[2, 0]).to_csv(tmp_path / "part.csv")
+    full_lines = (tmp_path / "full.csv").read_text().splitlines()
+    lines = (tmp_path / "part.csv").read_text().splitlines()
+    n = grid.n_phi
+    assert lines[:2] == full_lines[:2]
+    assert lines[2:] == full_lines[2 + 2 * n : 2 + 3 * n] + full_lines[2 : 2 + n]
+    assert lines[2].split(",")[2:4] == ["2.0", "3.0"]
 
 
 def test_integrate_gaussian_law_with_drift_and_weight():
