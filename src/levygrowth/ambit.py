@@ -323,7 +323,7 @@ def intersection_measure(
     return adaptive_simpson(integrand, s_lo, s_hi, tol=tol_factor * scale)
 
 
-def self_intersection_measure(h, g: TimeDensity, phi, tol=1e-10, *, integrated=False):
+def self_intersection_measure(h, g: TimeDensity, phi, tol=1e-10):
     """Overlap measure of a boundary-profile set with its own rotation.
 
     For a set bounded above by the even decreasing profile ``h`` and control
@@ -334,20 +334,11 @@ def self_intersection_measure(h, g: TimeDensity, phi, tol=1e-10, *, integrated=F
             - 2*pi * hbar(pi)
 
     evaluated here by adaptive quadrature; symmetric in ``phi -> -phi``.
-    With ``integrated=True`` the first argument is taken as ``hbar`` itself
-    (signed values allowed) and ``g`` is ignored.
     """
     a = abs(float(wrap(phi)))
 
-    if integrated:
-
-        def hbar(x):
-            return float(h(abs(x)))
-
-    else:
-
-        def hbar(x):
-            return float(g.integral(0.0, float(h(abs(x)))))
+    def hbar(x):
+        return float(g.integral(0.0, float(h(abs(x)))))
 
     scale = TWO_PI * (abs(hbar(0.0)) + abs(hbar(np.pi))) + 1.0
     first = adaptive_simpson(hbar, -np.pi, -np.pi + a / 2.0, tol=tol * scale)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cyclic import cyc_dist
+from .cyclic import TWO_PI, cyc_dist, wrap
 from .errors import AssumptionViolation, NegativeTargetCoefficient
 from .levy_core import TimeDensity
 from .quadrature import adaptive_simpson
@@ -115,35 +115,41 @@ class FourierWeight:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_cov(weight: FourierWeight, g: TimeDensity, T, t1, t2, k, tol=1e-12):
+def harmonic_cov(weight: FourierWeight, g: TimeDensity, T, t1, t2, k):
     """Per-harmonic covariance coefficient over the shared time window.
 
+    ``t1`` and ``t2`` broadcast against each other; ``k`` is one order.
     ``g`` is the variance density; ``T`` the window lag (anything accepted
-    by :class:`TimeFn`).  Exact when the coefficients are slice-independent,
-    adaptive Simpson otherwise.  Zero when the windows do not overlap or
-    ``k`` exceeds the truncation.
+    by :class:`TimeFn`).  Exact when the coefficients are slice-independent
+    (each distinct time's coefficient is evaluated once), adaptive Simpson
+    per element otherwise.  Zero where the windows do not overlap or ``k``
+    exceeds the truncation.  Scalar times give a float.
     """
-    if k > weight.k_max:
-        return 0.0
-    T = TimeFn.of(T)
-    ov = _ambit.time_overlap(t1, float(T(t1)), t2, float(T(t2)))
-    if ov is None:
-        return 0.0
-    lo, hi = ov
-    if hi <= lo:
-        return 0.0
-    if weight.s_independent:
-        a1 = float(weight.coef(k, t1, np.asarray(lo)))
-        a2 = float(weight.coef(k, t2, np.asarray(lo)))
-        return math.pi * a1 * a2 * float(g.integral(lo, hi))
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    out = np.zeros(t1.shape)
+    if k <= weight.k_max:
+        T = TimeFn.of(T)
+        T1, T2 = T(t1), T(t2)
+        if np.any(np.minimum(T1, T2) < 0.0):
+            raise ValueError("time lags must be nonnegative")
+        lo, hi = np.maximum(t1 - T1, t2 - T2), np.minimum(t1, t2)
+        live = hi > lo
+        if weight.s_independent:
+            times, at = np.unique(np.stack([t1[live], t2[live]]), return_inverse=True)
+            a = np.array([float(weight.coef(k, t, 0.0)) for t in times.tolist()])
+            a1, a2 = a[at.reshape(2, -1)]
+            out[live] = math.pi * a1 * a2 * g.integral(lo[live], hi[live])
+        else:
+            for i in np.flatnonzero(live):
+                x1, x2, s_lo, s_hi = t1.flat[i], t2.flat[i], lo.flat[i], hi.flat[i]
 
-    def integrand(s):
-        return float(
-            weight.coef(k, t1, np.asarray(s)) * weight.coef(k, t2, np.asarray(s)) * g(s)
-        )
+                def integrand(s):
+                    c1 = weight.coef(k, x1, np.asarray(s))
+                    return float(c1 * weight.coef(k, x2, np.asarray(s)) * g(s))
 
-    scale = abs(g.integral(lo, hi)) + 1.0
-    return math.pi * adaptive_simpson(integrand, lo, hi, tol=tol * scale)
+                tol = 1e-12 * (abs(g.integral(s_lo, s_hi)) + 1.0)
+                out.flat[i] = math.pi * adaptive_simpson(integrand, s_lo, s_hi, tol=tol)
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -160,26 +166,26 @@ class CircleCovModel:
     @staticmethod
     def from_weight(weight: FourierWeight, g: TimeDensity, T, k_max=None):
         km = weight.k_max if k_max is None else k_max
-
-        def tau(k, t1, t2):
-            return harmonic_cov(weight, g, T, t1, t2, k)
-
-        return CircleCovModel(tau, km)
+        return CircleCovModel(lambda k, t1, t2: harmonic_cov(weight, g, T, t1, t2, k), km)
 
     def cov(self, t1, phi1, t2, phi2):
-        d = float(cyc_dist(phi1, phi2))
+        """Covariance between (t1, phi1) and (t2, phi2); the arguments
+        broadcast.  ``tau`` is called once per order on the times alone, so
+        times shaped (P, 1) against angles shaped (D,) cost P per order."""
+        d = cyc_dist(phi1, phi2)
         total = 2.0 * self.tau(0, t1, t2)
         for k in range(1, self.k_max + 1):
-            total += self.tau(k, t1, t2) * math.cos(k * d)
-        return total
+            total = total + self.tau(k, t1, t2) * np.cos(k * d)
+        total = np.broadcast_to(total, np.broadcast_shapes(np.shape(t1), np.shape(t2), d.shape))
+        return total.copy() if total.ndim else float(total)
 
     def table(self, time_pairs, dphis):
-        """Rows (t1, t2, dphi, cov) for export."""
-        rows = []
-        for t1, t2 in time_pairs:
-            for d in dphis:
-                rows.append((t1, t2, d, self.cov(t1, 0.0, t2, d)))
-        return rows
+        """Rows (t1, t2, dphi, cov) for export, pair-major, as an array."""
+        pairs = np.asarray(time_pairs, dtype=float).reshape(-1, 2)
+        dphis = np.asarray(dphis, dtype=float).reshape(-1)
+        cov = self.cov(pairs[:, :1], 0.0, pairs[:, 1:], dphis)
+        rows = np.broadcast_arrays(pairs[:, :1], pairs[:, 1:], dphis, cov)
+        return np.stack([col.ravel() for col in rows], axis=1)
 
 
 def cov_full_angle(weight, g, T, t1, phi1, t2, phi2, k_max=None):
@@ -372,25 +378,27 @@ def boundary_overlap_oracle(gammas, n_grid=2048, n_terms=8):
     """Brute-force coefficients: quadrature of the overlap integral, then DFT.
 
     Works at the integrated-profile level (the overlap depends on the
-    boundary only through it), so a unit control density is used with the
-    profile ``sum gamma_k cos(k theta)`` directly.
+    boundary only through it): the overlap formula of
+    :func:`levygrowth.ambit.self_intersection_measure` with a unit control
+    density and ``hbar(x) = sum gamma_k cos(k x)``.  Its two integrals at
+    every grid angle take one Gauss-Legendre rule of ``2 * len(gammas) + 16``
+    nodes, which integrates ``cos(k x)`` to round-off on the intervals of
+    half-length at most pi/2 that occur.
     """
     g = np.asarray(gammas, dtype=float)
-
-    def hbar(x):
-        return float(np.sum(g * np.cos(np.arange(g.size) * x)))
-
     phis = 2.0 * np.pi * np.arange(n_grid) / n_grid - np.pi
-    vals = np.array(
-        [
-            _ambit.self_intersection_measure(hbar, None, p, tol=1e-11, integrated=True)
-            for p in phis
-        ]
+    half_a = 0.5 * np.abs(wrap(phis))
+    nodes, weights = np.polynomial.legendre.leggauss(2 * g.size + 16)
+    lo = np.stack([np.full(n_grid, -np.pi), half_a])  # (2 intervals, n_grid)
+    hi = np.stack([half_a - np.pi, np.full(n_grid, np.pi)])
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[..., None] + half[..., None] * nodes
+    hbar = sum((gk * np.cos(k * x) for k, gk in enumerate(g)), np.zeros_like(x))
+    vals = 2.0 * np.sum(half * (hbar @ weights), axis=0) - TWO_PI * np.sum(
+        g * np.cos(np.arange(g.size) * np.pi)
     )
-    lam = np.zeros(n_terms + 1)
-    lam[0] = vals.mean()
-    for j in range(1, n_terms + 1):
-        lam[j] = 2.0 * np.mean(vals * np.cos(j * phis))
+    lam = 2.0 * np.mean(vals * np.cos(np.multiply.outer(np.arange(n_terms + 1), phis)), axis=1)
+    lam[0] /= 2.0
     return lam
 
 
@@ -403,16 +411,13 @@ def boundary_overlap_report(gammas, n_grid=2048, n_terms=8, tol=1e-5):
     """
     closed = overlap_coeffs_from_boundary(gammas, n_terms)
     oracle = boundary_overlap_oracle(gammas, n_grid, n_terms)
-    report = []
-    for k in range(n_terms + 1):
-        diff = abs(closed[k] - oracle[k])
-        report.append(
-            {
-                "k": k,
-                "closed_form": float(closed[k]),
-                "oracle": float(oracle[k]),
-                "abs_diff": float(diff),
-                "within_tol": bool(diff <= tol),
-            }
-        )
-    return report
+    return [
+        {
+            "k": k,
+            "closed_form": float(c),
+            "oracle": float(o),
+            "abs_diff": float(abs(c - o)),
+            "within_tol": bool(abs(c - o) <= tol),
+        }
+        for k, (c, o) in enumerate(zip(closed, oracle))
+    ]

@@ -108,28 +108,45 @@ def cmd_simulate(args):
 
 def _cov_ingredients(cfg):
     spec = cfg.spec
-    if not isinstance(spec.weight, FourierWeight):
+    if not isinstance(getattr(spec, "weight", None), FourierWeight):
         raise ConfigError("cov needs a cosine-series weight", "model.weight")
     if not isinstance(spec.ambit, FullAngle):
         raise ConfigError("cov needs a full-angle ambit", "model.ambit")
     return spec.weight, spec.basis.variance_density(), spec.ambit.T
 
 
+def _integer(value, low, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"expected an integer >= {low}", path)
+    return value
+
+
+def _finite_array(value, ndim, width, path, expected):
+    """``value`` as a finite float array of ``ndim`` axes, the last ``width`` long."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(np.nan)
+    if arr.ndim != ndim or width not in (None, arr.shape[-1]) or not np.isfinite(arr).all():
+        raise ConfigError(f"expected {expected}", path)
+    return arr
+
+
 def cmd_cov(args):
     cfg = _load(args)
     block = cfg.cov or {}
     weight, g_var, T = _cov_ingredients(cfg)
-    k_max = int(block.get("k_max", weight.k_max))
-    model = CircleCovModel.from_weight(weight, g_var, T, k_max)
+    k_max = _integer(block.get("k_max", weight.k_max), 0, "cov.k_max")
     pairs = block.get("time_pairs") or [[t, t] for t in cfg.times]
+    pairs = _finite_array(pairs, 2, 2, "cov.time_pairs", "a list of [t1, t2] pairs")
     dphis = block.get("dphis") or list(np.linspace(0.0, math.pi, 9))
+    dphis = _finite_array(dphis, 1, None, "cov.dphis", "a list of angle lags")
+    rows = CircleCovModel.from_weight(weight, g_var, T, k_max).table(pairs, dphis)
     path = os.path.join(cfg.out_dir, "cov.csv")
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
         fh.write("t1,t2,dphi,cov\n")
-        for t1, t2 in pairs:
-            covs = [float(model.cov(t1, 0.0, t2, d)) for d in dphis]
-            fh.write(csv_block(repr(float(t1)), repr(float(t2)), reprs(dphis), reprs(covs)))
+        fh.write(csv_block(*map(reprs, rows.T)))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -197,42 +214,50 @@ def cmd_mc_verify(args):
     return EXIT_OK
 
 
-def cmd_fit(args):
-    cfg = _load(args)
-    if cfg.fit is None:
-        raise ConfigError("fit needs a 'fit' block", "fit")
+_FIT_PARAMETERS = {"rect_gaussian": ("sigma2", "theta"), "fourier_scale": ("scale",)}
+
+
+def _fit_request(cfg):
+    """The configured fit as a function of the dataset, validated before any
+    data are read; a malformed field is a ConfigError at its dotted path."""
     block = cfg.fit
-    kind = block.get("kind")
-    data_path = block.get("data")
-    if not data_path:
+    if block is None:
+        raise ConfigError("fit needs a 'fit' block", "fit")
+    if not block.get("data"):
         raise ConfigError("fit needs 'data' (CSV path)", "fit.data")
-    dataset = ingest_profiles(data_path)
-    bounds = {k: tuple(v) for k, v in block.get("bounds", {}).items()}
+    kind = block.get("kind")
+    if kind not in _FIT_PARAMETERS:
+        raise ConfigError(f"unknown fit kind {kind!r}", "fit.kind")
+    bounds, names = block.get("bounds", {}), _FIT_PARAMETERS[kind]
+    if not isinstance(bounds, dict) or sorted(bounds) != sorted(names):
+        raise ConfigError(f"{kind} needs bounds for exactly {list(names)}", "fit.bounds")
+    for name, pair in bounds.items():
+        _finite_array(pair, 1, 2, f"fit.bounds.{name}", "[low, high]")
+    bounds = {k: tuple(v) for k, v in bounds.items()}
     if kind == "rect_gaussian":
         ambit_family = cfg.spec.ambit if cfg.spec else None
         if not isinstance(ambit_family, Rectangular):
             raise ConfigError("rect_gaussian fit needs a rectangular ambit", "model.ambit")
         model_cov = rect_direct_cov_model(ambit_family.T, cfg.spec.basis.control.g)
-        result = fit_moments(
-            model_cov,
-            dataset,
-            bounds,
-            seed=cfg.seed,
-            n_lags=int(block.get("n_lags", 16)),
-        )
-    elif kind == "fourier_scale":
-        weight, g_var, T = _cov_ingredients(cfg)
-        orders = [int(k) for k in block.get("orders", range(1, weight.k_max + 1))]
+        n_lags = _integer(block.get("n_lags", 16), 1, "fit.n_lags")
+        return lambda data: fit_moments(model_cov, data, bounds, seed=cfg.seed, n_lags=n_lags)
+    weight, g_var, T = _cov_ingredients(cfg)
+    orders = block.get("orders", list(range(1, weight.k_max + 1)))
+    if not isinstance(orders, list) or not orders:
+        raise ConfigError("expected a list of orders >= 1", "fit.orders")
+    orders = [_integer(k, 1, "fit.orders") for k in orders]
 
-        def tau_family(params):
-            scale = params["scale"]
-            return lambda k, t1, t2: scale * harmonic_cov(weight, g_var, T, t1, t2, k)
+    def tau_family(params):
+        scale = params["scale"]
+        return lambda k, t1, t2: scale * harmonic_cov(weight, g_var, T, t1, t2, k)
 
-        result = fit_fourier_mle(
-            dataset, tau_family, bounds, orders=orders, seed=cfg.seed
-        )
-    else:
-        raise ConfigError(f"unknown fit kind {kind!r}", "fit.kind")
+    return lambda data: fit_fourier_mle(data, tau_family, bounds, orders=orders, seed=cfg.seed)
+
+
+def cmd_fit(args):
+    cfg = _load(args)
+    fit = _fit_request(cfg)
+    result = fit(ingest_profiles(cfg.fit["data"]))
     path = os.path.join(cfg.out_dir, "fit.json")
     payload = json.loads(result.to_json())
     payload["provenance"] = _provenance(cfg)

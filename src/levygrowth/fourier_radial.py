@@ -29,18 +29,17 @@ from .levy_core import TimeDensity
 
 @dataclass
 class FourierSeries:
-    """Cosine/sine coefficients of one radial profile."""
+    """Cosine/sine coefficients of radial profiles, order on the last axis."""
 
-    cos_coef: np.ndarray  # (k_max + 1,)
-    sin_coef: np.ndarray  # (k_max + 1,), index 0 is identically 0
-    n_grid: int
-    quadrature: str = "midpoint-dft"
+    cos_coef: np.ndarray  # (..., k_max + 1)
+    sin_coef: np.ndarray  # (..., k_max + 1), index 0 is identically 0
 
     @property
     def k_max(self):
-        return self.cos_coef.size - 1
+        return self.cos_coef.shape[-1] - 1
 
     def reconstruct(self, angles):
+        """One profile's values at ``angles`` (coefficients of shape (k_max + 1,))."""
         angles = np.asarray(angles, dtype=float)
         out = np.full(angles.shape, 0.5 * self.cos_coef[0])
         for k in range(1, self.k_max + 1):
@@ -55,13 +54,14 @@ def _default_angles(n):
 
 
 def radial_fourier(profile, angles=None, k_max=None) -> FourierSeries:
-    """Coefficients of a profile sampled on a uniform angular grid.
+    """Coefficients of profiles of shape (..., n) sampled on a uniform
+    angular grid of ``n`` angles; the coefficients have shape (..., k_max + 1).
 
     ``k_max`` must stay below half the grid size (aliasing); the default is
     the largest exactly invertible order ``(n - 1) // 2``.
     """
     profile = np.asarray(profile, dtype=float)
-    n = profile.size
+    n = profile.shape[-1]
     if angles is None:
         angles = _default_angles(n)
     else:
@@ -72,12 +72,11 @@ def radial_fourier(profile, angles=None, k_max=None) -> FourierSeries:
         k_max = (n - 1) // 2
     if 2 * k_max >= n:
         raise AliasError(f"order {k_max} is not resolved by {n} grid angles")
-    ks = np.arange(k_max + 1)
-    phase = ks[:, None] * angles[None, :]
-    cos_coef = (2.0 / n) * (np.cos(phase) @ profile)
-    sin_coef = (2.0 / n) * (np.sin(phase) @ profile)
-    sin_coef[0] = 0.0
-    return FourierSeries(cos_coef, sin_coef, n)
+    phase = angles[:, None] * np.arange(k_max + 1)
+    cos_coef = (2.0 / n) * (profile @ np.cos(phase))
+    sin_coef = (2.0 / n) * (profile @ np.sin(phase))
+    sin_coef[..., 0] = 0.0
+    return FourierSeries(cos_coef, sin_coef)
 
 
 def parseval_gap(series: FourierSeries, profile):
@@ -97,12 +96,8 @@ def parseval_gap(series: FourierSeries, profile):
 
 def series_for_history(history, k_max):
     """Coefficient arrays (n_times, k_max + 1) for each history time."""
-    cos_rows, sin_rows = [], []
-    for row in history.profiles:
-        fs = radial_fourier(row, history.angles, k_max)
-        cos_rows.append(fs.cos_coef)
-        sin_rows.append(fs.sin_coef)
-    return np.asarray(cos_rows), np.asarray(sin_rows)
+    fs = radial_fourier(history.profiles, history.angles, k_max)
+    return fs.cos_coef, fs.sin_coef
 
 
 def fourier_cov_structure(weight: FourierWeight, g: TimeDensity, ambit, t1, t2, k, j):
@@ -125,10 +120,11 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
     """Log-likelihood of observed coefficient series under a Gaussian model.
 
     ``cos_coef`` / ``sin_coef`` have shape (n_times, K+1) or
-    (n_reps, n_times, K+1); ``tau(k, t_i, t_j)`` supplies the per-harmonic
-    covariance.  Each order's cosine and sine series are independent
-    zero-mean multivariate normals with the same Gram matrix across the
-    observation times.  Raises :class:`SingularCovariance` when a Gram
+    (n_reps, n_times, K+1).  ``tau(k, t1, t2)``, the per-harmonic
+    covariance, is called once per order on the times as a column and a row
+    and returns their (n_times, n_times) matrix or one scalar.  Each order's
+    cosine and sine series are independent zero-mean multivariate normals
+    with that Gram matrix.  Raises :class:`SingularCovariance` when a Gram
     matrix has no Cholesky factor (e.g. duplicated observation times).
     """
     import scipy.linalg  # imported here: scipy costs start-up time
@@ -140,14 +136,13 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
     k_max = cos_coef.shape[2] - 1
     if orders is None:
         orders = range(1, k_max + 1)
+    upper = np.triu(np.ones((n_times, n_times), dtype=bool))
     total = 0.0
     for k in orders:
         if k < 1 or k > k_max:
             raise ValueError(f"order {k} outside the available range 1..{k_max}")
-        gram = np.empty((n_times, n_times))
-        for i in range(n_times):
-            for j in range(i, n_times):
-                gram[i, j] = gram[j, i] = tau(k, times[i], times[j])
+        full = np.broadcast_to(tau(k, times[:, None], times[None, :]), upper.shape)
+        gram = np.where(upper, full, full.T)  # mirrors tau(k, t_i, t_j), i <= j
         try:
             chol = scipy.linalg.cho_factor(gram, lower=True)
         except (scipy.linalg.LinAlgError, ValueError) as exc:

@@ -418,19 +418,12 @@ def fit_fourier_mle(dataset, tau_family, bounds, *, orders, seed=0, n_starts=3, 
         raise NonConvergence(
             "one observation time cannot identify multiple temporal parameters"
         )
-    k_max = max(orders)
-    cos_all = np.empty((dataset.n_reps, dataset.times.size, k_max + 1))
-    sin_all = np.empty_like(cos_all)
-    for r in range(dataset.n_reps):
-        for i in range(dataset.times.size):
-            fs = radial_fourier(dataset.profiles[r, i], dataset.angles, k_max)
-            cos_all[r, i] = fs.cos_coef
-            sin_all[r, i] = fs.sin_coef
+    fs = radial_fourier(dataset.profiles, dataset.angles, max(orders))
 
     def objective(params):
         tau = tau_family(params)
         try:
-            ll = gaussian_loglik(dataset.times, cos_all, sin_all, tau, orders=orders)
+            ll = gaussian_loglik(dataset.times, fs.cos_coef, fs.sin_coef, tau, orders=orders)
         except SingularCovariance:
             return math.inf
         return -ll

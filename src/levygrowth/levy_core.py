@@ -619,16 +619,6 @@ def _ig_root(z, u, m, lam):
     return x
 
 
-def _sample_increments(spot: SpotLaw, mu, rng):
-    """Independent increments of cells of measures ``mu`` (any shape), every
-    cell drawn in order from the one stream ``rng``."""
-    mu = np.asarray(mu, dtype=float)
-    sampler = CellSampler(spot, mu.ravel())
-    raw = np.empty((1, *sampler.raw_shape(sampler.drawn.size)))
-    sampler.fill(rng, raw[0])
-    return sampler.finish(raw)[0].reshape(mu.shape)
-
-
 def sample_realization(
     spec: BasisSpec, grid: GridSpec, seed: int, rows=None
 ) -> BasisRealization:

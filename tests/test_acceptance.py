@@ -308,21 +308,14 @@ def test_criterion_07_ambit_extension_effect():
 
 def _direct_single_angle_samples(spec, grid, t, n, seed):
     """Field at one angle for n replicates, on the simulation mesh."""
-    from levygrowth.ambit import mesh_kernel
-    from levygrowth.levy_core import _sample_increments
+    from levygrowth.moments import _sample_fields
 
-    kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
-    mask = kernel != 0.0
-    w = kernel[mask]
-    mu = np.broadcast_to(grid.cell_mu(spec.basis.control)[:, None], kernel.shape)[mask]
+    query = MomentQuery(spec.basis, spec.ambit, spec.weight, grid, ((t, grid.phi_mids[0]),))
     level = spec.drift(t)
     if spec.center_stochastic_mean:
-        level -= spot_mean(spec.basis.spot) * float(np.sum(mu))
-    out = np.empty(n)
-    for r in range(n):
-        draws = _sample_increments(spec.basis.spot, mu, replicate_rng(seed, r))
-        out[r] = level + float(draws @ w)
-    return out
+        mu = np.broadcast_to(query.cell_mu()[:, None], query.kernels[0].shape)
+        level -= spot_mean(spec.basis.spot) * float(np.sum(mu[query.kernels[0] != 0.0]))
+    return level + _sample_fields(query, n, seed)[:, 0]
 
 
 def test_criterion_08_moment_matched_bases():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levygrowth.circle_cov import (
     CircleCovModel,
@@ -64,6 +66,83 @@ def test_harmonic_cov_stationary_matches_shifted_quadrature():
         lambda u: float(b(u) * b(t2 - t1 + u)), lo, hi, tol=1e-12
     )
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+def _scalar_reference(weight, g, T, t1, t2, k):
+    """One coefficient the way the per-pair scalar implementation computed it."""
+    if k > weight.k_max:
+        return 0.0
+    T = TimeFn.of(T)
+    lo, hi = max(t1 - float(T(t1)), t2 - float(T(t2))), min(t1, t2)
+    if hi <= lo:
+        return 0.0
+    if weight.s_independent:
+        a1 = float(weight.coef(k, t1, np.asarray(lo)))
+        a2 = float(weight.coef(k, t2, np.asarray(lo)))
+        return math.pi * a1 * a2 * float(g.integral(lo, hi))
+
+    def integrand(s):
+        return float(weight.coef(k, t1, np.asarray(s)) * weight.coef(k, t2, np.asarray(s)) * g(s))
+
+    tol = 1e-12 * (abs(g.integral(lo, hi)) + 1.0)
+    return math.pi * adaptive_simpson(integrand, lo, hi, tol=tol)
+
+
+LAGS = {"constant": 2.5, "short": 1.0, "proportional": TimeFn.proportional(0.3)}
+WEIGHT_KINDS = ("constant", "separable", "stationary", "pth_order")
+
+
+def _weight(kind, T):
+    if kind == "constant":
+        return FourierWeight.constant_coeffs([0.3, 0.5, 0.0, 0.2])
+    if kind == "separable":
+        return FourierWeight.separable(TimeFn.affine(1.0, 0.2), [0.1, 0.4, 0.3])
+    if kind == "stationary":
+        return FourierWeight.stationary(
+            [lambda u: np.exp(-np.asarray(u)), lambda u: 1.0 / (1.0 + np.asarray(u) ** 2)]
+        )
+    return pth_order_weight(PthOrderParams(1, 1.0, 0.5), UNIT, T, k_max=12)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(WEIGHT_KINDS),
+    st.sampled_from(sorted(LAGS)),
+    st.lists(st.floats(0.5, 12.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.5, 12.0), min_size=1, max_size=3),
+    st.integers(0, 14),
+)
+@example("constant", "constant", [2.5], [5.0], 1)  # windows that only touch
+@example("stationary", "short", [3.0, 6.0], [6.5], 1)
+def test_array_harmonic_cov_equals_the_scalar_calls_bit_for_bit(kind, lag, t1, t2, k):
+    T = LAGS[lag]
+    w = _weight(kind, T)
+    got = harmonic_cov(w, UNIT, T, np.array(t1)[:, None], np.array(t2)[None, :], k)
+    scalar = np.array([[harmonic_cov(w, UNIT, T, a, b, k) for b in t2] for a in t1])
+    reference = np.array([[_scalar_reference(w, UNIT, T, a, b, k) for b in t2] for a in t1])
+    assert got.shape == (len(t1), len(t2))
+    assert np.array_equal(got, scalar) and np.array_equal(got, reference)
+    assert isinstance(harmonic_cov(w, UNIT, T, t1[0], t2[0], k), float)
+
+
+def test_table_calls_tau_once_per_order():
+    calls = []
+
+    def tau(k, t1, t2):
+        calls.append(k)
+        return np.exp(-np.abs(t1 - t2)) / (1.0 + k * k)
+
+    model = CircleCovModel(tau, 5)
+    pairs, dphis = [(6.0, 6.0), (6.0, 7.0), (8.0, 7.5)], np.linspace(0.0, math.pi, 7)
+    rows = model.table(pairs, dphis)
+    assert calls == list(range(6))
+    assert rows.shape == (21, 4)
+    assert np.array_equal(rows[:, :3], [(t1, t2, d) for t1, t2 in pairs for d in dphis])
+    for t1, t2, d, cov in rows:
+        assert cov == model.cov(t1, 0.0, t2, d)
+    # a tau that returns one scalar for every pair still tabulates
+    flat = CircleCovModel(lambda k, t1, t2: 0.5**k, 2).table(pairs, dphis)
+    assert np.array_equal(flat[:, 3], np.tile(2.0 + 0.5 * np.cos(dphis) + 0.25 * np.cos(2 * dphis), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +325,10 @@ def test_derived_constant_term_matches_the_oracle():
     g0, g1 = 1.0, 0.5
     assert overlap_constant_term([g0, g1]) == pytest.approx((2 * math.pi - 8 / math.pi) * g1)
     gammas = [0.8, 0.5, 0.1, 0.08, 0.05, 0.03]
-    oracle = boundary_overlap_oracle(gammas, n_grid=256, n_terms=0)[0]
-    assert overlap_constant_term(gammas) == pytest.approx(oracle, abs=1e-4)
+    # the DFT of the overlap, kinked at angle 0, is off by about
+    # (2 pi / n_grid)^2 sum_{k odd} gamma_k / (6 pi): 1.2e-6 at 1024 angles
+    oracle = boundary_overlap_oracle(gammas, n_grid=2048, n_terms=0)[0]
+    assert overlap_constant_term(gammas) == pytest.approx(oracle, abs=1e-6)
     # the paper's closed form, kept as the reproduction record, stays off
     assert overlap_coeffs_from_boundary(gammas)[0] == pytest.approx(-4.734, abs=1e-3)
 

@@ -418,6 +418,50 @@ def test_fit_round_trip_config(tmp_path):
     assert abs(payload["params"]["theta"] - 0.628) < 0.25
 
 
+_RECT_FIT = {"kind": "rect_gaussian", "data": "missing.csv", "bounds": {"sigma2": [0.2, 3.0], "theta": [0.1, 1.5]}}
+_SCALE_FIT = {"kind": "fourier_scale", "data": "missing.csv", "bounds": {"scale": [0.1, 4.0]}}
+
+
+@pytest.mark.parametrize(
+    "command, block, dotted",
+    [
+        ("cov", {"time_pairs": [[8, 7, 1]]}, "cov.time_pairs"),
+        ("cov", {"time_pairs": [[8, "x"]]}, "cov.time_pairs"),
+        ("cov", {"time_pairs": [[8, 7], [6]]}, "cov.time_pairs"),
+        ("cov", {"dphis": ["x"]}, "cov.dphis"),
+        ("cov", {"dphis": [[0.0, 1.0]]}, "cov.dphis"),
+        ("cov", {"k_max": "abc"}, "cov.k_max"),
+        ("cov", {"k_max": -1}, "cov.k_max"),
+        ("fit", dict(_RECT_FIT, bounds={"sigma2": [0.2], "theta": [0.1, 1.5]}), "fit.bounds.sigma2"),
+        ("fit", dict(_RECT_FIT, bounds={"sigma2": ["a", 3.0], "theta": [0.1, 1.5]}), "fit.bounds.sigma2"),
+        ("fit", dict(_RECT_FIT, bounds={"sigma2": [0.2, 3.0]}), "fit.bounds"),
+        ("fit", dict(_RECT_FIT, bounds=[0.2, 3.0]), "fit.bounds"),
+        ("fit", dict(_RECT_FIT, n_lags="x"), "fit.n_lags"),
+        ("fit", dict(_RECT_FIT, kind="spline"), "fit.kind"),
+        ("fit", dict(_SCALE_FIT, bounds={"scale": [0.1, 4.0], "theta": [0.1, 1.0]}), "fit.bounds"),
+        ("fit", dict(_SCALE_FIT, orders=["a"]), "fit.orders"),
+        ("fit", dict(_SCALE_FIT, orders=[0, 1]), "fit.orders"),
+        ("fit", dict(_SCALE_FIT, orders=2), "fit.orders"),
+    ],
+)
+def test_malformed_cov_and_fit_blocks_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, block, dotted
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the block was validated")
+
+    monkeypatch.setattr(cli, "ingest_profiles", no_work)
+    monkeypatch.setattr(cli.CircleCovModel, "table", no_work)
+    cfg = json.loads(_cov_config(tmp_path).read_text())
+    if block.get("kind") == "rect_gaussian":
+        cfg = {"preset": "ex4"}
+    cfg[command] = block
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {dotted}: " in capsys.readouterr().err
+
+
 def test_preset_documents_match_programmatic_presets():
     from levygrowth.config import parse_config, preset_document
     from levygrowth.growth import example_preset

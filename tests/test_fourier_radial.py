@@ -169,6 +169,47 @@ def test_loglik_single_point_matches_normal_density():
     assert ll == pytest.approx(expected, rel=1e-12)
 
 
+def test_loglik_calls_tau_once_per_order():
+    w = FourierWeight.constant_coeffs([0.0, 0.4, 0.3, 0.2])
+    times = np.array([4.0, 5.0, 6.5, 7.0])
+    calls = []
+
+    def tau(k, t1, t2):
+        calls.append((k, np.shape(t1), np.shape(t2)))
+        return harmonic_cov(w, UNIT, 2.0, t1, t2, k)
+
+    rng = np.random.default_rng(9)
+    cos, sin = rng.normal(size=(2, 5, 4, 4))
+    ll = gaussian_loglik(times, cos, sin, tau, orders=[1, 2, 3])
+    assert calls == [(k, (4, 1), (1, 4)) for k in (1, 2, 3)]
+    expected = 0.0
+    for k in (1, 2, 3):
+        gram = [[harmonic_cov(w, UNIT, 2.0, a, b, k) for b in times] for a in times]
+        mvn = scipy.stats.multivariate_normal(np.zeros(4), gram)
+        expected += float(np.sum(mvn.logpdf(cos[:, :, k])) + np.sum(mvn.logpdf(sin[:, :, k])))
+    assert ll == pytest.approx(expected, rel=1e-10)
+
+    # the Gram matrix mirrors tau(k, t_i, t_j) for i <= j, as the per-pair loop did
+    def upper_only(k, t1, t2):
+        return np.where(t1 <= t2, harmonic_cov(w, UNIT, 2.0, t1, t2, k), np.nan)
+
+    assert gaussian_loglik(times, cos, sin, upper_only, orders=[1, 2, 3]) == ll
+
+
+def test_radial_fourier_of_a_stack_equals_each_profile():
+    rng = np.random.default_rng(4)
+    profiles = rng.normal(size=(3, 2, 33))
+    fs = radial_fourier(profiles, grid_angles(33), 7)
+    assert fs.cos_coef.shape == fs.sin_coef.shape == (3, 2, 8)
+    assert fs.k_max == 7
+    for r in range(3):
+        for i in range(2):
+            one = radial_fourier(profiles[r, i], grid_angles(33), 7)
+            assert np.allclose(fs.cos_coef[r, i], one.cos_coef, rtol=0.0, atol=1e-14)
+            assert np.allclose(fs.sin_coef[r, i], one.sin_coef, rtol=0.0, atol=1e-14)
+    assert np.all(fs.sin_coef[..., 0] == 0.0)
+
+
 def test_loglik_duplicated_time_singular():
     w = FourierWeight.constant_coeffs([0.0, 0.4])
     tau = lambda k, t1, t2: harmonic_cov(w, UNIT, 2.0, t1, t2, k)

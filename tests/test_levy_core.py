@@ -418,16 +418,6 @@ def test_row_draw_rejects_rows_off_the_grid_and_point_placement():
         sample_realization(basis, grid, 1, rows=[0, 1]).points()
 
 
-def test_one_stream_increments_equal_the_reference():
-    # the one-stream sampler (every cell in order) is the reference sampler
-    from levygrowth.levy_core import _sample_increments
-
-    mu = np.array([[0.0, 0.4, 1.3], [2.0, 0.0, 0.05]])
-    for spot in SAMPLER_SPOTS:
-        got = _sample_increments(spot, mu, np.random.default_rng(5))
-        assert np.array_equal(got, _reference_increments(spot, mu, np.random.default_rng(5)))
-
-
 @pytest.mark.parametrize("threads", [1, 3])
 def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, threads):
     from levygrowth import moments
