@@ -21,7 +21,7 @@ import numpy as np
 from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
 from .errors import NonMonotoneRadius, RegionOutsideGrid
-from .levy_core import ControlMeasure, GridSpec, TimeDensity
+from .levy_core import ControlMeasure, GridSpec
 from .quadrature import adaptive_simpson
 from .timefn import TimeFn
 
@@ -70,7 +70,7 @@ class AmbitFamily:
 
         return adaptive_simpson(integrand, lo, hi, tol=tol * scale)
 
-    def _measure_closed_form(self, t, g: TimeDensity):
+    def _measure_closed_form(self, t, g: TimeFn):
         return None
 
     def describe(self):
@@ -323,7 +323,7 @@ def intersection_measure(
     return adaptive_simpson(integrand, s_lo, s_hi, tol=tol_factor * scale)
 
 
-def self_intersection_measure(h, g: TimeDensity, phi, tol=1e-10):
+def self_intersection_measure(h, g: TimeFn, phi, tol=1e-10):
     """Overlap measure of a boundary-profile set with its own rotation.
 
     For a set bounded above by the even decreasing profile ``h`` and control
@@ -351,7 +351,7 @@ def check_covered(family: AmbitFamily, control, grid, t, *, union=False):
     the part of ``A_t`` (with ``union``, of the union of ``A_u`` over apexes
     ``u`` in [0, t]) where the control measure lives."""
     lo = min(family.window(0.0)[0], 0.0) if union else family.window(t)[0]
-    if not grid.covers(max(lo, control.g.support_lo), t):
+    if not grid.covers(max(lo, control.g.support[0]), t):
         raise RegionOutsideGrid(f"grid window does not cover the model at t={t}")
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .cyclic import TWO_PI, cyc_dist, wrap
 from .errors import AssumptionViolation, NegativeTargetCoefficient
-from .levy_core import TimeDensity
 from .quadrature import adaptive_simpson
 from .timefn import TimeFn
 from . import ambit as _ambit
@@ -115,7 +114,7 @@ class FourierWeight:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_cov(weight: FourierWeight, g: TimeDensity, T, t1, t2, k):
+def harmonic_cov(weight: FourierWeight, g: TimeFn, T, t1, t2, k):
     """Per-harmonic covariance coefficient over the shared time window.
 
     ``t1`` and ``t2`` broadcast against each other; ``k`` is one order.
@@ -164,7 +163,7 @@ class CircleCovModel:
     k_max: int
 
     @staticmethod
-    def from_weight(weight: FourierWeight, g: TimeDensity, T, k_max=None):
+    def from_weight(weight: FourierWeight, g: TimeFn, T, k_max=None):
         km = weight.k_max if k_max is None else k_max
         return CircleCovModel(lambda k, t1, t2: harmonic_cov(weight, g, T, t1, t2, k), km)
 
@@ -220,7 +219,7 @@ def spatial_corr(weight: FourierWeight, t=0.0):
     return rho
 
 
-def temporal_corr(g: TimeDensity, T, t1, t2):
+def temporal_corr(g: TimeFn, T, t1, t2):
     """Time correlation under fully separable coefficients a_k^t = b_t c_k.
 
     Ratio of the shared-window mass to the geometric mean of the two full
@@ -243,7 +242,7 @@ def temporal_corr(g: TimeDensity, T, t1, t2):
 # ---------------------------------------------------------------------------
 
 
-def weight_from_targets(targets, g: TimeDensity, T, k_max=None):
+def weight_from_targets(targets, g: TimeFn, T, k_max=None):
     """Weight whose harmonic coefficients reproduce target values exactly.
 
     ``targets`` is an array (or callable of (k, t)) of nonnegative values
@@ -301,7 +300,7 @@ def pth_order_target(params: PthOrderParams, k):
     )
 
 
-def pth_order_weight(params: PthOrderParams, g: TimeDensity, T, k_max=DEFAULT_K_MAX):
+def pth_order_weight(params: PthOrderParams, g: TimeFn, T, k_max=DEFAULT_K_MAX):
     """Weight realizing the p-th order covariance, plus its truncation tail bound.
 
     The discarded coefficients decay like ``k**(-2p)``, so the absolute

@@ -201,7 +201,7 @@ def _mc_queries(cfg):
 def cmd_mc_verify(args):
     cfg = _load(args)
     reports = [
-        json.loads(mc_verify(q, statistic, n, cfg.seed, threads=cfg.threads).to_json())
+        json.loads(mc_verify(q, statistic, n, cfg.seed).to_json())
         for q, statistic, n in _mc_queries(cfg)
     ]
     path = os.path.join(cfg.out_dir, "mc_report.json")
@@ -280,7 +280,9 @@ def _add_common(p):
     p.add_argument("--replicates", type=int, help="number of Monte Carlo replicates")
     p.add_argument("--out-dir", help="directory for output files")
     p.add_argument(
-        "--threads", type=int, help="replicate parallelism degree (mc-verify only)"
+        "--threads",
+        type=int,
+        help="accepted, but currently without effect: every command runs single-threaded",
     )
     p.add_argument(
         "--fine",

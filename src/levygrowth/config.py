@@ -42,7 +42,7 @@ class RunConfig:
     times: tuple
     seed: int = 0
     replicates: int = 1
-    threads: int = 1
+    threads: int = 1  # accepted and validated; no command uses it yet
     out_dir: str = "."
     fine: bool = False
     cov: Optional[dict] = None
@@ -143,32 +143,28 @@ def _spot(block, path):
     raise ConfigError(f"unknown basis kind {kind!r}", path)
 
 
+# parameter keys of each control kind, in TimeDensity argument order
+_CONTROL_KEYS = {
+    "constant": ("c",),
+    "linear": ("a",),
+    "exponential": ("a", "b"),
+    "power": ("a", "alpha"),
+    "tabulated": ("nodes", "values"),
+}
+
+
 @_block_parser
 def _control(block, path):
     _require_keys(block, {"kind", "c", "a", "b", "alpha", "nodes", "values"}, path)
     kind = _get(block, "kind", path, str)
-    if kind == "constant":
-        g = TimeDensity.constant(_get(block, "c", path, (int, float), 1.0))
-    elif kind == "linear":
-        g = TimeDensity.linear(_get(block, "a", path, (int, float)))
-    elif kind == "exponential":
-        g = TimeDensity.exponential(
-            _get(block, "a", path, (int, float)),
-            _get(block, "b", path, (int, float)),
-        )
-    elif kind == "power":
-        g = TimeDensity.power(
-            _get(block, "a", path, (int, float)),
-            _get(block, "alpha", path, (int, float)),
-        )
-    elif kind == "tabulated":
-        g = TimeDensity.tabulated(
-            _get(block, "nodes", path, list),
-            _get(block, "values", path, list),
-        )
-    else:
+    if kind not in _CONTROL_KEYS:
         raise ConfigError(f"unknown control kind {kind!r}", path)
-    return ControlMeasure(g)
+    if kind == "constant":
+        args = [_get(block, "c", path, (int, float), 1.0)]
+    else:
+        types = list if kind == "tabulated" else (int, float)
+        args = [_get(block, key, path, types) for key in _CONTROL_KEYS[kind]]
+    return ControlMeasure(getattr(TimeDensity, kind)(*args))
 
 
 def _basis(block, path):

@@ -24,7 +24,7 @@ import numpy as np
 from .ambit import FullAngle
 from .circle_cov import FourierWeight, harmonic_cov
 from .errors import AliasError, AssumptionViolation, SingularCovariance
-from .levy_core import TimeDensity
+from .timefn import TimeFn
 
 
 @dataclass
@@ -100,7 +100,7 @@ def series_for_history(history, k_max):
     return fs.cos_coef, fs.sin_coef
 
 
-def fourier_cov_structure(weight: FourierWeight, g: TimeDensity, ambit, t1, t2, k, j):
+def fourier_cov_structure(weight: FourierWeight, g: TimeFn, ambit, t1, t2, k, j):
     """Cross-covariances of coefficient processes under a full-angle model.
 
     Returns ``(cov_AA, cov_BB, cov_AB)``: the per-harmonic covariance when

@@ -37,7 +37,7 @@ and, where the half-width does not depend on the time, their arcs.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
-the rate kinds its exact integral ``drift.integral(t)`` over [0, t].
+the rate kinds its exact integral ``drift.integral(0, t)`` over [0, t].
 Weights are coerced once by :func:`levygrowth.ambit.as_weight`.
 """
 
@@ -491,7 +491,7 @@ def _rate_point_moments(spec, grid, t):
     spot mean and variance and ``L`` the window length in the time union,
     integrated between the kinks of ``hw`` and ``L``."""
     family, g, spot = spec.ambit, spec.basis.control.g, spec.basis.spot
-    lo = max(grid.t_min, g.support_lo)
+    lo = max(grid.t_min, g.support[0])
     kinks = {family.window(0.0)[0], 0.0, family.window(t)[0]}
     if isinstance(family, WedgeOverS):
         kinks.add(family.theta / np.pi)
@@ -580,7 +580,7 @@ class _Plan:
         angles = grid.phi_mids
         if spec.kind in ("rate_linear", "rate_of_log"):
             term = _term(spec, grid, t, "rate")
-            accumulated = spec.drift.integral(t)
+            accumulated = spec.drift.integral(0.0, t)
             r0 = spec.r0_profile(angles)
             if spec.kind == "rate_linear":
                 return _Radius(term, r0 + accumulated)

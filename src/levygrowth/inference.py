@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvrows import csv_block, reprs
-from .cyclic import TWO_PI, wrap
+from .cyclic import TWO_PI, arc_overlap_length, wrap
 from .errors import (
     InfeasibleBounds,
     InsufficientData,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fourier_radial import gaussian_loglik, radial_fourier
 from .rngtools import mix_seed
+from .timefn import TimeFn
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +371,6 @@ def rect_direct_cov_model(T, g):
     angular half-width); at time ``t`` the covariance at angle lag ``d`` is
     ``sigma2 * arc_overlap(d, theta, theta) * int_{t - T(t)}^{t} g``.
     """
-    from .cyclic import arc_overlap_length
-    from .timefn import TimeFn
-
     T = TimeFn.of(T)
 
     def model_cov(params, t, lags):

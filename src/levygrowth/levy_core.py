@@ -3,8 +3,10 @@ grid-discretized sampling, and stochastic integration against realizations.
 
 A basis is specified by a spot law (the infinitesimal marginal, one of
 Gaussian / Poisson / Gamma / inverse Gaussian) and a control measure
-``mu(d-theta ds) = g(s) ds d-theta``.  Increments over disjoint sets are
-independent, and the increment over a set ``A`` follows the kind's exact
+``mu(d-theta ds) = g(s) ds d-theta``, whose density ``g`` is a
+:class:`~levygrowth.timefn.TimeFn` built by one of the :data:`TimeDensity`
+constructors and supported on ``s >= 0`` or its own node range.  Increments
+over disjoint sets are independent, and the increment over a set ``A`` follows the kind's exact
 closed-form marginal with parameter ``mu(A)``:
 
 * Gaussian:           ``N(a*mu(A), b*mu(A))``
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -36,160 +39,58 @@ from .errors import (
     UnboundedRegion,
 )
 from .rngtools import RowStreams, mix_seed
+from .timefn import TimeFn
 
 _POINTS_STREAM = 0x706F696E  # sub-stream tag for Poisson point placement
 
 
 # ---------------------------------------------------------------------------
-# time densities g(s)
+# control densities g(s)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeDensity:
-    """Nonnegative time density ``g`` with an exact antiderivative.
+def _density(shape, message, *nonnegative, lo=0.0, hi=math.inf):
+    """``shape`` supported on [lo, hi], once each of ``nonnegative`` is."""
+    if any(np.any(np.asarray(v) < 0) for v in nonnegative):
+        raise ValueError(message)
+    return shape.on(lo, hi)
 
-    Supported shapes: constant ``c``, linear ``a*s``, exponential
-    ``a*exp(-b*s)``, power ``a*s**alpha`` and tabulated (piecewise linear).
-    The density is supported on ``s >= support_lo`` (default 0) and treated
-    as zero below.
-    """
 
-    kind: str
-    params: tuple = ()
-    support_lo: float = 0.0
-    table: Optional[tuple] = None  # (nodes, values) for the tabulated kind
+def _tabulated_density(nodes, values):
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+        raise ValueError("tabulated density needs >= 2 strictly increasing nodes")
+    message = "tabulated density must be nonnegative"
+    return _density(TimeFn.table(nodes, values), message, values, lo=nodes[0], hi=nodes[-1])
 
-    @staticmethod
-    def constant(c, support_lo=0.0):
-        if c < 0:
-            raise ValueError("constant density must be nonnegative")
-        return TimeDensity("constant", (float(c),), support_lo)
 
-    @staticmethod
-    def linear(a):
-        if a < 0:
-            raise ValueError("linear density slope must be nonnegative")
-        return TimeDensity("linear", (float(a),), 0.0)
-
-    @staticmethod
-    def exponential(a, b):
-        if a < 0:
-            raise ValueError("exponential density amplitude must be nonnegative")
-        return TimeDensity("exponential", (float(a), float(b)), 0.0)
-
-    @staticmethod
-    def power(a, alpha):
-        if a < 0 or alpha < 0:
-            raise ValueError("power density requires a >= 0 and alpha >= 0")
-        return TimeDensity("power", (float(a), float(alpha)), 0.0)
-
-    @staticmethod
-    def tabulated(nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("tabulated density needs >= 2 strictly increasing nodes")
-        if np.any(values < 0):
-            raise ValueError("tabulated density must be nonnegative")
-        return TimeDensity(
-            "tabulated", (), float(nodes[0]), (tuple(nodes), tuple(values))
-        )
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(s, self.params[0])
-        elif self.kind == "linear":
-            out = self.params[0] * s
-        elif self.kind == "exponential":
-            a, b = self.params
-            out = a * np.exp(-b * s)
-        elif self.kind == "power":
-            a, alpha = self.params
-            out = a * np.power(np.maximum(s, 0.0), alpha)
-        else:
-            nodes, values = self.table
-            out = np.interp(s, nodes, values, left=0.0, right=0.0)
-        return np.where(s >= self.support_lo, out, 0.0)
-
-    def _antideriv(self, s):
-        """Antiderivative of the unclipped shape (used only inside support)."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "constant":
-            return self.params[0] * s
-        if self.kind == "linear":
-            return 0.5 * self.params[0] * s * s
-        if self.kind == "exponential":
-            a, b = self.params
-            if b == 0.0:
-                return a * s
-            return -(a / b) * np.exp(-b * s)
-        if self.kind == "power":
-            a, alpha = self.params
-            return a * np.power(np.maximum(s, 0.0), alpha + 1.0) / (alpha + 1.0)
-        nodes, values = (np.asarray(v) for v in self.table)
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(nodes)))
-        )
-        sc = np.clip(s, nodes[0], nodes[-1])
-        idx = np.clip(np.searchsorted(nodes, sc, side="right") - 1, 0, len(nodes) - 2)
-        ds = sc - nodes[idx]
-        slope = (values[idx + 1] - values[idx]) / (nodes[idx + 1] - nodes[idx])
-        return cum[idx] + values[idx] * ds + 0.5 * slope * ds * ds
-
-    def integral(self, a, b):
-        """Exact ``int_a^b g(s) ds`` (clipped to the support)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise UnboundedRegion("time bounds must be finite")
-        lo = np.maximum(a, self.support_lo)
-        hi = np.maximum(b, self.support_lo)
-        hi = np.maximum(hi, lo)
-        return self._antideriv(hi) - self._antideriv(lo)
-
-    def max_on(self, a, b):
-        """Upper bound for g on each interval [a[i], b[i]]: the larger end
-        value (the closed-form kinds are monotone), or for the tabulated
-        kind also the largest node value inside the interval."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        out = np.maximum(self(a), self(b))
-        if self.kind == "tabulated":
-            nodes, values = (np.asarray(v)[:, None] for v in self.table)
-            inside = (nodes >= a) & (nodes <= b)
-            out = np.maximum(out, np.where(inside, values, -np.inf).max(axis=0))
-        return out
-
-    def scaled(self, factor):
-        """Pointwise scaling ``factor * g`` (same antiderivative machinery)."""
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        if self.kind == "tabulated":
-            nodes, values = (np.asarray(v) for v in self.table)
-            return TimeDensity.tabulated(nodes, factor * values)
-        if self.kind == "constant":
-            return TimeDensity.constant(factor * self.params[0], self.support_lo)
-        if self.kind == "linear":
-            return TimeDensity.linear(factor * self.params[0])
-        if self.kind == "exponential":
-            a, b = self.params
-            return TimeDensity.exponential(factor * a, b)
-        a, alpha = self.params
-        return TimeDensity.power(factor * a, alpha)
-
-    def describe(self):
-        if self.kind == "tabulated":
-            return {"kind": "tabulated", "nodes": self.table[0], "values": self.table[1]}
-        return {"kind": self.kind, "params": self.params, "support_lo": self.support_lo}
+# Constructors of the nonnegative control densities, as TimeFn values
+# supported on s >= 0: ``constant(c)`` (from ``support_lo`` if given),
+# ``linear(a)`` a*s, ``exponential(a, b)`` a*exp(-b*s), ``power(a, alpha)``
+# a*s**alpha, and ``tabulated(nodes, values)``, piecewise linear on
+# [nodes[0], nodes[-1]].
+TimeDensity = SimpleNamespace(
+    constant=lambda c, support_lo=0.0: _density(
+        TimeFn.constant(c), "constant density must be nonnegative", c, lo=support_lo
+    ),
+    linear=lambda a: _density(
+        TimeFn.proportional(a), "linear density slope must be nonnegative", a
+    ),
+    exponential=lambda a, b: _density(
+        TimeFn.exponential(a, b), "exponential density amplitude must be nonnegative", a
+    ),
+    power=lambda a, alpha: _density(
+        TimeFn.power(a, alpha), "power density requires a >= 0 and alpha >= 0", a, alpha
+    ),
+    tabulated=_tabulated_density,
+)
 
 
 @dataclass(frozen=True)
 class ControlMeasure:
     """Control measure ``mu(d-theta ds) = g(s) ds d-theta`` on the cylinder."""
 
-    g: TimeDensity
+    g: TimeFn
 
     @staticmethod
     def lebesgue():
@@ -743,7 +644,7 @@ def integrate(f, region, realization: BasisRealization):
     """
     grid = realization.grid
     t_lo, t_hi = region.time_window()
-    if not grid.covers(max(t_lo, realization.spec.control.g.support_lo), t_hi):
+    if not grid.covers(max(t_lo, realization.spec.control.g.support[0]), t_hi):
         raise RegionOutsideGrid(
             f"region window [{t_lo}, {t_hi}] outside grid "
             f"[{grid.t_min}, {grid.t_max}]"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -223,7 +222,7 @@ def check_problem(statistic, points, lambdas):
     return None
 
 
-def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
+def _sample_fields(query: MomentQuery, n_replicates, seed):
     """Field values at every query point for each replicate, shape (n, P).
 
     Replicate ``r`` draws from the derived stream ``mix(seed, r)``; only
@@ -243,18 +242,12 @@ def _sample_fields(query: MomentQuery, n_replicates, seed, threads=1):
     raw = np.empty((min(block, n_replicates), *shape))
     out = np.empty((n_replicates, len(weights)))
 
-    def run(mapper):
-        for start in range(0, n_replicates, block):
-            reps = range(start, min(start + block, n_replicates))
-            list(mapper(lambda r: sampler.fill(replicate_rng(seed, r), raw[r - start]), reps))
-            for r, row in zip(reps, sampler.finish(raw[: len(reps)])):
-                out[r] = row @ wm
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            run(pool.map)
-    else:
-        run(map)
+    for start in range(0, n_replicates, block):
+        reps = range(start, min(start + block, n_replicates))
+        for r in reps:
+            sampler.fill(replicate_rng(seed, r), raw[r - start])
+        for r, row in zip(reps, sampler.finish(raw[: len(reps)])):
+            out[r] = row @ wm
     return out
 
 
@@ -299,7 +292,7 @@ def _estimate(statistic, x, lambdas):
     return float(np.mean(y1 * y2) / (y1.mean() * y2.mean()))
 
 
-def mc_verify(query: MomentQuery, statistic, n_replicates, seed, *, threads=1):
+def mc_verify(query: MomentQuery, statistic, n_replicates, seed):
     """Monte Carlo estimate vs analytic value, with the model's standard error.
 
     ``statistic`` is a key of :data:`STATISTICS`.  The standard error is the
@@ -316,7 +309,7 @@ def mc_verify(query: MomentQuery, statistic, n_replicates, seed, *, threads=1):
     n = n_replicates
     analytic, variance = _analytic_and_variance(query, statistic, n)
     se = math.sqrt(max(variance, 0.0))
-    est = _estimate(statistic, _sample_fields(query, n, seed, threads), query.lambdas)
+    est = _estimate(statistic, _sample_fields(query, n, seed), query.lambdas)
     z = (est - analytic) / se if se > 0 else 0.0 if est == analytic else math.inf
     return MCReport(
         statistic=statistic,

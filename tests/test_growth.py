@@ -19,7 +19,7 @@ from levygrowth.ambit import (
     induced_weight,
 )
 from levygrowth.cyclic import cyc_dist
-from levygrowth.errors import KumulantDomainError, UnknownId, WrongBasisKind
+from levygrowth.errors import KumulantDomainError, RegionOutsideGrid, UnknownId, WrongBasisKind
 from levygrowth.growth import (
     MODEL_KINDS,
     ConstantWeight,
@@ -72,10 +72,10 @@ def test_gompertz_drift_value_and_integral():
     expected = k0 * math.exp((eta / gam) * (1 - math.exp(-gam * t))) * eta * math.exp(-gam * t)
     assert d(t) == pytest.approx(expected, rel=1e-12)
     closed = k0 * (math.exp((eta / gam) * (1 - math.exp(-gam * t))) - 1.0)
-    assert d.integral(t) == pytest.approx(closed, rel=1e-12)
+    assert d.integral(0.0, t) == pytest.approx(closed, rel=1e-12)
     # numeric cross-check of the closed-form integral
     numeric = adaptive_simpson(lambda u: d(u), 0.0, t, tol=1e-12)
-    assert d.integral(t) == pytest.approx(numeric, rel=1e-9)
+    assert d.integral(0.0, t) == pytest.approx(numeric, rel=1e-9)
 
 
 def test_step_drift_holds_values():
@@ -88,17 +88,13 @@ def test_step_drift_holds_values():
 
 
 def test_step_and_table_drift_integrals_are_exact():
-    assert TimeFn.step((0, 10.3), (1, 3)).integral(20) == pytest.approx(39.4, abs=1e-12)
+    assert TimeFn.step((0, 10.3), (1, 3)).integral(0.0, 20) == pytest.approx(39.4, abs=1e-12)
     ex4_drift = example_preset("ex4").spec.drift
     assert ex4_drift.kind == "table"
-    assert ex4_drift.integral(45) == pytest.approx(820.0, abs=1e-12)
+    assert ex4_drift.integral(0.0, 45) == pytest.approx(820.0, abs=1e-12)
 
 
-@st.composite
-def time_functions(draw):
-    kind = draw(
-        st.sampled_from(["constant", "proportional", "affine", "table", "step", "gompertz"])
-    )
+def _time_function_shape(draw, kind):
     num = st.floats(-10.0, 10.0)
     if kind == "constant":
         return TimeFn.constant(draw(num))
@@ -106,6 +102,10 @@ def time_functions(draw):
         return TimeFn.proportional(draw(num))
     if kind == "affine":
         return TimeFn.affine(draw(num), draw(num))
+    if kind == "exponential":
+        return TimeFn.exponential(draw(num), draw(st.floats(-1.0, 1.0)))
+    if kind == "power":
+        return TimeFn.power(draw(num), draw(st.floats(0.0, 3.0)))
     if kind == "gompertz":
         return TimeFn.gompertz(
             draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 2.0)), draw(st.floats(0.1, 2.0))
@@ -116,17 +116,87 @@ def time_functions(draw):
     return TimeFn.table(ts, vs) if kind == "table" else TimeFn.step(ts, vs)
 
 
+@st.composite
+def time_functions(draw):
+    """Every kind but callables, unbounded or on a support (the form control
+    densities take: zero below a start, or outside a node range)."""
+    kind = draw(
+        st.sampled_from(
+            ["constant", "proportional", "affine", "exponential", "power", "table", "step", "gompertz"]
+        )
+    )
+    fn = _time_function_shape(draw, kind)
+    support = draw(st.sampled_from(["unbounded", "from", "between"]))
+    if support == "unbounded":
+        return fn
+    lo = draw(st.floats(-5.0, 25.0))
+    return fn.on(lo) if support == "from" else fn.on(lo, lo + draw(st.floats(0.1, 8.0)))
+
+
+def _quadrature_reference(fn, a, b):
+    """``int_a^b fn`` by adaptive Simpson over the support, split at 0 and at
+    the nodes so each panel integrates a smooth piece, and the scale of its
+    absolute tolerance."""
+    scale = abs(b - a) * max(1.0, float(np.max(np.abs(fn(np.linspace(a, b, 101))))))
+    lo, hi = max(a, fn.support[0]), min(b, fn.support[1])
+    shape = replace(fn, support=(-math.inf, math.inf))
+    nodes = fn.params[0] if fn.kind in ("table", "step") else ()
+    cuts = [lo] + [x for x in (0.0, *nodes) if lo < x < hi] + [hi]
+    ref = sum(
+        adaptive_simpson(shape, p, q, tol=1e-13 * scale) for p, q in zip(cuts, cuts[1:])
+    )
+    return ref, scale
+
+
 @settings(deadline=None)
 @given(time_functions(), st.floats(0.5, 30.0))
 def test_time_function_integral_matches_quadrature(fn, t):
-    # split at the nodes so each panel integrates a smooth piece
-    nodes = fn.params[0] if fn.kind in ("table", "step") else ()
-    cuts = [0.0] + [x for x in nodes if 0.0 < x < t] + [t]
-    scale = t * max(1.0, float(np.max(np.abs(fn(np.linspace(0.0, t, 101))))))
-    ref = sum(
-        adaptive_simpson(fn, a, b, tol=1e-13 * scale) for a, b in zip(cuts, cuts[1:])
-    )
-    assert fn.integral(t) == pytest.approx(ref, rel=1e-9, abs=1e-9 * scale)
+    ref, scale = _quadrature_reference(fn, 0.0, t)
+    assert fn.integral(0.0, t) == pytest.approx(ref, rel=1e-9, abs=1e-9 * scale)
+
+
+@settings(deadline=None)
+@given(
+    time_functions(),
+    st.lists(
+        st.tuples(st.floats(-5.0, 30.0), st.floats(0.5, 30.0), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_time_function_integral_on_arrays_equals_its_scalar_calls(fn, intervals):
+    # A difference of antiderivatives (the cell measures' arithmetic) is exact
+    # to about 1e-16 of the antiderivative's size, not of the interval's, so
+    # intervals are at least 0.5 long, as in the test above.  A reversed
+    # interval is empty.
+    bounds = [(a + w, a) if reverse else (a, a + w) for a, w, reverse in intervals]
+    a, b = (np.array(x) for x in zip(*bounds))
+    got = fn.integral(a, b)
+    assert got.shape == a.shape
+    for (lo, hi), value in zip(bounds, got):
+        assert value == fn.integral(lo, hi)
+        ref, scale = _quadrature_reference(fn, lo, hi) if lo < hi else (0.0, 0.0)
+        assert value == pytest.approx(ref, rel=1e-9, abs=1e-9 * scale)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        TimeDensity.constant(0.7, support_lo=1.5),
+        TimeDensity.tabulated([1.5, 3.0, 5.0], [0.7, 0.2, 0.9]),
+    ],
+    ids=["constant", "tabulated"],
+)
+def test_the_support_start_of_a_density_reaches_coverage(g):
+    # the window [0.5, 3] of t = 3 starts below the grid, where g is 0
+    grid = GridSpec(TWO_PI / 16, 0.5, 1.5, 4.0)
+    family = Rectangular.of(0.4, TimeFn.constant(2.5))
+    spec = GrowthModelSpec("direct", Drift.zero(), ConstantWeight(1.0), gaussian_basis(g=g), family)
+    history = simulate(spec, grid, 5, [3.0])
+    assert np.all(np.isfinite(history.profiles)) and np.ptp(history.profiles) > 0
+    unsupported = replace(spec, basis=gaussian_basis(g=TimeDensity.constant(0.7)))
+    with pytest.raises(RegionOutsideGrid):
+        simulate(unsupported, grid, 5, [3.0])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -406,7 +476,7 @@ def test_poisson_rate_model_with_cosine_weight_takes_mesh_path(tmp_path):
     hist = simulate(spec, grid, 5, [t])
     real = sample_realization(spec.basis, grid, 5)
     term = _correlate_rows(real.increments, _rate_kernel(spec, grid, t), grid.n_phi)
-    expected = spec.r0_profile(grid.phi_mids) + spec.drift.integral(t) + term
+    expected = spec.r0_profile(grid.phi_mids) + spec.drift.integral(0.0, t) + term
     assert np.any(term != 0.0)
     assert np.max(np.abs(hist.profiles[0] - expected)) <= 1e-12 * max(
         1.0, float(np.max(np.abs(expected)))
@@ -720,7 +790,8 @@ def test_preset_ex3_fields():
     assert isinstance(p.spec.ambit, WedgeOverS)
     assert p.spec.ambit.theta == 0.5
     assert p.spec.ambit.T == 1.0
-    assert p.spec.basis.control.g.kind == "linear"
+    assert p.spec.basis.control.g.kind == "proportional"
+    assert p.spec.basis.control.g.support == (0.0, math.inf)
     assert p.spec.basis.control.g.params[0] == 10.0
     assert p.times == (75.0, 100.0, 125.0)
 

@@ -169,8 +169,8 @@ def test_time_density_integrals():
 def _max_on_one_row(g, a, b):
     """The bound of one row [a, b] as it was computed row by row."""
     cands = [float(np.max(g(np.asarray([a, b]))))]
-    if g.kind == "tabulated":
-        nodes, values = (np.asarray(v) for v in g.table)
+    if g.kind == "table":
+        nodes, values = (np.asarray(v) for v in g.params)
         inside = (nodes >= a) & (nodes <= b)
         if np.any(inside):
             cands.append(float(values[inside].max()))
@@ -186,16 +186,33 @@ def _max_on_one_row(g, a, b):
         TimeDensity.power(1.5, 0.5),
         TimeDensity.tabulated([0.3, 1.1, 1.6, 2.9], [0.5, 4.0, 0.2, 1.0]),
     ],
-    ids=lambda g: g.kind,
+    ids=["constant", "linear", "exponential", "power", "tabulated"],
 )
 def test_max_on_rows_equals_the_row_by_row_bound(g):
     edges = GridSpec(2 * math.pi, 0.25, 0.0, 3.0).t_edges
     got = g.max_on(edges[:-1], edges[1:])
     want = [_max_on_one_row(g, a, b) for a, b in zip(edges[:-1], edges[1:])]
     assert np.array_equal(got, want)
-    if g.kind == "tabulated":
+    if g.kind == "table":
         # node 1.1 lies strictly inside row [1.0, 1.25] and tops both ends
         assert got[4] == 4.0 > max(g(1.0), g(1.25))
+
+
+def test_max_on_counts_a_support_end_inside_the_interval():
+    # both ends of [-0.5, 0.5] miss the top of a decreasing density at s = 0
+    assert TimeDensity.exponential(2.0, 0.7).max_on([-0.5], [0.5])[0] == 2.0
+    # an increasing shape cut off at 2.1 peaks there, not at either end
+    assert TimeFn.proportional(1.0).on(0.0, 2.1).max_on([1.9], [2.3])[0] == 2.1
+    with pytest.raises(ValueError):
+        TimeFn.gompertz(1.0, 0.5, 0.3).max_on([0.0], [1.0])
+
+
+def test_exponential_integral_keeps_its_digits_at_tiny_rates_and_in_the_tail():
+    # int_0^1 exp(-b s) ds = (1 - exp(-b)) / b, about 1 - b/2 for tiny b
+    assert TimeFn.exponential(1.0, 1e-12).integral(0.0, 1.0) == pytest.approx(1.0 - 5e-13, rel=1e-15)
+    assert TimeFn.exponential(3.0, 0.0).integral(0.5, 2.0) == 4.5
+    tail = math.exp(-30.0) * -math.expm1(-0.25)
+    assert TimeFn.exponential(1.0, 1.0).integral(30.0, 30.25) == pytest.approx(tail, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +435,13 @@ def test_row_draw_rejects_rows_off_the_grid_and_point_placement():
         sample_realization(basis, grid, 1, rows=[0, 1]).points()
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, threads):
+@pytest.mark.parametrize("replicates_per_block", [1, 3])
+def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicates_per_block):
     from levygrowth import moments
+    from levygrowth.levy_core import CellSampler
     from levygrowth.rngtools import replicate_rng
 
-    def reference_fields(query, n_replicates, seed, threads=1):
+    def reference_fields(query, n_replicates, seed):
         weights = query.kernels
         mask = np.zeros(weights[0].shape, dtype=bool)
         for w in weights:
@@ -447,13 +465,23 @@ def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, threads)
                 lambdas = (0.2, 0.3) if stat == "mixed_exponential" else None
                 query = moments.MomentQuery(basis, family, 0.2, grid, points, lambdas)
                 cases.append((query, stat))
-    for block in (moments._BLOCK_VALUES, 100):  # one block, and several
-        monkeypatch.setattr(moments, "_BLOCK_VALUES", block)
-        for k, (query, stat) in enumerate(cases):
-            got = moments.mc_verify(query, stat, 37, seed=k, threads=threads)
+
+    def raw_values(query):
+        mask = np.zeros(query.kernels[0].shape, dtype=bool)
+        for w in query.kernels:
+            mask |= w != 0
+        mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
+        sampler = CellSampler(query.basis.spot, mu)
+        return math.prod(sampler.raw_shape(sampler.drawn.size))
+
+    # one block of all 37 replicates, then blocks of 1 or 3 (the last one short)
+    for k, (query, stat) in enumerate(cases):
+        for block in (moments._BLOCK_VALUES, replicates_per_block * raw_values(query)):
+            monkeypatch.setattr(moments, "_BLOCK_VALUES", block)
+            got = moments.mc_verify(query, stat, 37, seed=k)
             with monkeypatch.context() as m:
                 m.setattr(moments, "_sample_fields", reference_fields)
-                want = moments.mc_verify(query, stat, 37, seed=k, threads=threads)
+                want = moments.mc_verify(query, stat, 37, seed=k)
             assert got == want, (query.basis.spot.kind, stat, block)
 
 

@@ -388,14 +388,6 @@ def test_fine_mesh_reduces_discretization_gap():
     assert abs(fine - continuum) < abs(coarse - continuum)
 
 
-def test_mc_threads_deterministic():
-    fam = FullAngle.of(1.0)
-    q = make_query(SpotLaw.gamma_law(1.0, 2.0), TimeDensity.constant(0.3), fam, [(3.0, 0.0)])
-    a = mc_verify(q, "mean", 300, seed=11, threads=1)
-    b = mc_verify(q, "mean", 300, seed=11, threads=4)
-    assert a.estimate == b.estimate
-
-
 def test_cauchy_schwarz_over_random_configurations():
     rng = np.random.default_rng(44)
     for _ in range(20):
