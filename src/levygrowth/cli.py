@@ -185,13 +185,14 @@ def _mc_queries(cfg):
             raise ConfigError("points must be [t, phi] pairs", f"{path}.points") from None
         if statistic is None or not points:
             raise ConfigError("each check needs 'statistic' and 'points'", path)
-        lambdas = tuple(chk["lambdas"]) if chk.get("lambdas") else None
+        lambdas = chk.get("lambdas")
+        if lambdas is not None:
+            lambdas = _finite_array(lambdas, 1, None, f"{path}.lambdas", "a list of numbers")
+            lambdas = tuple(map(float, lambdas)) or None
         problem = check_problem(statistic, points, lambdas)
         if problem is not None:
             raise ConfigError(problem[1], f"{path}.{problem[0]}")
-        n = int(chk.get("n_replicates", 1000))
-        if n < 2:
-            raise ConfigError("needs at least 2 replicates", f"{path}.n_replicates")
+        n = _integer(chk.get("n_replicates", 1000), 2, f"{path}.n_replicates")
         spec = cfg.spec
         q = MomentQuery(spec.basis, spec.ambit, spec.weight, grid, points, lambdas)
         queries.append((q, statistic, n))

@@ -437,8 +437,8 @@ class CellSampler:
 
     ``mu`` has the shape that broadcasts against the increments: (n_rows, 1)
     for grid rows, each row drawing its cells from its own stream
-    (``fill(rng, out, j)`` for row ``j``), or (n_cells,) for cells that one
-    stream draws together, one stream per replicate (``fill(rng, out)``).
+    (``fill(rng, out, j)`` for row ``j``), or (n_cells,) for cells drawn
+    together, replicate after replicate from one stream (``fill(rng, out)``).
     Raw draws of many rows or replicates are stacked along a first axis, and
     :meth:`finish` turns the stack into increments in one step.
 
@@ -473,13 +473,17 @@ class CellSampler:
 
     def fill(self, rng, out, j=None):
         """Raw draws from ``rng`` into ``out``: every cell of measure
-        ``mu[j]``, or every drawn cell of ``mu`` when ``j`` is None."""
+        ``mu[j]``, or every drawn cell of ``mu`` when ``j`` is None.  A stack
+        of such draws along leading axes is filled member after member."""
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
         elif self.kind == "poisson":
             out[...] = rng.poisson(self.lam if j is None else self.lam.flat[j], out.shape)
         elif self.kind == "gamma":
             rng.standard_gamma(self.shape if j is None else self.shape.flat[j], out=out)
+        elif out.ndim > 2:  # a stack of inverse Gaussian draws
+            for one in out:
+                self.fill(rng, one, j)
         else:
             rng.standard_normal(out=out[0])
             rng.random(out=out[1])
@@ -549,25 +553,22 @@ def _place_points(spec, grid, counts, seed):
     """Locate Poisson points inside their cells; rejection against g in time."""
     rng = np.random.default_rng(seed)
     counts = counts.astype(int)
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0)
-        return PointPattern(e, e.copy(), e.astype(int))
-    rows, cols = np.nonzero(counts)
-    reps = counts[rows, cols]
-    row = np.repeat(rows, reps)
-    col = np.repeat(cols, reps)
-    theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
+    # points come in row order, so row-level values repeat into per-point ones
+    row_counts = counts.sum(axis=1)
+    row = np.repeat(np.arange(grid.n_t), row_counts)
+    col = np.repeat(np.nonzero(counts)[1], counts[counts != 0])
+    total = row.size
+    theta = grid.phi_edges[col] + grid.dphi * rng.random(total)
     edges = grid.t_edges
-    t_lo = edges[row]
+    t_lo = np.repeat(edges[:-1], row_counts)
     g = spec.control.g
-    g_max = g.max_on(edges[:-1], edges[1:])
+    g_max = np.repeat(g.max_on(edges[:-1], edges[1:]), row_counts)
     # Every point proposes, then the rejected ones propose again.
-    s = t_lo + grid.dt * rng.uniform(size=total)
-    pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
+    s = t_lo + grid.dt * rng.random(total)
+    pending = np.flatnonzero(rng.random(total) * g_max > g(s))
     while pending.size:
-        prop = t_lo[pending] + grid.dt * rng.uniform(size=pending.size)
-        accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
+        prop = t_lo[pending] + grid.dt * rng.random(pending.size)
+        accept = rng.random(pending.size) * g_max[pending] <= g(prop)
         s[pending[accept]] = prop[accept]
         pending = pending[~accept]
     return PointPattern(theta, s, row)

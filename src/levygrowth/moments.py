@@ -11,9 +11,9 @@ on a refined mesh to quantify the discretization bias, and ``angle_exact``
 gives a constant weight's continuum mean and variance.
 
 :func:`mc_verify` draws replicates on the same mesh, so a z-score tests only
-the sampling.  Its standard errors are the model's own, from the same
-cumulant sums, rather than a resampling estimate (see the README's numerical
-conventions).
+the sampling; they are consecutive draws of one generator of the check's seed.
+Its standard errors are the model's own, from the same cumulant sums, rather
+than a resampling estimate (see the README's numerical conventions).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .levy_core import (
     kumulant_array,
     log_laplace_sum,
 )
-from .rngtools import replicate_rng
 
 _BLOCK_VALUES = 1 << 16  # raw draws mc_verify transforms at once; bounds the temporaries
 
@@ -225,10 +224,10 @@ def check_problem(statistic, points, lambdas):
 def _sample_fields(query: MomentQuery, n_replicates, seed):
     """Field values at every query point for each replicate, shape (n, P).
 
-    Replicate ``r`` draws from the derived stream ``mix(seed, r)``; only
-    cells supporting at least one point's weight are sampled.  The sampler
-    is prepared once: per replicate, its stream's raw draws fill one row of
-    a block of replicates, and each block is transformed in one step.
+    The replicates are consecutive draws of ``default_rng(seed mod 2**64)``;
+    only cells supporting at least one point's weight are sampled.  A block
+    of replicates takes its raw draws in one fill and is transformed in one
+    step; the values do not depend on the block size.
     """
     weights = query.kernels
     mask = np.zeros(weights[0].shape, dtype=bool)
@@ -241,12 +240,13 @@ def _sample_fields(query: MomentQuery, n_replicates, seed):
     block = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
     raw = np.empty((min(block, n_replicates), *shape))
     out = np.empty((n_replicates, len(weights)))
+    rng = np.random.default_rng(int(seed) % 2**64)
 
     for start in range(0, n_replicates, block):
-        reps = range(start, min(start + block, n_replicates))
-        for r in reps:
-            sampler.fill(replicate_rng(seed, r), raw[r - start])
-        for r, row in zip(reps, sampler.finish(raw[: len(reps)])):
+        m = min(block, n_replicates - start)
+        sampler.fill(rng, raw[:m])
+        # one product per replicate: a block-wide matmul's bits depend on m
+        for r, row in enumerate(sampler.finish(raw[:m]), start):
             out[r] = row @ wm
     return out
 

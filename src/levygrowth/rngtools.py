@@ -1,8 +1,9 @@
 """Seed derivation for reproducible, parallelizable Monte Carlo streams.
 
-Replicate ``r`` of a suite seeded with ``seed`` always draws from
-``default_rng(mix_seed(seed, r))``, so replicates can run in any order or
-concurrently and still reproduce bit-for-bit.
+Replicate ``r`` of a simulation suite seeded with ``seed`` is the
+realization drawn from ``mix_seed(seed, r)``, so replicates can run in any
+order or concurrently and still reproduce bit-for-bit.  The replicates of
+``moments.mc_verify``, never read alone, are consecutive draws of one generator.
 
 Cell increments are row-addressed: row ``l`` of the realization drawn from
 ``seed`` draws from ``PCG64(SeedSequence(seed))`` advanced by
@@ -34,11 +35,6 @@ def mix_seed(seed, stream):
     """
     x = (int(seed) & _MASK64) ^ ((int(stream) * _GAMMA) & _MASK64)
     return _splitmix64(_splitmix64(x))
-
-
-def replicate_rng(seed, replicate):
-    """Generator for one Monte Carlo replicate."""
-    return np.random.default_rng(mix_seed(seed, replicate))
 
 
 class RowStreams:

@@ -53,7 +53,7 @@ from levygrowth.levy_core import (
     spot_variance,
 )
 from levygrowth.moments import MomentQuery, cbar, cov_linear, mc_verify
-from levygrowth.rngtools import mix_seed, replicate_rng
+from levygrowth.rngtools import mix_seed
 from levygrowth.timefn import TimeFn
 
 UNIT = TimeDensity.constant(1.0)
@@ -197,7 +197,7 @@ def test_criterion_04_harmonic_covariance():
         m = min(chunk, n - start)
         z = np.empty((m, w_flat.shape[0]))
         for r in range(m):
-            rng = replicate_rng(941, start + r)
+            rng = np.random.default_rng(mix_seed(941, start + r))
             z[r] = rng.standard_normal(w_flat.shape[0]) * math.sqrt(mu_cell)
         xs.append(z @ w_flat)
     x = np.concatenate(xs, axis=0)

@@ -330,6 +330,10 @@ def _mc_check_config(tmp_path, mc):
     return path
 
 
+_MC_MEAN = {"statistic": "mean", "points": [[5.0, 0.0]]}
+_MC_EXP = {"statistic": "mixed_exponential", "points": [[5.0, 0.0]], "lambdas": [0.3]}
+
+
 @pytest.mark.parametrize(
     "mc, dotted",
     [
@@ -351,6 +355,18 @@ def _mc_check_config(tmp_path, mc):
                 ]
             },
             "mc.checks[1].points",
+        ),
+        *(
+            (
+                {"checks": [_MC_MEAN, dict(_MC_MEAN, n_replicates=n)]},
+                "mc.checks[1].n_replicates",
+            )
+            for n in ("abc", [3], 2.7, 1, True)
+        ),
+        ({"statistic": "mean", "points": [[5.0, 0.0]], "n_replicates": "500"}, "mc.n_replicates"),
+        *(
+            ({"checks": [_MC_EXP, dict(_MC_EXP, lambdas=lams)]}, "mc.checks[1].lambdas")
+            for lams in (0.3, ["x"], [[0.3]], [float("nan")], "0.3")
         ),
     ],
 )

@@ -317,6 +317,61 @@ def test_point_rejection_follows_density():
     assert abs(pts.s.mean() - 2.0 / 3.0) < 3 * se
 
 
+def _reference_place_points(spec, grid, counts, seed):
+    """Point placement gathering every per-point value through the point's
+    row; also returns the number of rejection rounds."""
+    rng = np.random.default_rng(seed)
+    counts = counts.astype(int)
+    rows, cols = np.nonzero(counts)
+    reps = counts[rows, cols]
+    row = np.repeat(rows, reps)
+    col = np.repeat(cols, reps)
+    total = row.size
+    theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
+    edges = grid.t_edges
+    t_lo = edges[row]
+    g = spec.control.g
+    g_max = g.max_on(edges[:-1], edges[1:])
+    s = t_lo + grid.dt * rng.uniform(size=total)
+    pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
+    rounds = 0
+    while pending.size:
+        rounds += 1
+        prop = t_lo[pending] + grid.dt * rng.uniform(size=pending.size)
+        accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
+        s[pending[accept]] = prop[accept]
+        pending = pending[~accept]
+    return (theta, s, row), rounds
+
+
+@pytest.mark.parametrize(
+    "g, rejects",
+    [
+        (TimeDensity.constant(20.0, support_lo=1.5), False),
+        (TimeDensity.tabulated([1.5, 3.0, 5.0], [30.0, 8.0, 40.0]), True),
+        (TimeDensity.linear(12.0), True),
+    ],
+    ids=["zero-measure-rows", "tabulated", "linear"],
+)
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed):
+    from levygrowth.levy_core import _POINTS_STREAM, _place_points
+
+    grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 5.0)
+    real = sample_realization(unit_basis(SpotLaw.poisson(), g), grid, seed)
+    got = real.points()
+    want, rounds = _reference_place_points(
+        real.spec, grid, real.increments, mix_seed(seed, _POINTS_STREAM)
+    )
+    assert got.theta.size > 100 and (rounds > 0) == rejects
+    for a, b in zip((got.theta, got.s, got.row), want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    none = _place_points(real.spec, grid, np.zeros_like(real.increments), seed)
+    want, _ = _reference_place_points(real.spec, grid, np.zeros_like(real.increments), seed)
+    for a, b in zip((none.theta, none.s, none.row), want):
+        assert a.dtype == b.dtype and a.size == b.size == 0
+
+
 def test_disjoint_increments_uncorrelated():
     n = 3000
     a = np.empty(n)
@@ -435,11 +490,21 @@ def test_row_draw_rejects_rows_off_the_grid_and_point_placement():
         sample_realization(basis, grid, 1, rows=[0, 1]).points()
 
 
+def _mc_query(spot, g, stat):
+    """A Monte Carlo check's query over cells of both densities' rows."""
+    from levygrowth import moments
+
+    grid = GridSpec(2 * math.pi / 40, 0.25, 0.0, 4.0)
+    family = Rectangular.of(0.4, TimeFn.constant(1.0))
+    points = ((2.2, 0.1),) if stat in ("mean", "var") else ((2.2, 0.1), (2.5, 0.3))
+    lambdas = (0.2, 0.3) if stat == "mixed_exponential" else None
+    return moments.MomentQuery(unit_basis(spot, g), family, 0.2, grid, points, lambdas)
+
+
 @pytest.mark.parametrize("replicates_per_block", [1, 3])
 def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicates_per_block):
     from levygrowth import moments
     from levygrowth.levy_core import CellSampler
-    from levygrowth.rngtools import replicate_rng
 
     def reference_fields(query, n_replicates, seed):
         weights = query.kernels
@@ -448,23 +513,19 @@ def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicat
             mask |= w != 0
         mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
         wm = np.stack([w[mask] for w in weights], axis=1)
+        rng = np.random.default_rng(seed)  # replicates are consecutive draws
         rows = []
         for r in range(n_replicates):
-            draws = _reference_increments(query.basis.spot, mu, replicate_rng(seed, r))
+            draws = _reference_increments(query.basis.spot, mu, rng)
             rows.append(draws @ wm)
         return np.asarray(rows)
 
-    grid = GridSpec(2 * math.pi / 40, 0.25, 0.0, 4.0)
-    family = Rectangular.of(0.4, TimeFn.constant(1.0))
-    cases = []
-    for spot in SAMPLER_SPOTS:
-        for g in SAMPLER_DENSITIES:
-            basis = unit_basis(spot, g)
-            for stat in moments.STATISTICS:
-                points = ((2.2, 0.1),) if stat in ("mean", "var") else ((2.2, 0.1), (2.5, 0.3))
-                lambdas = (0.2, 0.3) if stat == "mixed_exponential" else None
-                query = moments.MomentQuery(basis, family, 0.2, grid, points, lambdas)
-                cases.append((query, stat))
+    cases = [
+        (_mc_query(spot, g, stat), stat)
+        for spot in SAMPLER_SPOTS
+        for g in SAMPLER_DENSITIES
+        for stat in moments.STATISTICS
+    ]
 
     def raw_values(query):
         mask = np.zeros(query.kernels[0].shape, dtype=bool)
@@ -483,6 +544,39 @@ def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicat
                 m.setattr(moments, "_sample_fields", reference_fields)
                 want = moments.mc_verify(query, stat, 37, seed=k)
             assert got == want, (query.basis.spot.kind, stat, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spot=st.sampled_from(SAMPLER_SPOTS),
+    g=st.sampled_from(SAMPLER_DENSITIES),
+    stat=st.sampled_from(["mean", "cov"]),
+    n=st.integers(1, 12),
+    k=st.integers(1, 12),
+    block_values=st.sampled_from([1, 60, 1 << 16]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_mc_replicates_are_consecutive_draws_of_one_generator(
+    spot, g, stat, n, k, block_values, seed
+):
+    from levygrowth import moments
+
+    query = _mc_query(spot, g, stat)
+    more = moments._sample_fields(query, n + k, seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moments, "_BLOCK_VALUES", block_values)
+        fewer = moments._sample_fields(query, n, seed)
+    assert np.array_equal(fewer, more[:n])
+
+
+@pytest.mark.parametrize("g", SAMPLER_DENSITIES)
+@pytest.mark.parametrize("spot", SAMPLER_SPOTS, ids=lambda s: s.kind)
+def test_mc_seeds_are_taken_mod_2_64(spot, g):
+    from levygrowth import moments
+
+    query = _mc_query(spot, g, "cov")
+    negative = moments._sample_fields(query, 5, -3)
+    assert np.array_equal(negative, moments._sample_fields(query, 5, 2**64 - 3))
 
 
 def test_mix_seed_distinct_streams():
