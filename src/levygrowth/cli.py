@@ -121,10 +121,17 @@ def _integer(value, low, path):
     return value
 
 
+def _has_bool(value):
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
+
+
 def _finite_array(value, ndim, width, path, expected):
-    """``value`` as a finite float array of ``ndim`` axes, the last ``width`` long."""
+    """``value`` as a finite float array of ``ndim`` axes, the last ``width``
+    long; a boolean at any depth is not a number."""
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(np.nan if _has_bool(value) else value, dtype=float)
     except (TypeError, ValueError):
         arr = np.array(np.nan)
     if arr.ndim != ndim or width not in (None, arr.shape[-1]) or not np.isfinite(arr).all():

@@ -127,38 +127,41 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
     with that Gram matrix.  Raises :class:`SingularCovariance` when a Gram
     matrix has no Cholesky factor (e.g. duplicated observation times).
     """
-    import scipy.linalg  # imported here: scipy costs start-up time
-
     times = np.asarray(times, dtype=float)
     cos_coef = _as_reps(cos_coef)
     sin_coef = _as_reps(sin_coef)
-    n_times = times.size
-    k_max = cos_coef.shape[2] - 1
-    if orders is None:
-        orders = range(1, k_max + 1)
-    upper = np.triu(np.ones((n_times, n_times), dtype=bool))
-    total = 0.0
+    n_reps, n_times, k_max = cos_coef.shape[0], times.size, cos_coef.shape[2] - 1
+    orders = list(range(1, k_max + 1) if orders is None else orders)
     for k in orders:
         if k < 1 or k > k_max:
             raise ValueError(f"order {k} outside the available range 1..{k_max}")
-        full = np.broadcast_to(tau(k, times[:, None], times[None, :]), upper.shape)
-        gram = np.where(upper, full, full.T)  # mirrors tau(k, t_i, t_j), i <= j
-        try:
-            chol = scipy.linalg.cho_factor(gram, lower=True)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularCovariance(
-                f"coefficient Gram matrix at order {k} is not positive definite"
-            ) from exc
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        for series in (cos_coef, sin_coef):
-            x = series[:, :, k]  # (n_reps, n_times)
-            solved = scipy.linalg.cho_solve(chol, x.T)
-            quad = float(np.sum(x.T * solved))
-            n_reps = x.shape[0]
-            total += -0.5 * (
-                quad + n_reps * (logdet + n_times * math.log(2.0 * math.pi))
-            )
-    return total
+    if not orders:
+        return 0.0
+    shape, col = (n_times, n_times), times[:, None]
+    full = np.stack([np.broadcast_to(tau(k, col, col.T), shape) for k in orders])
+    upper = np.triu(np.ones(shape, dtype=bool))
+    gram = np.where(upper, full, full.swapaxes(1, 2))  # mirrors tau(k, t_i, t_j), i <= j
+    chol = _cholesky(gram)
+    if chol is None:
+        bad = next(k for k, g in zip(orders, gram) if _cholesky(g) is None)
+        raise SingularCovariance(
+            f"coefficient Gram matrix at order {bad} is not positive definite"
+        )
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
+    # each order's cosine and sine series are the columns of its right-hand side
+    x = np.concatenate([cos_coef[:, :, orders], sin_coef[:, :, orders]]).transpose(2, 1, 0)
+    quad = float(np.sum(np.linalg.solve(chol, x) ** 2))
+    return -0.5 * (quad + 2 * n_reps * (logdet + len(orders) * n_times * math.log(2.0 * math.pi)))
+
+
+def _cholesky(gram):
+    """Lower Cholesky factors of a finite (stack of) Gram matrices, else None."""
+    if not np.isfinite(gram).all():
+        return None
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _as_reps(arr):

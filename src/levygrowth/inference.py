@@ -6,7 +6,8 @@ model's analytic values, equally weighted after normalizing by the
 empirical variance.  Optimization is a bounded derivative-free local
 search (Nelder-Mead) restarted from a few quasi-random interior points;
 the best run wins and the reported trace is the best objective seen so
-far, which is non-increasing by construction.
+far, which is non-increasing by construction.  The Nelder-Mead is SciPy's
+bounded algorithm carried over step for step, so fitting needs numpy only.
 """
 
 from __future__ import annotations
@@ -287,6 +288,63 @@ def _check_bounds(bounds):
     return names, lo, hi
 
 
+def _sorted(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(f, x0, lo, hi, max_iter, xatol):
+    """Nelder-Mead on the box [lo, hi] with every trial point clipped into it,
+    until the simplex spans at most ``xatol`` and its values at most 1e-12;
+    returns ``(x, f, converged)``.
+
+    This is SciPy 1.17's ``_minimize_neldermead`` with bounds, no evaluation
+    cap and the standard coefficients (reflection 1, expansion 2,
+    contraction and shrink 1/2), carried over step for step so that its
+    arithmetic, comparisons and sort order give the same iterates.  With
+    ties, argsort can reorder a sorted array (a NaN among 17+ values), so
+    the initial simplex is sorted twice, as there.
+    """
+    n = x0.size
+    sim = np.repeat(np.clip(x0, lo, hi)[None, :], n + 1, axis=0)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[k + 1, k] if sim[k + 1, k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)  # reflect, then clip
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    iterations = 1
+    while iterations < max_iter:
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12:
+            break
+        xbar = sim[:-1].sum(0) / n
+        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:  # inside contraction
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _sorted(sim, fsim)
+    return sim[0], np.min(fsim), iterations < max_iter
+
+
 def minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xatol=1e-6):
     """Multi-start bounded Nelder-Mead; returns the best run.
 
@@ -294,11 +352,9 @@ def minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xat
     from the derived stream ``mix(seed, start_index)``.  The trace records
     the best objective after each evaluation.
     """
-    import scipy.optimize  # imported here: scipy costs start-up time
-
     names, lo, hi = _check_bounds(bounds)
     trace = []
-    best = {"x": None, "f": math.inf, "converged": False, "nfev": 0}
+    best = {"x": None, "f": math.inf, "converged": False}
 
     def wrapped(x):
         val = float(objective(dict(zip(names, x))))
@@ -311,16 +367,9 @@ def minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xat
         else:
             rng = np.random.default_rng(mix_seed(seed, start))
             x0 = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=lo.size)
-        res = scipy.optimize.minimize(
-            wrapped,
-            x0,
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": max_iter, "xatol": xatol, "fatol": 1e-12},
-        )
-        best["nfev"] += res.nfev
-        if res.fun < best["f"]:
-            best.update(x=res.x, f=float(res.fun), converged=bool(res.success))
+        x, fun, converged = _nelder_mead(wrapped, x0, lo, hi, max_iter, xatol)
+        if fun < best["f"]:
+            best.update(x=x, f=float(fun), converged=converged)
     if best["x"] is None or (not best["converged"] and best["f"] == math.inf):
         raise NonConvergence("no optimizer start produced a finite objective")
     return FitResult(
@@ -328,7 +377,7 @@ def minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xat
         objective=best["f"],
         trace=trace,
         converged=best["converged"],
-        n_evaluations=best["nfev"],
+        n_evaluations=len(trace),
     )
 
 

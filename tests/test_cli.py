@@ -65,6 +65,54 @@ def test_cli_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_no_subcommand_loads_scipy(tmp_path):
+    # every subcommand, both fit kinds included, runs on numpy alone
+    full_angle = json.loads(_cov_config(tmp_path).read_text())
+    full_angle["fit"] = {
+        "kind": "fourier_scale",
+        "data": str(tmp_path / "sim_full" / "history.csv"),
+        "bounds": {"scale": [0.1, 4.0]},
+    }
+    (tmp_path / "full.json").write_text(json.dumps(full_angle))
+    rect = {
+        "preset": "ex4",
+        "fit": {
+            "kind": "rect_gaussian",
+            "data": str(tmp_path / "sim_rect" / "history.csv"),
+            "bounds": {"sigma2": [0.2, 3.0], "theta": [0.1, 1.5]},
+        },
+    }
+    (tmp_path / "rect.json").write_text(json.dumps(rect))
+    theta = 'model.ambit.theta={"kind": "constant", "value": 0.6283185307179586}'
+    argvs = [
+        ["simulate", "--preset", "ex4", "--replicates", "30", "--set", "grid.dphi_divisor=50",
+         "--set", theta, "--out-dir", str(tmp_path / "sim_rect")],
+        ["fit", "--config", str(tmp_path / "rect.json"), "--out-dir", str(tmp_path / "fit_rect")],
+        ["simulate", "--config", str(tmp_path / "full.json"), "--replicates", "8",
+         "--out-dir", str(tmp_path / "sim_full")],
+        ["fit", "--config", str(tmp_path / "full.json"), "--out-dir", str(tmp_path / "fit_full")],
+        ["moments", "--preset", "ex4", "--out-dir", str(tmp_path / "moments")],
+        ["cov", "--config", str(tmp_path / "full.json"), "--out-dir", str(tmp_path / "cov")],
+        ["mc-verify", "--config", str(_mc_config(tmp_path)), "--out-dir", str(tmp_path / "mc")],
+    ]
+    src = os.path.dirname(os.path.dirname(levygrowth.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "import levygrowth.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_library_logging_is_silent_by_default():
     # a fresh interpreter, where no handler but the package's is installed
     src = os.path.dirname(os.path.dirname(levygrowth.__file__))
@@ -366,7 +414,7 @@ _MC_EXP = {"statistic": "mixed_exponential", "points": [[5.0, 0.0]], "lambdas": 
         ({"statistic": "mean", "points": [[5.0, 0.0]], "n_replicates": "500"}, "mc.n_replicates"),
         *(
             ({"checks": [_MC_EXP, dict(_MC_EXP, lambdas=lams)]}, "mc.checks[1].lambdas")
-            for lams in (0.3, ["x"], [[0.3]], [float("nan")], "0.3")
+            for lams in (0.3, ["x"], [[0.3]], [float("nan")], "0.3", [True])
         ),
     ],
 )
@@ -458,6 +506,12 @@ _SCALE_FIT = {"kind": "fourier_scale", "data": "missing.csv", "bounds": {"scale"
         ("fit", dict(_SCALE_FIT, orders=["a"]), "fit.orders"),
         ("fit", dict(_SCALE_FIT, orders=[0, 1]), "fit.orders"),
         ("fit", dict(_SCALE_FIT, orders=2), "fit.orders"),
+        # JSON booleans are not numbers, at any depth
+        ("cov", {"time_pairs": [[8, True]]}, "cov.time_pairs"),
+        ("cov", {"dphis": [True, False]}, "cov.dphis"),
+        ("cov", {"dphis": [0.0, True]}, "cov.dphis"),
+        ("fit", dict(_RECT_FIT, bounds={"sigma2": [True, 3.0], "theta": [0.1, 1.5]}), "fit.bounds.sigma2"),
+        ("fit", dict(_SCALE_FIT, bounds={"scale": [0.1, True]}), "fit.bounds.scale"),
     ],
 )
 def test_malformed_cov_and_fit_blocks_exit_2_before_any_work(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levygrowth.ambit import FullAngle, Rectangular
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
@@ -217,6 +219,81 @@ def test_loglik_duplicated_time_singular():
     sin = np.zeros((2, 2))
     with pytest.raises(SingularCovariance):
         gaussian_loglik([5.0, 5.0], cos, sin, tau, orders=[1])
+
+
+def _per_order_loglik(times, cos, sin, tau, orders):
+    """The likelihood one order at a time through scipy's Cholesky routines."""
+    import scipy.linalg
+
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    total = 0.0
+    for k in orders:
+        full = np.broadcast_to(tau(k, times[:, None], times[None, :]), (n, n))
+        chol = scipy.linalg.cho_factor(np.where(upper, full, full.T), lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
+        for series in (cos, sin):
+            x = series.reshape(-1, n, series.shape[-1])[:, :, k]
+            quad = np.sum(x.T * scipy.linalg.cho_solve(chol, x.T))
+            total += -0.5 * (quad + x.shape[0] * (logdet + n * math.log(2.0 * math.pi)))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_times=st.integers(1, 5),
+    n_reps=st.sampled_from([None, 1, 3]),
+    orders=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_loglik_equals_the_per_order_reference(n_times, n_reps, orders, seed):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(1.0, 10.0, n_times))
+    grams = {}
+    for k in set(orders):
+        a = rng.normal(size=(n_times, n_times))
+        grams[k] = a @ a.T + n_times * np.eye(n_times)
+
+    def tau(k, t1, t2):
+        i, j = np.searchsorted(times, t1), np.searchsorted(times, t2)
+        return grams[k][i, j]
+
+    shape = (n_times, 5) if n_reps is None else (n_reps, n_times, 5)
+    cos, sin = rng.normal(size=(2, *shape))
+    ll = gaussian_loglik(times, cos, sin, tau, orders=orders)
+    assert ll == pytest.approx(_per_order_loglik(times, cos, sin, tau, orders), rel=1e-12)
+
+
+def test_loglik_names_the_order_whose_gram_is_singular():
+    w = FourierWeight.constant_coeffs([0.0, 0.4, 0.3, 0.2])
+    times = np.array([4.0, 5.0, 6.5])
+
+    def tau(k, t1, t2):
+        if k == 3:  # order 3 sees times 5.0 and 6.5 as one time
+            t1, t2 = np.minimum(t1, 5.0), np.minimum(t2, 5.0)
+        return harmonic_cov(w, UNIT, 2.0, t1, t2, k)
+
+    cos, sin = np.random.default_rng(2).normal(size=(2, 3, 4))
+    with pytest.raises(SingularCovariance, match="at order 3 "):
+        gaussian_loglik(times, cos, sin, tau, orders=[1, 2, 3])
+    with pytest.raises(SingularCovariance, match="at order 3 "):
+        gaussian_loglik(times, cos, sin, tau, orders=[3, 1])
+    assert np.isfinite(gaussian_loglik(times, cos, sin, tau, orders=[1, 2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_loglik_rejects_a_non_finite_upper_triangle(bad):
+    w = FourierWeight.constant_coeffs([0.0, 0.4, 0.3])
+    times = np.array([4.0, 5.0, 6.5])
+
+    def tau(k, t1, t2):
+        cov = harmonic_cov(w, UNIT, 2.0, t1, t2, k)
+        return np.where((k == 2) & (t1 == 4.0) & (t2 == 6.5), bad, cov)
+
+    cos, sin = np.random.default_rng(3).normal(size=(2, 3, 3))
+    with pytest.raises(SingularCovariance, match="at order 2 "):
+        gaussian_loglik(times, cos, sin, tau, orders=[1, 2])
 
 
 def test_series_for_history_shapes():

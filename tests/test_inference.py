@@ -1,8 +1,10 @@
 """Empirical moments, ingestion, and fitting round trips."""
 
 import csv
+import inspect
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levygrowth import inference
 from levygrowth.ambit import Rectangular, intersection_measure
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
 from levygrowth.cyclic import wrap
@@ -46,6 +49,7 @@ from levygrowth.levy_core import (
     SpotLaw,
     TimeDensity,
 )
+from levygrowth.rngtools import mix_seed
 from levygrowth.timefn import TimeFn
 
 TWO_PI = 2 * math.pi
@@ -622,6 +626,182 @@ def test_minimize_bounded_trace_monotone():
     res = minimize_bounded(f, {"x": (-2.0, 2.0), "y": (-3.0, 3.0)}, seed=2, n_starts=2)
     assert res.params["x"] == pytest.approx(0.3, abs=1e-3)
     assert all(b <= a + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
+
+
+def _scipy_minimize_bounded(objective, bounds, *, seed=0, n_starts=3, max_iter=400, xatol=1e-6):
+    """The multi-start search on scipy's bounded Nelder-Mead, as the package
+    ran it before carrying the algorithm over (scipy is imported here only)."""
+    import scipy.optimize
+
+    names = list(bounds)
+    lo = np.array([bounds[n][0] for n in names], dtype=float)
+    hi = np.array([bounds[n][1] for n in names], dtype=float)
+    trace = []
+    best = {"x": None, "f": math.inf, "converged": False, "nfev": 0}
+
+    def wrapped(x):
+        val = float(objective(dict(zip(names, x))))
+        trace.append(min(val, trace[-1]) if trace else val)
+        return val
+
+    for start in range(n_starts):
+        if start == 0:
+            x0 = 0.5 * (lo + hi)
+        else:
+            rng = np.random.default_rng(mix_seed(seed, start))
+            x0 = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=lo.size)
+        res = scipy.optimize.minimize(
+            wrapped,
+            x0,
+            method="Nelder-Mead",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": max_iter, "xatol": xatol, "fatol": 1e-12},
+        )
+        best["nfev"] += res.nfev
+        if res.fun < best["f"]:
+            best.update(x=res.x, f=float(res.fun), converged=bool(res.success))
+    if best["x"] is None or (not best["converged"] and best["f"] == math.inf):
+        raise NonConvergence("no optimizer start produced a finite objective")
+    params = dict(zip(names, map(float, best["x"])))
+    return params, best["f"], trace, best["converged"], best["nfev"]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _search_outcomes(objective, bounds, **kwargs):
+    """(package, reference) outcomes with every float as its bit pattern; a
+    NonConvergence is an outcome too."""
+    outcomes = []
+    for run in (minimize_bounded, _scipy_minimize_bounded):
+        try:
+            with np.errstate(invalid="ignore"):
+                res = run(objective, bounds, **kwargs)
+        except NonConvergence:
+            outcomes.append("NonConvergence")
+            continue
+        if isinstance(res, tuple):
+            params, f, trace, converged, nfev = res
+        else:
+            params, f, trace = res.params, res.objective, res.trace
+            converged, nfev = res.converged, res.n_evaluations
+        outcomes.append((list(params), _bits(list(params.values())), _bits(f), _bits(trace), converged, nfev))
+    return outcomes
+
+
+@st.composite
+def _boxes(draw, n):
+    """Boxes whose center has a zero coordinate, whose starts sit close
+    enough to a positive upper bound for the simplex to step past it, or
+    anything in between."""
+    kind = draw(st.sampled_from(["symmetric", "narrow", "any"]))
+    box = []
+    for _ in range(n):
+        if kind == "symmetric":
+            w = draw(st.floats(0.1, 5.0))
+            box.append((-w, w))
+        elif kind == "narrow":
+            a = draw(st.floats(0.1, 10.0))
+            box.append((a, a * (1.0 + draw(st.floats(0.001, 0.1)))))
+        else:
+            lo = draw(st.floats(-5.0, 5.0))
+            box.append((lo, lo + draw(st.floats(0.1, 10.0))))
+    return box
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_minimize_bounded_equals_scipy_nelder_mead_bitwise(data, n):
+    box = data.draw(_boxes(n))
+    names = ["p", "q", "r"][:n]
+    bounds = dict(zip(names, box))
+    lo, hi = np.array(box).T
+    center = lo + (hi - lo) * np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n)))
+    scale = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+    inf_above = data.draw(st.one_of(st.none(), st.floats(0.2, 1.0)))
+    nan_below = data.draw(st.one_of(st.none(), st.floats(0.0, 0.5)))
+
+    def objective(params):
+        x = np.array([params[k] for k in names])
+        u = (x - lo) / (hi - lo)
+        if inf_above is not None and u[0] > inf_above:
+            return math.inf
+        if nan_below is not None and u[-1] < nan_below:
+            return math.nan
+        return float(np.sum(scale * (x - center) ** 2) + np.prod(np.sin(3.0 * x)))
+
+    kwargs = dict(
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+        n_starts=data.draw(st.integers(1, 3)),
+        max_iter=data.draw(st.one_of(st.integers(1, 40), st.just(400), st.just(1000))),
+    )
+    ours, reference = _search_outcomes(objective, bounds, **kwargs)
+    assert ours == reference
+
+
+def _lines_run(fn, *args, **kwargs):
+    """The stripped source lines of ``inference._nelder_mead`` that ``fn`` runs."""
+    code = inference._nelder_mead.__code__
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return tracer
+
+    seen = set()
+    sys.settrace(tracer)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(None)
+    src, first = inspect.getsourcelines(inference._nelder_mead)
+    return {src[line - first].strip() for line in seen}
+
+
+def test_minimize_bounded_equals_scipy_on_every_branch():
+    # Rosenbrock's valley with an infinite wall at x > 1.5: the search
+    # expands, contracts on both sides and shrinks off the wall
+    def rosenbrock(params):
+        x, y = params["x"], params["y"]
+        return math.inf if x > 1.5 else (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+
+    bounds = {"x": (-2.0, 2.0), "y": (-1.0, 3.0)}
+    with np.errstate(invalid="ignore"):
+        lines = _lines_run(minimize_bounded, rosenbrock, bounds, seed=4)
+    for step in (
+        "xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)",
+        "xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)",
+        "xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)",
+        "sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)",
+    ):
+        assert step in lines, step
+    for max_iter in (20, 400):
+        ours, reference = _search_outcomes(rosenbrock, bounds, seed=4, max_iter=max_iter)
+        assert ours == reference
+        assert ours[4] is (max_iter == 400)
+
+
+def test_minimize_bounded_equals_scipy_on_nan_vertices_and_ties():
+    # a start whose simplex keeps a NaN vertex reports NaN and is never chosen
+    def nan_wall(params):
+        return params["x"] ** 2 if params["x"] < 0.51 else math.nan
+
+    for n_starts in (1, 2):
+        ours, reference = _search_outcomes(nan_wall, {"x": (0.0, 1.0)}, n_starts=n_starts, max_iter=1)
+        assert ours == reference
+    assert ours == "NonConvergence" if n_starts == 1 else ours[4] is False
+
+    # 16 tied vertices and a NaN: numpy's argsort of more than 16 values with
+    # a NaN does not keep ties in order, so the sorts must be scipy's
+    def steps(params):
+        return math.nan if params["x0"] > 0.51 else float(np.floor(4.0 * sum(params.values())))
+
+    bounds = {f"x{i}": (0.0, 1.0) for i in range(16)}
+    ours, reference = _search_outcomes(steps, bounds, seed=1, n_starts=1, max_iter=30)
+    assert ours == reference
 
 
 # ---------------------------------------------------------------------------
