@@ -297,8 +297,11 @@ def intersection_measure(
     Uses closed forms for full-angle windows and for equal-time
     self-intersections of boundary-profile sets; the generic path integrates
     the exact arc-overlap length over the shared time window with adaptive
-    Simpson to absolute tolerance ``tol_factor * mu(A_t1)``.
+    Simpson to absolute tolerance ``tol_factor * mu(A_t1)``, and
+    ``method='quadrature'`` takes it in every case.
     """
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown intersection-measure method {method!r}")
     g = control.g
     lo1, hi1 = family.window(t1)
     lo2, hi2 = family.window(t2)
@@ -446,8 +449,8 @@ def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi):
 def window_length_in_union(family: AmbitFamily, s, t):
     """Length of {apex u in [0, t] whose window covers slice s}.
 
-    Requires the window start ``u - T(u)`` to be non-decreasing; families
-    violating this are handled by bisection after a warning.
+    Requires the window start ``u - T(u)`` to be non-decreasing.  Nothing
+    here checks it: the caller checks with :func:`check_monotone_window_start`.
     """
     s = np.asarray(s, dtype=float)
     upper = _union_upper(family, s, t)

@@ -16,14 +16,15 @@ predictor: the radius (with ``r0``) for ``rate_linear``, ``log(R / r0)`` for
 ``direct_scaled``.  ``mc-verify`` checks the instantaneous ambit integral of
 a :class:`~levygrowth.moments.MomentQuery`, whatever the model kind is, with
 the model's own standard errors (:func:`~levygrowth.moments.mc_verify`).
-Its checks are validated before any sampling: an unknown statistic, the
-wrong number of points or missing exponents exit 2, and a point whose ambit
-window the grid does not hold exits 3.
 
 Every command takes a JSON configuration (``--config``) and/or a built-in
 preset (``--preset``), overridable field by field with repeated
-``--set dotted.path=value`` flags.  Outputs carry a provenance header with
-the configuration hash and seed.
+``--set dotted.path=value`` flags.  :func:`levygrowth.config.parse_config`
+checks the whole document before any work, so a malformed block exits 2
+whatever the command.  A command checks only what needs the built model:
+the weight or ambit that ``cov`` and ``fit`` need (exit 2) and mc-verify
+points the grid does not hold (exit 3).  Outputs carry a provenance header
+with the configuration hash and seed.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .inference import (
     rect_direct_cov_model,
 )
 from .levy_core import config_hash
-from .moments import MomentQuery, check_problem, mc_verify
+from .moments import MomentQuery, mc_verify
 from .rngtools import mix_seed
 
 EXIT_OK = 0
@@ -115,40 +116,16 @@ def _cov_ingredients(cfg):
     return spec.weight, spec.basis.variance_density(), spec.ambit.T
 
 
-def _integer(value, low, path):
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"expected an integer >= {low}", path)
-    return value
-
-
-def _has_bool(value):
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_bool, value))
-    return isinstance(value, bool)
-
-
-def _finite_array(value, ndim, width, path, expected):
-    """``value`` as a finite float array of ``ndim`` axes, the last ``width``
-    long; a boolean at any depth is not a number."""
-    try:
-        arr = np.array(np.nan if _has_bool(value) else value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array(np.nan)
-    if arr.ndim != ndim or width not in (None, arr.shape[-1]) or not np.isfinite(arr).all():
-        raise ConfigError(f"expected {expected}", path)
-    return arr
-
-
 def cmd_cov(args):
     cfg = _load(args)
     block = cfg.cov or {}
     weight, g_var, T = _cov_ingredients(cfg)
-    k_max = _integer(block.get("k_max", weight.k_max), 0, "cov.k_max")
-    pairs = block.get("time_pairs") or [[t, t] for t in cfg.times]
-    pairs = _finite_array(pairs, 2, 2, "cov.time_pairs", "a list of [t1, t2] pairs")
-    dphis = block.get("dphis") or list(np.linspace(0.0, math.pi, 9))
-    dphis = _finite_array(dphis, 1, None, "cov.dphis", "a list of angle lags")
-    rows = CircleCovModel.from_weight(weight, g_var, T, k_max).table(pairs, dphis)
+    pairs = block.get("time_pairs", [(t, t) for t in cfg.times])
+    if not pairs:
+        raise ConfigError("cov needs time_pairs or times", "cov.time_pairs")
+    dphis = block.get("dphis", np.linspace(0.0, math.pi, 9))
+    model = CircleCovModel.from_weight(weight, g_var, T, block.get("k_max", weight.k_max))
+    rows = model.table(pairs, dphis)
     path = os.path.join(cfg.out_dir, "cov.csv")
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
@@ -172,38 +149,15 @@ def cmd_moments(args):
 
 
 def _mc_queries(cfg):
-    """The mc-verify checks as (query, statistic, n_replicates), all validated
-    before any sampling; a bad check is a ConfigError at its dotted path."""
-    if cfg.mc is None:
-        raise ConfigError("mc-verify needs an 'mc' block", "mc")
-    listed = cfg.mc.get("checks")
-    blocks = [("mc", cfg.mc)]
-    if listed:
-        blocks = [(f"mc.checks[{i}]", chk) for i, chk in enumerate(listed)]
-    grid = _effective_grid(cfg)
-    queries = []
-    for path, chk in blocks:
-        if not isinstance(chk, dict):
-            raise ConfigError("expected a mapping", path)
-        statistic = chk.get("statistic")
-        try:
-            points = tuple((float(t), float(p)) for t, p in chk.get("points", []))
-        except (TypeError, ValueError):
-            raise ConfigError("points must be [t, phi] pairs", f"{path}.points") from None
-        if statistic is None or not points:
-            raise ConfigError("each check needs 'statistic' and 'points'", path)
-        lambdas = chk.get("lambdas")
-        if lambdas is not None:
-            lambdas = _finite_array(lambdas, 1, None, f"{path}.lambdas", "a list of numbers")
-            lambdas = tuple(map(float, lambdas)) or None
-        problem = check_problem(statistic, points, lambdas)
-        if problem is not None:
-            raise ConfigError(problem[1], f"{path}.{problem[0]}")
-        n = _integer(chk.get("n_replicates", 1000), 2, f"{path}.n_replicates")
-        spec = cfg.spec
-        q = MomentQuery(spec.basis, spec.ambit, spec.weight, grid, points, lambdas)
-        queries.append((q, statistic, n))
-    return queries
+    """The mc-verify checks as (query, statistic, n_replicates); a point the
+    grid does not hold raises RegionOutsideGrid before any sampling."""
+    if cfg.mc is None or cfg.spec is None or cfg.grid is None:
+        raise ConfigError("mc-verify needs a model, a grid and an 'mc' block", "mc")
+    spec, grid = cfg.spec, _effective_grid(cfg)
+    return [
+        (MomentQuery(spec.basis, spec.ambit, spec.weight, grid, points, lambdas), statistic, n)
+        for statistic, points, lambdas, n in cfg.mc
+    ]
 
 
 def cmd_mc_verify(args):
@@ -222,38 +176,24 @@ def cmd_mc_verify(args):
     return EXIT_OK
 
 
-_FIT_PARAMETERS = {"rect_gaussian": ("sigma2", "theta"), "fourier_scale": ("scale",)}
-
-
 def _fit_request(cfg):
-    """The configured fit as a function of the dataset, validated before any
-    data are read; a malformed field is a ConfigError at its dotted path."""
+    """The configured fit as a function of the dataset, checked against the
+    model before any data are read."""
     block = cfg.fit
     if block is None:
         raise ConfigError("fit needs a 'fit' block", "fit")
-    if not block.get("data"):
-        raise ConfigError("fit needs 'data' (CSV path)", "fit.data")
-    kind = block.get("kind")
-    if kind not in _FIT_PARAMETERS:
-        raise ConfigError(f"unknown fit kind {kind!r}", "fit.kind")
-    bounds, names = block.get("bounds", {}), _FIT_PARAMETERS[kind]
-    if not isinstance(bounds, dict) or sorted(bounds) != sorted(names):
-        raise ConfigError(f"{kind} needs bounds for exactly {list(names)}", "fit.bounds")
-    for name, pair in bounds.items():
-        _finite_array(pair, 1, 2, f"fit.bounds.{name}", "[low, high]")
-    bounds = {k: tuple(v) for k, v in bounds.items()}
-    if kind == "rect_gaussian":
+    bounds = block["bounds"]
+    if block["kind"] == "rect_gaussian":
         ambit_family = cfg.spec.ambit if cfg.spec else None
         if not isinstance(ambit_family, Rectangular):
             raise ConfigError("rect_gaussian fit needs a rectangular ambit", "model.ambit")
         model_cov = rect_direct_cov_model(ambit_family.T, cfg.spec.basis.control.g)
-        n_lags = _integer(block.get("n_lags", 16), 1, "fit.n_lags")
+        n_lags = block.get("n_lags", 16)
         return lambda data: fit_moments(model_cov, data, bounds, seed=cfg.seed, n_lags=n_lags)
     weight, g_var, T = _cov_ingredients(cfg)
-    orders = block.get("orders", list(range(1, weight.k_max + 1)))
-    if not isinstance(orders, list) or not orders:
-        raise ConfigError("expected a list of orders >= 1", "fit.orders")
-    orders = [_integer(k, 1, "fit.orders") for k in orders]
+    orders = block.get("orders", range(1, weight.k_max + 1))
+    if not orders:
+        raise ConfigError("the cosine weight has no order >= 1 to fit", "fit.orders")
 
     def tau_family(params):
         scale = params["scale"]

@@ -1,6 +1,15 @@
 """Run-configuration schema: one nested key-value document drives every
-command.  Unknown keys are rejected with a dotted-path diagnostic, presets
-may be used as a base and overridden field by field.
+command.
+
+:func:`parse_config` checks the whole document before any command runs,
+whichever command it is: the model, the grid, ``times``, ``seed``,
+``replicates``, ``threads`` and the ``cov``, ``mc`` and ``fit`` blocks.
+Every number and list of numbers goes through one reader, :func:`_read`,
+which rejects a JSON boolean, NaN or an infinity, a wrong shape, an empty
+list and an integer below its minimum.  Every mapping rejects a key that
+none of its kinds reads.  A rejection is a :class:`ConfigError` at the
+dotted path of the value, or of the list or mapping that holds it.  A
+preset may be used as a base and overridden field by field.
 """
 
 from __future__ import annotations
@@ -15,28 +24,19 @@ from .ambit import ConstantWeight, FullAngle, Rectangular, Tumour, WedgeOverS
 from .circle_cov import FourierWeight
 from .cyclic import TWO_PI
 from .errors import ConfigError
-from .growth import GrowthModelSpec, TumourWeight, asymmetry_profile
+from .growth import MODEL_KINDS, GrowthModelSpec, TumourWeight, asymmetry_profile
 from .levy_core import BasisSpec, ControlMeasure, GridSpec, SpotLaw, TimeDensity
+from .moments import check_problem
 from .timefn import TimeFn
-
-_TOP_KEYS = {
-    "preset",
-    "model",
-    "grid",
-    "times",
-    "seed",
-    "replicates",
-    "threads",
-    "out_dir",
-    "fine",
-    "cov",
-    "mc",
-    "fit",
-}
 
 
 @dataclass
 class RunConfig:
+    """A checked document.  ``cov`` holds the checked values of the keys the
+    ``cov`` block sets, ``mc`` one ``(statistic, points, lambdas,
+    n_replicates)`` tuple per check, and ``fit`` the ``kind``, ``data`` and
+    ``bounds`` of the ``fit`` block and its ``n_lags`` and ``orders`` if set."""
+
     spec: Optional[GrowthModelSpec]
     grid: Optional[GridSpec]
     times: tuple
@@ -46,12 +46,47 @@ class RunConfig:
     out_dir: str = "."
     fine: bool = False
     cov: Optional[dict] = None
-    mc: Optional[dict] = None
+    mc: Optional[tuple] = None
     fit: Optional[dict] = None
     preset_name: Optional[str] = None
 
 
 _REQUIRED = object()
+
+# The shape of each key that holds a list of numbers (None: any nonzero
+# length), the keys that hold integers, and the least value of the bounded
+# keys.  Every other number key holds one finite number.
+_LISTS = ("ts", "values", "nodes", "coeffs", "times", "dphis", "lambdas", "orders")
+_SHAPES = {**dict.fromkeys(_LISTS, (None,)), "rows": (None, 6)}
+_SHAPES.update(dict.fromkeys(("mu", "time_pairs", "points"), (None, 2)))
+_INTEGERS = {"seed", "replicates", "threads", "k_max", "n_replicates", "n_lags", "orders"}
+_MINIMUM = {"dphi_divisor": 1, "k_max": 0, "n_replicates": 2}
+_MINIMUM.update(dict.fromkeys(("replicates", "threads", "n_lags", "orders"), 1))
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def _at(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _read(value, path, shape=(), low=None, integer=False):
+    """``value`` as nested tuples of ``shape`` holding finite floats, or ints
+    if ``integer``, none below ``low``.  Anything else, a JSON boolean
+    included, is a ConfigError at ``path``."""
+    if shape:
+        n, inner = shape[0], shape[1:]
+        if not isinstance(value, list) or not value or n not in (None, len(value)):
+            expected = "a nonempty list" if n is None else f"{n} entries"
+            raise ConfigError(f"expected {expected}", path)
+        return tuple([_read(v, path, inner, low, integer) for v in value])
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        ok = False
+    else:
+        ok = (integer or abs(value) <= _FLOAT_MAX) and (low is None or value >= low)
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"expected {'an integer' if integer else 'a finite number'}{bound}", path)
+    return value if integer else float(value)
 
 
 def _require_keys(block, allowed, path):
@@ -69,81 +104,81 @@ def _get(block, key, path, kind=None, default=_REQUIRED):
         raise ConfigError(f"missing required key {key!r}", path)
     val = block[key]
     if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{key!r} has wrong type", path)
+        raise ConfigError(f"expected a {kind.__name__}", _at(path, key))
     return val
 
 
+def _num(block, key, path, default=_REQUIRED):
+    """The number, or list of numbers, at ``block[key]``, read by its key's
+    shape, integer type and minimum."""
+    if key not in block:
+        return _get(block, key, path, default=default)
+    shape, low = _SHAPES.get(key, ()), _MINIMUM.get(key)
+    return _read(block[key], _at(path, key), shape, low, key in _INTEGERS)
+
+
+def _kind(block, path, kinds, what):
+    """The ``kind`` of a mapping, a key of the ``kinds`` table, once some
+    kind of the table reads each key the mapping sets.  A key of another kind
+    is allowed, so an override can change the kind of a preset's block."""
+    _require_keys(block, {"kind"}.union(*kinds.values()), path)
+    kind = _get(block, "kind", path, str)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}", path)
+    return kind
+
+
 def _block_parser(parse):
-    """Report a ``ValueError`` raised while building a block's objects as a
-    :class:`ConfigError` at the block's dotted path."""
+    """Report a ``ValueError`` or ``OverflowError`` raised while building a
+    block's objects as a :class:`ConfigError` at the block's dotted path."""
 
     @functools.wraps(parse)
-    def wrapper(block, path, *args):
+    def wrapper(block, path):
         try:
-            return parse(block, path, *args)
-        except ValueError as exc:
+            return parse(block, path)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc), path) from None
 
     return wrapper
 
 
+# the keys of each kind of time function, in constructor order
+_TIMEFN_KEYS = {
+    "constant": ("value",),
+    "proportional": ("factor",),
+    "affine": ("intercept", "slope"),
+    "table": ("ts", "values"),
+    "step": ("ts", "values"),
+    "gompertz": ("kappa0", "eta", "gamma"),
+}
+
+
 @_block_parser
 def _timefn(block, path):
     if isinstance(block, (int, float)):
-        return TimeFn.constant(block)
-    _require_keys(
-        block,
-        {"kind", "value", "factor", "intercept", "slope", "ts", "values", "kappa0", "eta", "gamma"},
-        path,
-    )
-    kind = _get(block, "kind", path, str)
-    if kind == "constant":
-        return TimeFn.constant(_get(block, "value", path, (int, float)))
-    if kind == "proportional":
-        return TimeFn.proportional(_get(block, "factor", path, (int, float)))
-    if kind == "affine":
-        return TimeFn.affine(
-            _get(block, "intercept", path, (int, float)),
-            _get(block, "slope", path, (int, float)),
-        )
-    if kind in ("table", "step"):
-        ts = _get(block, "ts", path, list)
-        vs = _get(block, "values", path, list)
-        return TimeFn.table(ts, vs) if kind == "table" else TimeFn.step(ts, vs)
-    if kind == "gompertz":
-        return TimeFn.gompertz(
-            _get(block, "kappa0", path, (int, float)),
-            _get(block, "eta", path, (int, float)),
-            _get(block, "gamma", path, (int, float)),
-        )
-    raise ConfigError(f"unknown time-function kind {kind!r}", path)
+        return TimeFn.constant(_read(block, path))
+    kind = _kind(block, path, _TIMEFN_KEYS, "time-function")
+    return getattr(TimeFn, kind)(*(_num(block, key, path) for key in _TIMEFN_KEYS[kind]))
+
+
+# the keys of each basis kind, in SpotLaw constructor order
+_SPOT_KEYS = {
+    "gaussian": ("a", "b"),
+    "poisson": (),
+    "gamma": ("beta", "alpha"),
+    "inverse_gaussian": ("eta", "gamma"),
+}
 
 
 @_block_parser
 def _spot(block, path):
-    _require_keys(block, {"kind", "a", "b", "beta", "alpha", "eta", "gamma"}, path)
-    kind = _get(block, "kind", path, str)
-    if kind == "gaussian":
-        return SpotLaw.gaussian(
-            _get(block, "a", path, (int, float), 0.0),
-            _get(block, "b", path, (int, float), 1.0),
-        )
-    if kind == "poisson":
-        return SpotLaw.poisson()
-    if kind == "gamma":
-        return SpotLaw.gamma_law(
-            _get(block, "beta", path, (int, float)),
-            _get(block, "alpha", path, (int, float)),
-        )
-    if kind == "inverse_gaussian":
-        return SpotLaw.inverse_gaussian(
-            _get(block, "eta", path, (int, float)),
-            _get(block, "gamma", path, (int, float)),
-        )
-    raise ConfigError(f"unknown basis kind {kind!r}", path)
+    kind = _kind(block, path, _SPOT_KEYS, "basis")
+    defaults = {"a": 0.0, "b": 1.0}
+    args = [_num(block, key, path, defaults.get(key, _REQUIRED)) for key in _SPOT_KEYS[kind]]
+    return getattr(SpotLaw, "gamma_law" if kind == "gamma" else kind)(*args)
 
 
-# parameter keys of each control kind, in TimeDensity argument order
+# the keys of each control kind, in TimeDensity argument order
 _CONTROL_KEYS = {
     "constant": ("c",),
     "linear": ("a",),
@@ -155,31 +190,14 @@ _CONTROL_KEYS = {
 
 @_block_parser
 def _control(block, path):
-    _require_keys(block, {"kind", "c", "a", "b", "alpha", "nodes", "values"}, path)
-    kind = _get(block, "kind", path, str)
-    if kind not in _CONTROL_KEYS:
-        raise ConfigError(f"unknown control kind {kind!r}", path)
-    if kind == "constant":
-        args = [_get(block, "c", path, (int, float), 1.0)]
-    else:
-        types = list if kind == "tabulated" else (int, float)
-        args = [_get(block, key, path, types) for key in _CONTROL_KEYS[kind]]
+    kind = _kind(block, path, _CONTROL_KEYS, "control")
+    args = [_num(block, key, path, 1.0 if key == "c" else _REQUIRED) for key in _CONTROL_KEYS[kind]]
     return ControlMeasure(getattr(TimeDensity, kind)(*args))
-
-
-def _basis(block, path):
-    return BasisSpec(
-        _spot(_get(block, "basis", path, dict), path + ".basis"),
-        _control(
-            _get(block, "control", path, dict, {"kind": "constant", "c": 1.0}), path + ".control"
-        ),
-    )
 
 
 def _tumour_columns(rows, path):
     """Step functions of the tumour rows ``(t, T, t0, alpha, beta, phi0)``,
     one per column after ``t``."""
-    rows = [tuple(map(float, r)) for r in rows]
     for t, T, t0, _, _, phi0 in rows:
         if not (0.0 < t0 <= T <= t):
             raise ConfigError("tumour rows need 0 < t0(t) <= T(t) <= t", path)
@@ -189,104 +207,135 @@ def _tumour_columns(rows, path):
     return [TimeFn.step(ts, [r[i] for r in rows]) for i in range(1, 6)]
 
 
+_AMBIT_KEYS = {
+    "full_angle": ("T",),
+    "rectangular": ("theta", "T"),
+    "wedge": ("theta", "T"),
+    "tumour": ("rows",),
+}
+
+
 @_block_parser
 def _ambit(block, path):
-    _require_keys(block, {"kind", "T", "theta", "rows", "t0", "phi0"}, path)
-    kind = _get(block, "kind", path, str)
-    if kind == "full_angle":
-        return FullAngle(_timefn(_get(block, "T", path), path + ".T"))
-    if kind == "rectangular":
-        return Rectangular(
-            _timefn(_get(block, "theta", path), path + ".theta"),
-            _timefn(_get(block, "T", path), path + ".T"),
-        )
+    kind = _kind(block, path, _AMBIT_KEYS, "ambit")
     if kind == "wedge":
-        return WedgeOverS(
-            float(_get(block, "theta", path, (int, float))),
-            float(_get(block, "T", path, (int, float))),
-        )
+        return WedgeOverS(_num(block, "theta", path), _num(block, "T", path))
     if kind == "tumour":
-        T, t0, _, _, phi0 = _tumour_columns(_get(block, "rows", path, list), path)
+        T, t0, _, _, phi0 = _tumour_columns(_num(block, "rows", path), path)
         return Tumour(T, t0, phi0)
-    raise ConfigError(f"unknown ambit kind {kind!r}", path)
+    fns = [_timefn(_get(block, key, path), _at(path, key)) for key in _AMBIT_KEYS[kind]]
+    return FullAngle(*fns) if kind == "full_angle" else Rectangular(*fns)
+
+
+_WEIGHT_KEYS = {"constant": ("value",), "cosine": ("coeffs",)}
 
 
 @_block_parser
-def _weight(block, path, spec_kind, ambit_obj):
-    if spec_kind == "exponential_tumour":
-        raise ConfigError("tumour weight is configured through the ambit rows", path)
-    _require_keys(block, {"kind", "value", "coeffs"}, path)
-    kind = _get(block, "kind", path, str)
+def _weight(block, path):
+    kind = _kind(block, path, _WEIGHT_KEYS, "weight")
     if kind == "constant":
-        return ConstantWeight(float(_get(block, "value", path, (int, float), 1.0)))
-    if kind == "cosine":
-        return FourierWeight.constant_coeffs(_get(block, "coeffs", path, list))
-    raise ConfigError(f"unknown weight kind {kind!r}", path)
+        return ConstantWeight(_num(block, "value", path, 1.0))
+    return FourierWeight.constant_coeffs(_num(block, "coeffs", path))
+
+
+# the keys of each model kind: the tumour model sets its weight and ambit
+# through its parameter rows
+_MODEL_KEYS = dict.fromkeys(
+    MODEL_KINDS, ("drift", "weight", "basis", "control", "ambit", "r0", "multiplier", "center")
+)
+_MODEL_KEYS["exponential_tumour"] = ("tumour", "basis", "control")
 
 
 @_block_parser
 def _model(block, path):
-    allowed = {
-        "kind",
-        "drift",
-        "weight",
-        "basis",
-        "control",
-        "ambit",
-        "r0",
-        "multiplier",
-        "center",
-        "tumour",
-    }
-    _require_keys(block, allowed, path)
-    kind = _get(block, "kind", path, str)
-    basis = _basis(block, path)
+    kind = _kind(block, path, _MODEL_KEYS, "model")
+    basis = BasisSpec(
+        _spot(_get(block, "basis", path), path + ".basis"),
+        _control(block.get("control", {"kind": "constant", "c": 1.0}), path + ".control"),
+    )
     if kind == "exponential_tumour":
         tpath = path + ".tumour"
-        tm = _get(block, "tumour", path, dict)
+        tm = _get(block, "tumour", path)
         _require_keys(tm, {"rows", "mu"}, tpath)
-        T, t0, alpha, beta, phi0 = _tumour_columns(_get(tm, "rows", tpath, list), tpath)
+        T, t0, alpha, beta, phi0 = _tumour_columns(_num(tm, "rows", tpath), tpath)
         family = Tumour(T, t0, phi0)
-        mu = [tuple(map(float, r)) for r in _get(tm, "mu", tpath, list)]
+        ts, mu = zip(*_num(tm, "mu", tpath))
         return GrowthModelSpec(
-            kind="exponential_tumour",
-            drift=TimeFn.step([t for t, _ in mu], [v for _, v in mu]),
+            kind=kind,
+            drift=TimeFn.step(ts, mu),
             weight=TumourWeight(family, alpha, beta),
             basis=basis,
             ambit=family,
         )
-    ambit_obj = _ambit(_get(block, "ambit", path, dict), path + ".ambit")
-    weight = _weight(
-        _get(block, "weight", path, dict, {"kind": "constant", "value": 1.0}),
-        path + ".weight",
-        kind,
-        ambit_obj,
-    )
     mult_name = _get(block, "multiplier", path, str, None)
-    if mult_name is not None and mult_name != "asymmetry":
+    if mult_name not in (None, "asymmetry"):
         raise ConfigError(f"unknown multiplier {mult_name!r}", path + ".multiplier")
     return GrowthModelSpec(
         kind=kind,
-        drift=_timefn(_get(block, "drift", path, default=0.0), path + ".drift"),
-        weight=weight,
+        drift=_timefn(block.get("drift", 0.0), path + ".drift"),
+        weight=_weight(block.get("weight", {"kind": "constant", "value": 1.0}), path + ".weight"),
         basis=basis,
-        ambit=ambit_obj,
-        r0=float(_get(block, "r0", path, (int, float), 0.0)),
-        multiplier=asymmetry_profile if mult_name == "asymmetry" else None,
-        center_stochastic_mean=bool(_get(block, "center", path, bool, False)),
+        ambit=_ambit(_get(block, "ambit", path), path + ".ambit"),
+        r0=_num(block, "r0", path, 0.0),
+        multiplier=asymmetry_profile if mult_name else None,
+        center_stochastic_mean=_get(block, "center", path, bool, False),
     )
 
 
 @_block_parser
 def _grid(block, path):
     _require_keys(block, {"dphi_divisor", "dt", "t_min", "t_max"}, path)
-    divisor = _get(block, "dphi_divisor", path, (int, float))
     return GridSpec(
-        TWO_PI / float(divisor),
-        float(_get(block, "dt", path, (int, float))),
-        float(_get(block, "t_min", path, (int, float), 0.0)),
-        float(_get(block, "t_max", path, (int, float))),
+        TWO_PI / _num(block, "dphi_divisor", path),
+        _num(block, "dt", path),
+        _num(block, "t_min", path, 0.0),
+        _num(block, "t_max", path),
     )
+
+
+def _cov(block, path):
+    _require_keys(block, {"k_max", "time_pairs", "dphis"}, path)
+    return {key: _num(block, key, path) for key in block}
+
+
+def _mc_check(block, path):
+    _require_keys(block, {"statistic", "points", "lambdas", "n_replicates"}, path)
+    statistic = _get(block, "statistic", path, str)
+    points = _num(block, "points", path)
+    lambdas = _num(block, "lambdas", path, None)
+    problem = check_problem(statistic, points, lambdas)
+    if problem is not None:
+        raise ConfigError(problem[1], f"{path}.{problem[0]}")
+    return statistic, points, lambdas, _num(block, "n_replicates", path, 1000)
+
+
+def _mc(block, path):
+    """The block's ``checks``, or the block itself as the one check."""
+    if not isinstance(block, dict) or "checks" not in block:
+        return (_mc_check(block, path),)
+    _require_keys(block, {"checks"}, path)
+    checks = _get(block, "checks", path, list)
+    if not checks:
+        raise ConfigError("expected a nonempty list", path + ".checks")
+    return tuple(_mc_check(chk, f"{path}.checks[{i}]") for i, chk in enumerate(checks))
+
+
+# the bounded parameters of each fit kind
+_FIT_PARAMETERS = {"rect_gaussian": ("sigma2", "theta"), "fourier_scale": ("scale",)}
+
+
+def _fit(block, path):
+    _require_keys(block, {"kind", "data", "bounds", "n_lags", "orders"}, path)
+    kind = _get(block, "kind", path, str)
+    if kind not in _FIT_PARAMETERS:
+        raise ConfigError(f"unknown fit kind {kind!r}", path + ".kind")
+    bounds, names = _get(block, "bounds", path, dict), _FIT_PARAMETERS[kind]
+    if sorted(bounds) != sorted(names):
+        raise ConfigError(f"{kind} needs bounds for exactly {list(names)}", path + ".bounds")
+    fit = {key: _num(block, key, path) for key in ("n_lags", "orders") if key in block}
+    fit["kind"], fit["data"] = kind, _get(block, "data", path, str)
+    fit["bounds"] = {k: _read(v, f"{path}.bounds.{k}", (2,)) for k, v in bounds.items()}
+    return fit
 
 
 PRESET_DOCUMENTS = {
@@ -337,6 +386,8 @@ PRESET_DOCUMENTS = {
         "times": [21.0, 25.0, 55.0],
     },
 }
+
+
 def _variant_of_ex4(**model_changes):
     doc = json.loads(json.dumps(PRESET_DOCUMENTS["ex4"]))
     doc["model"].update(model_changes)
@@ -367,8 +418,12 @@ def _deep_merge(base, override):
     return override
 
 
+_BLOCKS = {"model": _model, "grid": _grid, "cov": _cov, "mc": _mc, "fit": _fit}
+_TOP_KEYS = {"preset", *_BLOCKS, "times", "seed", "replicates", "threads", "out_dir", "fine"}
+
+
 def parse_config(doc) -> RunConfig:
-    """Validate a configuration document (dict) into a RunConfig.
+    """Check a configuration document (dict) into a RunConfig.
 
     A ``preset`` key supplies a complete base document; remaining keys are
     deep-merged on top, so single fields of a preset can be overridden.
@@ -378,29 +433,21 @@ def parse_config(doc) -> RunConfig:
     if preset_name is not None:
         base = preset_document(preset_name)
         doc = _deep_merge(base, {k: v for k, v in doc.items() if k != "preset"})
-    spec = grid = None
-    times = ()
-    if "model" in doc:
-        spec = _model(doc["model"], "model")
-    if "grid" in doc:
-        grid = _grid(doc["grid"], "grid")
-    if "times" in doc:
-        raw = _get(doc, "times", "", list)
-        times = tuple(float(t) for t in raw)
-    if spec is None and not any(k in doc for k in ("cov", "fit")):
+    if not any(k in doc for k in ("model", "cov", "fit")):
         raise ConfigError("either 'preset' or 'model' is required", "")
+    blocks = {key: read(doc[key], key) for key, read in _BLOCKS.items() if key in doc}
     return RunConfig(
-        spec=spec,
-        grid=grid,
-        times=times,
-        seed=int(_get(doc, "seed", "", int, 0)),
-        replicates=int(_get(doc, "replicates", "", int, 1)),
-        threads=int(_get(doc, "threads", "", int, 1)),
-        out_dir=str(_get(doc, "out_dir", "", str, ".")),
-        fine=bool(_get(doc, "fine", "", bool, False)),
-        cov=_get(doc, "cov", "", dict, None),
-        mc=_get(doc, "mc", "", dict, None),
-        fit=_get(doc, "fit", "", dict, None),
+        spec=blocks.get("model"),
+        grid=blocks.get("grid"),
+        times=_num(doc, "times", "", ()),
+        seed=_num(doc, "seed", "", 0),
+        replicates=_num(doc, "replicates", "", 1),
+        threads=_num(doc, "threads", "", 1),
+        out_dir=_get(doc, "out_dir", "", str, "."),
+        fine=_get(doc, "fine", "", bool, False),
+        cov=blocks.get("cov"),
+        mc=blocks.get("mc"),
+        fit=blocks.get("fit"),
         preset_name=preset_name,
     )
 

@@ -283,8 +283,8 @@ def _check_bounds(bounds):
     names = list(bounds)
     lo = np.array([bounds[n][0] for n in names], dtype=float)
     hi = np.array([bounds[n][1] for n in names], dtype=float)
-    if np.any(~(lo < hi)):
-        raise InfeasibleBounds(f"empty bounds for {names}")
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+        raise InfeasibleBounds(f"bounds for {names} must be finite with low < high")
     return names, lo, hi
 
 

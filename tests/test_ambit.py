@@ -295,6 +295,14 @@ def test_induced_weight_rejects_an_unknown_method():
         induced_weight(family, 1.0, 6.0, method="factorized")
 
 
+def test_intersection_measure_rejects_an_unknown_method():
+    family = Rectangular.of(0.6, TimeFn.constant(2.0))
+    with pytest.raises(ValueError, match="unknown intersection-measure method"):
+        intersection_measure(family, 6.0, 0.0, 6.0, 0.3, UNIT, method="closed_form")
+    quadrature = intersection_measure(family, 6.0, 0.0, 6.0, 0.3, UNIT, method="quadrature")
+    assert quadrature == pytest.approx(intersection_measure(family, 6.0, 0.0, 6.0, 0.3, UNIT))
+
+
 def test_window_length_wedge_negative_slice():
     family = WedgeOverS(theta=0.5, T=1.0)
     assert float(window_length_in_union(family, np.asarray(-0.5), 10.0)) == 0.0

@@ -1,17 +1,23 @@
 """Command-line interface: flags, exit codes, file outputs, determinism."""
 
+import copy
+import functools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levygrowth
 import levygrowth.cli as cli
-from levygrowth.moments import MCReport
+from levygrowth.moments import STATISTICS, MCReport
 
 
 def run(argv):
@@ -530,6 +536,122 @@ def test_malformed_cov_and_fit_blocks_exit_2_before_any_work(
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert f"config error: {dotted}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, dotted",
+    [
+        (["simulate", "--preset", "ex4", "--replicates", "0"], "replicates"),
+        (["simulate", "--preset", "ex4", "--replicates", "-2"], "replicates"),
+        (["moments", "--preset", "ex4", "--set", 'times=["x"]'], "times"),
+        (["moments", "--preset", "ex4", "--set", "times=[[1]]"], "times"),
+        (
+            ["moments", "--preset", "ex4", "--set", "model.drift.ts=[[1], [2], [3]]"],
+            "model.drift.ts",
+        ),
+        (["moments", "--preset", "ex4", "--set", "grid.dt=true"], "grid.dt"),
+        (["moments", "--preset", "ex4", "--set", "seed=true"], "seed"),
+        (["moments", "--preset", "ex4", "--set", "model.basis.b=true"], "model.basis.b"),
+        (["moments", "--preset", "ex4", "--set", "model.ambit.theta=NaN"], "model.ambit.theta"),
+        (["moments", "--preset", "ex4", "--set", "grid.dphi_divisor=0"], "grid.dphi_divisor"),
+        (["moments", "--preset", "ex4", "--set", "grid.dt=1e-320"], "grid"),
+        (["moments", "--preset", "ex4", "--set", "cov.kmax=3"], "cov"),
+        (["moments", "--preset", "ex4", "--set", "fit.n_lag=3"], "fit"),
+        (["moments", "--preset", "ex4", "--set", 'mc.statistc="mean"'], "mc"),
+        (["cov", "--config", "<cov>", "--set", "model.weight.coeffs=[]"], "model.weight.coeffs"),
+    ],
+)
+def test_a_malformed_document_exits_2_before_any_work(tmp_path, capsys, argv, dotted):
+    argv = [str(_cov_config(tmp_path)) if arg == "<cov>" else arg for arg in argv]
+    out = tmp_path / "o"
+    assert run([*argv, "--out-dir", str(out)]) == 2
+    assert f"config error: {dotted}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@functools.cache
+def _documents():
+    """The preset documents and this module's cov, mc and fit documents."""
+    from levygrowth.config import PRESET_DOCUMENTS, preset_document
+
+    docs = [preset_document(name) for name in PRESET_DOCUMENTS]
+    with tempfile.TemporaryDirectory() as tmp:
+        cov = json.loads(_cov_config(pathlib.Path(tmp)).read_text())
+        mc = json.loads(_mc_config(pathlib.Path(tmp)).read_text())
+    docs += [cov, mc, dict(mc, mc={"checks": [_MC_MEAN, _MC_EXP]})]
+    docs += [{"preset": "ex4", "fit": _RECT_FIT}, dict(cov, fit=dict(_SCALE_FIT, orders=[1]))]
+    return docs
+
+
+def _sites(node, keys=()):
+    """("add", keys) for every mapping and ("replace", keys) for every scalar
+    and every list entry in ``node``, ``keys`` leading there from the root."""
+    if isinstance(node, dict):
+        yield "add", keys
+        for key, value in node.items():
+            if not isinstance(value, (dict, list)):
+                yield "replace", (*keys, key)
+            yield from _sites(value, (*keys, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield "replace", (*keys, i)
+            yield from _sites(value, (*keys, i))
+
+
+def _dotted(keys):
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}" if path else key
+    return path
+
+
+# A string naming another statistic or fit kind changes which fields the
+# block needs, and so moves the error to those fields: such names are not
+# drawn.
+_KIND_NAMES = {*STATISTICS, "rect_gaussian", "fourier_scale"}
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1.5])
+    | st.text(max_size=6).filter(lambda s: s not in _KIND_NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_config_names_the_changed_field_or_accepts(data):
+    """Replace one scalar or list entry of a valid document by any JSON value,
+    or add an unknown key to one of its mappings: the document parses, or
+    fails with a ConfigError at the changed field or at a block holding it."""
+    from levygrowth.config import parse_config
+    from levygrowth.errors import ConfigError
+
+    doc = copy.deepcopy(data.draw(st.sampled_from(_documents())))
+    action, keys = data.draw(st.sampled_from(list(_sites(doc))))
+    value = data.draw(_JSON_VALUES)
+    node = doc
+    for key in keys[:-1] if action == "replace" else keys:
+        node = node[key]
+    if action == "replace":
+        node[keys[-1]] = value
+    else:
+        node["x_" + data.draw(st.text(max_size=4))] = value
+    changed = _dotted(keys)
+    try:
+        parse_config(doc)
+    except ConfigError as exc:
+        if action == "add":
+            assert exc.path == changed, (changed, str(exc))
+        else:
+            assert changed == exc.path or changed.startswith((exc.path + ".", exc.path + "[")), (
+                changed,
+                str(exc),
+            )
 
 
 def test_preset_documents_match_programmatic_presets():

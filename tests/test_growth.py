@@ -141,7 +141,7 @@ def _quadrature_reference(fn, a, b):
     lo, hi = max(a, fn.support[0]), min(b, fn.support[1])
     shape = replace(fn, support=(-math.inf, math.inf))
     nodes = fn.params[0] if fn.kind in ("table", "step") else ()
-    cuts = [lo] + [x for x in (0.0, *nodes) if lo < x < hi] + [hi]
+    cuts = [lo, *sorted(x for x in (0.0, *nodes) if lo < x < hi), hi]
     ref = sum(
         adaptive_simpson(shape, p, q, tol=1e-13 * scale) for p, q in zip(cuts, cuts[1:])
     )

@@ -543,6 +543,15 @@ def test_fit_infeasible_bounds():
         fit_moments(model, ds, {"sigma2": (2.0, 1.0)})
 
 
+@pytest.mark.parametrize("box", [(0.0, math.inf), (-math.inf, 1.0)])
+def test_infinite_bounds_are_infeasible(box):
+    with pytest.raises(InfeasibleBounds, match="must be finite"):
+        minimize_bounded(lambda p: p["x"] ** 2, {"x": box})
+    model = rect_direct_cov_model(TimeFn.constant(1.0), UNIT)
+    with pytest.raises(InfeasibleBounds, match="must be finite"):
+        fit_moments(model, toy_dataset(), {"sigma2": box, "theta": (0.1, 1.5)})
+
+
 def test_fit_moments_recovers_simulated_parameters():
     sigma2, theta = 1.0, math.pi / 5
     p = example_preset("ex4", theta=theta)
