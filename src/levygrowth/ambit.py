@@ -232,8 +232,7 @@ class Tumour(AmbitFamily):
 
     @staticmethod
     def of(T, t0, phi0):
-        fam = Tumour(TimeFn.of(T), TimeFn.of(t0), TimeFn.of(phi0))
-        return fam
+        return Tumour(TimeFn.of(T), TimeFn.of(t0), TimeFn.of(phi0))
 
     def window(self, t):
         return (t - float(self.T(t)), t)
@@ -246,17 +245,13 @@ class Tumour(AmbitFamily):
             raise ValueError("tumour family needs 0 < t0(t) <= T(t)")
         return (t - T, t - t0, t)
 
-    def shrink_half_width(self, t, s):
-        """Half-width on the shrinking band, h_t(s - t + t0(t))."""
-        t0 = float(self.t0(t))
-        phi0 = float(self.phi0(t))
-        u = np.asarray(s, dtype=float) - t + t0
-        return np.clip(0.5 * phi0 * (1.0 - u / t0), 0.0, np.pi)
-
     def half_width(self, t, s):
-        lo, mid, hi = self.band_split(t)
+        """pi on the full-angle band, h_t(s - t + t0(t)) on the shrinking one."""
+        _, mid, _ = self.band_split(t)
+        t0, phi0 = float(self.t0(t)), float(self.phi0(t))
         s = np.asarray(s, dtype=float)
-        return np.where(s <= mid, np.pi, self.shrink_half_width(t, s))
+        shrink = np.clip(0.5 * phi0 * (1.0 - (s - t + t0) / t0), 0.0, np.pi)
+        return np.where(s <= mid, np.pi, shrink)
 
     def describe(self):
         return {
@@ -391,10 +386,6 @@ class ConstantWeight:
     c: float = 1.0
 
     apex_dependent = False
-
-    @property
-    def constant_value(self):
-        return self.c
 
     def value(self, t, theta, s, phi=0.0):
         return np.full(np.broadcast(np.asarray(theta), np.asarray(s)).shape, self.c)

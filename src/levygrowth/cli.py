@@ -22,9 +22,10 @@ preset (``--preset``), overridable field by field with repeated
 ``--set dotted.path=value`` flags.  :func:`levygrowth.config.parse_config`
 checks the whole document before any work, so a malformed block exits 2
 whatever the command.  A command checks only what needs the built model:
-the weight or ambit that ``cov`` and ``fit`` need (exit 2) and mc-verify
-points the grid does not hold (exit 3).  Outputs carry a provenance header
-with the configuration hash and seed.
+the weight or ambit that ``cov`` and ``fit`` need and ``fit``'s data file
+(exit 2), and mc-verify points the grid does not hold (exit 3).  The output
+directory is made on the first write, so a failed check leaves none.
+Outputs carry a provenance header with the configuration hash and seed.
 """
 
 from __future__ import annotations
@@ -76,9 +77,14 @@ def _load(args) -> RunConfig:
             doc[key] = getattr(args, key)
     if args.fine:
         doc["fine"] = True
-    cfg = parse_config(doc)
+    return parse_config(doc)
+
+
+def _output(cfg, name):
+    """The path of output file ``name``; the output directory is made on the
+    first write, so a command that fails before it leaves none."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg
+    return os.path.join(cfg.out_dir, name)
 
 
 def _effective_grid(cfg):
@@ -100,9 +106,9 @@ def cmd_simulate(args):
     else:
         seed0, profiles = mix_seed(cfg.seed, 0), plan.replicates(cfg.seed, n)
     ds = ProfileDataset(plan.times, plan.grid.phi_mids, profiles)
-    ds.to_csv(os.path.join(cfg.out_dir, "history.csv"), _provenance(cfg))
+    ds.to_csv(_output(cfg, "history.csv"), _provenance(cfg))
     outline = plan.history(profiles[0], seed0)
-    outline.to_polyline_csv(os.path.join(cfg.out_dir, "outline.csv"))
+    outline.to_polyline_csv(_output(cfg, "outline.csv"))
     print(f"wrote {cfg.out_dir}/history.csv and {cfg.out_dir}/outline.csv")
     return EXIT_OK
 
@@ -126,7 +132,7 @@ def cmd_cov(args):
     dphis = block.get("dphis", np.linspace(0.0, math.pi, 9))
     model = CircleCovModel.from_weight(weight, g_var, T, block.get("k_max", weight.k_max))
     rows = model.table(pairs, dphis)
-    path = os.path.join(cfg.out_dir, "cov.csv")
+    path = _output(cfg, "cov.csv")
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
         fh.write("t1,t2,dphi,cov\n")
@@ -138,7 +144,7 @@ def cmd_cov(args):
 def cmd_moments(args):
     cfg = _load(args)
     plan = _simulation_plan(cfg, "moments")
-    path = os.path.join(cfg.out_dir, "moments.csv")
+    path = _output(cfg, "moments.csv")
     with open(path, "w") as fh:
         fh.write(_provenance(cfg) + "\n")
         fh.write("t,mean,variance\n")
@@ -166,7 +172,7 @@ def cmd_mc_verify(args):
         json.loads(mc_verify(q, statistic, n, cfg.seed).to_json())
         for q, statistic, n in _mc_queries(cfg)
     ]
-    path = os.path.join(cfg.out_dir, "mc_report.json")
+    path = _output(cfg, "mc_report.json")
     with open(path, "w") as fh:
         json.dump({"provenance": _provenance(cfg), "reports": reports}, fh, indent=2)
     print(f"wrote {path}")
@@ -205,8 +211,10 @@ def _fit_request(cfg):
 def cmd_fit(args):
     cfg = _load(args)
     fit = _fit_request(cfg)
+    if not os.path.isfile(cfg.fit["data"]):
+        raise ConfigError(f"no data file {cfg.fit['data']!r}", "fit.data")
     result = fit(ingest_profiles(cfg.fit["data"]))
-    path = os.path.join(cfg.out_dir, "fit.json")
+    path = _output(cfg, "fit.json")
     payload = json.loads(result.to_json())
     payload["provenance"] = _provenance(cfg)
     with open(path, "w") as fh:

@@ -7,9 +7,10 @@ whichever command it is: the model, the grid, ``times``, ``seed``,
 Every number and list of numbers goes through one reader, :func:`_read`,
 which rejects a JSON boolean, NaN or an infinity, a wrong shape, an empty
 list and an integer below its minimum.  Every mapping rejects a key that
-none of its kinds reads.  A rejection is a :class:`ConfigError` at the
+its kind does not read.  A rejection is a :class:`ConfigError` at the
 dotted path of the value, or of the list or mapping that holds it.  A
-preset may be used as a base and overridden field by field.
+preset may be used as a base and overridden field by field; a block whose
+kind the override changes replaces the preset's block.
 """
 
 from __future__ import annotations
@@ -118,13 +119,16 @@ def _num(block, key, path, default=_REQUIRED):
 
 
 def _kind(block, path, kinds, what):
-    """The ``kind`` of a mapping, a key of the ``kinds`` table, once some
-    kind of the table reads each key the mapping sets.  A key of another kind
-    is allowed, so an override can change the kind of a preset's block."""
+    """The ``kind`` of a mapping, a key of the ``kinds`` table, once that
+    kind reads each key the mapping sets.  A key no kind reads is an error at
+    the mapping, a key only other kinds read an error at the key."""
     _require_keys(block, {"kind"}.union(*kinds.values()), path)
     kind = _get(block, "kind", path, str)
     if kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}", path)
+    for key in block:
+        if key != "kind" and key not in kinds[kind]:
+            raise ConfigError(f"not read by the {what} kind {kind!r}", _at(path, key))
     return kind
 
 
@@ -409,11 +413,18 @@ def preset_document(name):
     return json.loads(json.dumps(PRESET_DOCUMENTS[key]))
 
 
-def _deep_merge(base, override):
+def _deep_merge(base, override, path=""):
+    """``override`` merged into ``base`` key by key.  A kind-tagged mapping
+    whose ``kind`` the override changes is replaced whole, so it keeps no key
+    of its old kind; the model block is merged whatever its kind, since all
+    its kinds but the tumour model read the same keys."""
     if isinstance(base, dict) and isinstance(override, dict):
+        kind = base.get("kind")
+        if path != "model" and kind is not None and override.get("kind", kind) != kind:
+            return override
         out = dict(base)
         for k, v in override.items():
-            out[k] = _deep_merge(base[k], v) if k in base else v
+            out[k] = _deep_merge(base[k], v, _at(path, k)) if k in base else v
         return out
     return override
 

@@ -21,10 +21,12 @@ at time t, carries its own mean and variance, which centring and
 ``levygrowth moments`` read.  Cell-valued bases (Gaussian, Gamma, inverse
 Gaussian) are integrated on the mesh: weights and memberships at cell
 midpoints, matching the analytic engine in :mod:`levygrowth.moments`.
-Poisson realizations are integrated over their exact point pattern
-(unbiased against the continuum formulas) for constant weights, harmonic
-weights on a full-angle ambit (direct kinds only) and the tumour weight;
-other weight/family combinations fall back to the mesh path.
+A Poisson realization with a constant weight is summed over its exact
+point pattern, whose moments are the continuum formulas: on any family for
+the direct kinds, on a factorizing family for the rate kinds.  Every other
+Poisson weight, cosine-series and tumour weights included, integrates its
+cell counts on the mesh like the other bases, so ``levygrowth moments``
+prints its law exactly.
 
 A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
@@ -32,8 +34,8 @@ kernels, kept as the spectra of their nonzero (ambit-window) rows, the
 centring shifts and the drift values.  Each replicate then samples its
 realization, only the rows its terms read unless a point sum needs every
 row's counts, and does once what several times read: the transform of each
-increment row in any time's window, and for Poisson point sums the points
-and, where the half-width does not depend on the time, their arcs.
+increment row in any time's window, and for point sums the points and, on a
+factorizing family, their arcs.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -54,14 +56,12 @@ from . import ambit as _ambit
 from .ambit import (
     AmbitFamily,
     ConstantWeight,
-    FullAngle,
     Tumour,
     WedgeOverS,
     as_weight,
     check_covered,
     mesh_kernel,
 )
-from .circle_cov import FourierWeight
 from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, cyc_dist
 from .errors import NonFiniteValue, UnknownId, WrongBasisKind
@@ -217,12 +217,6 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
     return np.fft.irfft((zf * np.conj(kf)).sum(axis=0), n=n_phi)
 
 
-def _kernel_moments(kernel, grid, basis):
-    """Mean and variance of the sum of ``kernel`` times the increments."""
-    mu = grid.cell_mu(basis.control)
-    return cumulant_sum(basis.spot, mu, kernel), cumulant_sum(basis.spot, mu, kernel, kernel)
-
-
 class _Term:
     """The ambit integral at one time.  ``read(draw)`` gives its profile from
     a :class:`_Draw` shared with other terms; calling the term on a
@@ -244,7 +238,8 @@ class _MeshTerm(_Term):
         self.rows = np.flatnonzero(np.any(kernel != 0.0, axis=1))
         self.n_phi = kernel.shape[1]
         self.spectrum = np.conj(np.fft.rfft(kernel[self.rows], axis=1))
-        self.moments = _kernel_moments(kernel, grid, basis)
+        mu, spot = grid.cell_mu(basis.control), basis.spot
+        self.moments = cumulant_sum(spot, mu, kernel), cumulant_sum(spot, mu, kernel, kernel)
 
     def read(self, draw):
         if self.rows.size == 0:
@@ -254,37 +249,52 @@ class _MeshTerm(_Term):
 
 
 class _PointTerm(_Term):
-    """A sum over the points of a Poisson realization that arrived in
-    ``window`` (to 1e-12): ``profile(spec, grid, t, points, sel)``, where
-    ``points`` is the draw's :class:`_PointBlock` holding the time rows
-    ``span`` and ``sel`` picks the window's points from it.  ``moments``, the
-    (mean, variance) of the value at each angle, are computed on first use."""
+    """A constant weight ``c`` summed over the points of a Poisson
+    realization that arrived in the term's window (to 1e-12), each point
+    adding over the grid angles its arc covers: ``c`` in ``"direct"`` mode,
+    ``c * L(s, t)`` in ``"rate"`` mode, with ``L`` the length of the point's
+    window in the time union.  The draw's :class:`_PointBlock` holds the time
+    rows ``span``.  ``moments``, the (mean, variance) of the value at each
+    angle, are computed on first use."""
 
-    def __init__(self, profile, moments, spec, grid, t, window):
-        self.profile, self._moments = profile, moments
-        self.spec, self.grid, self.t, self.window = spec, grid, t, window
+    def __init__(self, spec, grid, t, mode):
+        self.spec, self.grid, self.t, self.mode = spec, grid, t, mode
+        self.c = float(spec.weight.c)
+        self.window = (min(0.0, grid.t_min), t) if mode == "rate" else spec.ambit.window(t)
         edges = grid.t_edges
         # Points of row l lie in [edges[l], edges[l] + dt]; one spare row
         # below absorbs the rounding of that upper end.
-        lo = int(np.searchsorted(edges, window[0] - _EPS, side="left")) - 2
-        hi = int(np.searchsorted(edges, window[1] + _EPS, side="right"))
+        lo = int(np.searchsorted(edges, self.window[0] - _EPS, side="left")) - 2
+        hi = int(np.searchsorted(edges, self.window[1] + _EPS, side="right"))
         self.span = (max(lo, 0), min(hi, grid.n_t))
 
     def read(self, draw):
         points = draw.points(self.span)
         sel = points.select(*self.window)
-        return self.profile(self.spec, self.grid, self.t, points, sel)
+        s = points.s[sel]
+        if points.arcs is None:
+            widths = np.asarray(self.spec.ambit.half_width(self.t, s), dtype=float)
+            arcs = _arcs(points.theta[sel], widths, self.grid)
+        else:
+            arcs = points.arcs.take(sel)
+        if self.mode == "rate":
+            values = self.c * _ambit.window_length_in_union(self.spec.ambit, s, self.t)
+        else:
+            values = np.full(s.shape, self.c)
+        return _arc_sum(arcs, values, self.grid.n_phi)
 
     @cached_property
     def moments(self):
-        return self._moments(self.spec, self.grid, self.t)
-
-
-def _shares_arcs(spec):
-    """Whether a point sum of ``spec`` adds one weight over each point's arc
-    whose half-width does not depend on the apex time, so that every time
-    can read the same arcs."""
-    return isinstance(spec.weight, ConstantWeight) and spec.ambit.factorizes
+        """``c^p m_p I_p`` for p = 1, 2, with ``m_p`` the spot mean and
+        variance and ``I_p`` the ambit measure ``mu(A_t)`` (direct) or
+        :func:`_union_integrals` (rate)."""
+        spec = self.spec
+        if self.mode == "rate":
+            integrals = _union_integrals(spec, self.grid, self.t)
+        else:
+            integrals = (spec.ambit.measure(self.t, spec.basis.control),) * 2
+        spot = spec.basis.spot
+        return tuple(constant_weight_cumulant(spot, self.c, x, p) for p, x in zip((1, 2), integrals))
 
 
 class _Arcs(NamedTuple):
@@ -338,8 +348,9 @@ def _arc_sum(arcs, values, n):
 
 class _PointBlock:
     """The points of a realization in time rows ``span`` (views, in pattern
-    order, so sorted by row), and their :class:`_Arcs` when every time reads
-    the same arcs (:func:`_shares_arcs`; ``term`` is any term of the block)."""
+    order, so sorted by row), and their :class:`_Arcs` when the ambit family
+    factorizes, so that every time reads the same arcs (``term`` is any term
+    of the block)."""
 
     def __init__(self, realization, span, term):
         pts = realization.points()
@@ -347,7 +358,7 @@ class _PointBlock:
         self.span = span
         self.theta, self.s = pts.theta[a:b], pts.s[a:b]
         self.arcs = None
-        if _shares_arcs(term.spec):
+        if term.spec.ambit.factorizes:
             widths = np.asarray(term.spec.ambit.half_width(term.t, self.s), dtype=float)
             self.arcs = _arcs(self.theta, widths, term.grid)
 
@@ -408,95 +419,30 @@ def _rate_kernel(spec, grid, t):
 
 
 def _point_path(spec, mode):
-    """Whether the ``mode`` term of a Poisson model is summed over its points.
-
-    The direct point sum handles constant weights, harmonic weights on a
-    full-angle ambit and the tumour weight on the tumour family; the rate
-    point sum handles constant weights on factorizing families.  Everything
-    else takes the mesh path.
-    """
-    if spec.basis.spot.kind != "poisson":
-        return False
-    if mode == "rate":
-        return _shares_arcs(spec)
-    if isinstance(spec.weight, FourierWeight):
-        return isinstance(spec.ambit, FullAngle)
-    if isinstance(spec.weight, TumourWeight):
-        return isinstance(spec.ambit, Tumour)
-    return isinstance(spec.weight, ConstantWeight)
-
-
-def _poisson_direct_profile(spec, grid, t, points, sel):
-    theta, s = points.theta[sel], points.s[sel]
-    profile = np.zeros(grid.n_phi)
-    if theta.size == 0:
-        return profile
-    if isinstance(spec.weight, FourierWeight):
-        return _harmonic_point_profile(spec.weight, grid, t, theta, s, profile)
-    if isinstance(spec.weight, TumourWeight):
-        return _tumour_point_profile(spec.weight, grid, t, theta, s)
-    if points.arcs is None:
-        arcs = _arcs(theta, np.asarray(spec.ambit.half_width(t, s), dtype=float), grid)
-    else:
-        arcs = points.arcs.take(sel)
-    c = float(spec.weight.constant_value)
-    return _arc_sum(arcs, np.full(theta.shape, c), grid.n_phi)
-
-
-def _harmonic_point_profile(weight, grid, t, theta, s, profile):
-    angles = grid.phi_mids
-    for k in range(weight.k_max + 1):
-        a = weight.coef(k, t, s)
-        ck = float(np.sum(a * np.cos(k * theta)))
-        sk = float(np.sum(a * np.sin(k * theta)))
-        profile += np.cos(k * angles) * ck + np.sin(k * angles) * sk
-    return profile
-
-
-def _tumour_point_profile(weight, grid, t, theta, s):
-    """alpha(t) times the cosine harmonic of the old band's points plus
-    beta(t) times the count of recent-band points whose cone covers each
-    angle; the cone's half-width depends on t, so its arcs are per time."""
-    _, mid, _ = weight.family.band_split(t)
-    old = s <= mid + _EPS
-    angles = grid.phi_mids
-    band1 = np.cos(angles) * float(np.sum(np.cos(theta[old]))) + np.sin(angles) * float(
-        np.sum(np.sin(theta[old]))
+    """Whether the ``mode`` term of ``spec`` is a :class:`_PointTerm`: a
+    Poisson basis with a constant weight, on any family for the direct mode
+    and on a factorizing one for the rate mode, where the point sum has
+    closed-form moments.  Every other Poisson weight, cosine-series and
+    tumour weights included, integrates the cell counts on the mesh, so its
+    ``moments`` are its law exactly; and a Poisson model draws every row
+    only when it has a point sum."""
+    return (
+        spec.basis.spot.kind == "poisson"
+        and isinstance(spec.weight, ConstantWeight)
+        and (mode == "direct" or spec.ambit.factorizes)
     )
-    widths = weight.family.shrink_half_width(t, s[~old])
-    band2 = _arc_sum(_arcs(theta[~old], widths, grid), np.ones(widths.shape), grid.n_phi)
-    return float(weight.alpha(t)) * band1 + float(weight.beta(t)) * band2
 
 
-def _direct_point_moments(spec, grid, t):
-    """Mean and variance of :func:`_poisson_direct_profile` at one angle: from
-    the ambit measure for a constant weight, else from the weight's kernel."""
-    if not isinstance(spec.weight, ConstantWeight):
-        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
-        return _kernel_moments(kernel, grid, spec.basis)
-    c, spot = spec.weight.c, spec.basis.spot
-    measure = spec.ambit.measure(t, spec.basis.control)
-    return tuple(constant_weight_cumulant(spot, c, measure, p) for p in (1, 2))
-
-
-def _poisson_rate_profile(spec, grid, t, points, sel):
-    lengths = _ambit.window_length_in_union(spec.ambit, points.s[sel], t)
-    c = float(spec.weight.constant_value)
-    return _arc_sum(points.arcs.take(sel), c * lengths, grid.n_phi)
-
-
-def _rate_point_moments(spec, grid, t):
-    """Mean and variance of :func:`_poisson_rate_profile` at one angle:
-    ``c^p m_p int 2 hw(t, s) L(s)^p g(s) ds`` for p = 1, 2, with ``m_p`` the
-    spot mean and variance and ``L`` the window length in the time union,
-    integrated between the kinks of ``hw`` and ``L``."""
-    family, g, spot = spec.ambit, spec.basis.control.g, spec.basis.spot
+def _union_integrals(spec, grid, t):
+    """``int 2 hw(t, s) L(s)^p g(s) ds`` for p = 1, 2, with ``L`` the window
+    length in the time union, integrated between the kinks of ``hw`` and
+    ``L``."""
+    family, g = spec.ambit, spec.basis.control.g
     lo = max(grid.t_min, g.support[0])
     kinks = {family.window(0.0)[0], 0.0, family.window(t)[0]}
     if isinstance(family, WedgeOverS):
         kinks.add(family.theta / np.pi)
     edges = [lo, *sorted(k for k in kinks if lo < k < t), t]
-    c = float(spec.weight.constant_value)
 
     def integral(p):
         def f(s):
@@ -506,7 +452,7 @@ def _rate_point_moments(spec, grid, t):
         tol = 1e-12 * (TWO_PI * abs(t - lo) ** p * float(g.integral(lo, t)) + 1.0)
         return sum(adaptive_simpson(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
 
-    return tuple(constant_weight_cumulant(spot, c, integral(p), p) for p in (1, 2))
+    return integral(1), integral(2)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +466,7 @@ def _term(spec, grid, t, mode):
     profile over all grid angles, and its ``moments`` are the (mean,
     variance) of that value.  Mesh kernels are built here, once."""
     if _point_path(spec, mode):
-        if mode == "rate":
-            window = (min(0.0, grid.t_min), t)
-            return _PointTerm(
-                _poisson_rate_profile, _rate_point_moments, spec, grid, t, window
-            )
-        return _PointTerm(
-            _poisson_direct_profile, _direct_point_moments, spec, grid, t, spec.ambit.window(t)
-        )
+        return _PointTerm(spec, grid, t, mode)
     if mode == "direct":
         kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
     else:

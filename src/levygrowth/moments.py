@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambit import AmbitFamily, as_weight, check_covered, mesh_kernel
+from .ambit import AmbitFamily, ConstantWeight, as_weight, check_covered, mesh_kernel
 from .levy_core import (
     BasisSpec,
     CellSampler,
@@ -104,12 +104,11 @@ def _single_point_cumulant(query, p, angle_exact, name):
         raise ValueError(f"{name} expects exactly one evaluation point")
     if not angle_exact:
         return _cumulant(query, *(0,) * p)
-    const = getattr(query.weight, "constant_value", None)
-    if const is None:
+    if not isinstance(query.weight, ConstantWeight):
         raise ValueError("angle-exact mode supports constant weights only")
     t, _ = query.points[0]
     measure = query.ambit.measure(t, query.basis.control)
-    return constant_weight_cumulant(query.basis.spot, float(const), measure, p)
+    return constant_weight_cumulant(query.basis.spot, float(query.weight.c), measure, p)
 
 
 def mean_linear(query: MomentQuery, *, angle_exact=False):

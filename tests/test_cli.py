@@ -559,6 +559,11 @@ def test_malformed_cov_and_fit_blocks_exit_2_before_any_work(
         (["moments", "--preset", "ex4", "--set", "fit.n_lag=3"], "fit"),
         (["moments", "--preset", "ex4", "--set", 'mc.statistc="mean"'], "mc"),
         (["cov", "--config", "<cov>", "--set", "model.weight.coeffs=[]"], "model.weight.coeffs"),
+        # a key only another kind of the block reads
+        (["moments", "--preset", "tumour", "--set", "model.r0=1.0"], "model.r0"),
+        # a data path that names no file
+        (["fit", "--preset", "ex4", "--set", f"fit={json.dumps(dict(_RECT_FIT, data=''))}"], "fit.data"),
+        (["fit", "--preset", "ex4", "--set", f"fit={json.dumps(_RECT_FIT)}"], "fit.data"),
     ],
 )
 def test_a_malformed_document_exits_2_before_any_work(tmp_path, capsys, argv, dotted):
@@ -737,6 +742,10 @@ AGREEMENT_MODELS = {
     "ex5": ("ex5", {"grid": {"dphi_divisor": 100}}),
     "ex6": ("ex6", {"grid": {"dphi_divisor": 100}}),
     "tumour": ("tumour", {"grid": {"dphi_divisor": 100}}),
+    "tumour-poisson": (
+        "tumour",
+        {"model": {"basis": {"kind": "poisson"}}, "grid": {"dphi_divisor": 100}},
+    ),
     "ex4-rate_linear": (
         "ex4",
         {

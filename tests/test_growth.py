@@ -460,23 +460,57 @@ POISSON_COSINE_RATE = {
     "grid": {"dphi_divisor": 32, "dt": 0.5, "t_max": 4.0},
     "times": [2.0],
 }
+# Poisson models whose weight is not constant: the cosine-series weight on
+# the rate and direct kinds, and the tumour model
+POISSON_MESH_MODELS = {
+    "rate-cosine": POISSON_COSINE_RATE,
+    "direct-cosine": {
+        "model": {
+            "kind": "direct",
+            "weight": {"kind": "cosine", "coeffs": [1.0, 0.5]},
+            "basis": {"kind": "poisson"},
+            "control": {"kind": "constant", "c": 20.0},
+            "ambit": {"kind": "full_angle", "T": 2.0},
+        },
+        "grid": {"dphi_divisor": 64, "dt": 0.25, "t_max": 8.0},
+        "times": [3.0],
+    },
+    "tumour": {
+        "preset": "tumour",
+        "model": {"basis": {"kind": "poisson"}},
+        "grid": {"dphi_divisor": 100},
+        "times": [25.0],
+    },
+}
 
 
-def test_poisson_rate_model_with_cosine_weight_takes_mesh_path(tmp_path):
-    # the rate point sum handles constant weights only
+@pytest.mark.parametrize("name", sorted(POISSON_MESH_MODELS))
+def test_poisson_model_with_a_nonconstant_weight_takes_mesh_path(tmp_path, name):
+    # point sums handle constant weights only; every other weight's term is
+    # the mesh kernel's correlation with the cell counts
+    from levygrowth.ambit import mesh_kernel
     from levygrowth.cli import main
     from levygrowth.config import parse_config
     from levygrowth.growth import _correlate_rows, _rate_kernel
 
+    doc = POISSON_MESH_MODELS[name]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(POISSON_COSINE_RATE))
+    path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
-    cfg = parse_config(json.loads(json.dumps(POISSON_COSINE_RATE)))
-    spec, grid, t = cfg.spec, cfg.grid, 2.0
+    cfg = parse_config(json.loads(json.dumps(doc)))
+    spec, grid, (t,) = cfg.spec, cfg.grid, cfg.times
     hist = simulate(spec, grid, 5, [t])
     real = sample_realization(spec.basis, grid, 5)
-    term = _correlate_rows(real.increments, _rate_kernel(spec, grid, t), grid.n_phi)
-    expected = spec.r0_profile(grid.phi_mids) + spec.drift.integral(0.0, t) + term
+    if spec.kind == "rate_linear":
+        kernel = _rate_kernel(spec, grid, t)
+        level = spec.r0_profile(grid.phi_mids) + spec.drift.integral(0.0, t)
+    else:
+        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+        level = spec.drift(t)
+    term = _correlate_rows(real.increments, kernel, grid.n_phi)
+    expected = level + term
+    if spec.kind == "exponential_tumour":
+        expected = np.exp(expected)
     assert np.any(term != 0.0)
     assert np.max(np.abs(hist.profiles[0] - expected)) <= 1e-12 * max(
         1.0, float(np.max(np.abs(expected)))
