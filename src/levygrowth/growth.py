@@ -31,11 +31,22 @@ prints its law exactly.
 A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
 kernels, kept as the spectra of their nonzero (ambit-window) rows, the
-centring shifts and the drift values.  Each replicate then samples its
-realization, only the rows its terms read unless a point sum needs every
-row's counts, and does once what several times read: the transform of each
-increment row in any time's window, and for point sums the points and, on a
-factorizing family, their arcs.
+centring shifts and the drift values.
+
+On a Gaussian basis those spectra fix the joint law of every time's term:
+per harmonic k, the terms' profile coefficients are complex normal across
+the times, independent over k (the circle's exact form of circulant
+embedding).  The plan factors each harmonic's covariance once, and a
+replicate draws the coefficients directly, one block of normals from the
+start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
+
+Gamma, inverse Gaussian and Poisson bases sample their realization with
+:func:`~levygrowth.levy_core.sample_realization` from the row-addressed
+streams of :mod:`levygrowth.rngtools`, only the rows their terms read unless
+a point sum needs every row's counts, and do once what several times read:
+the transform of each increment row in any time's window, and for point
+sums the points and, on a factorizing family, their arcs.  A term called on
+a realization, of any basis, reads that realization's rows.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -75,7 +86,7 @@ from .levy_core import (
     sample_realization,
 )
 from .quadrature import adaptive_simpson
-from .rngtools import mix_seed
+from .rngtools import mix_seed, seeded_generator
 from .timefn import TimeFn
 
 Drift = TimeFn
@@ -411,6 +422,61 @@ class _Draw:
         return next(b for b in self.blocks if b.span[0] <= span[0] and span[1] <= b.span[1])
 
 
+class _JointSpectrum:
+    """The joint law of Gaussian mesh terms, harmonic by harmonic.
+
+    Term ``t`` has profile coefficients ``X_t(k) = sum_l Z_l(k) S^t_l(k)``,
+    with ``Z_l`` the ``rfft`` of increment row ``l`` and ``S^t_l`` the term's
+    ``spectrum`` row.  The rows are independent Gaussian, so off the mean
+    ``X(k)`` is complex normal across the terms with covariance ``gram[k] =
+    C_k(t, u) = n b sum_l mu_l S^t_l(k) conj(S^u_l(k))``, independent over
+    k = 0..n/2 and real at k = 0 and at the Nyquist harmonic of an even n.
+    ``factor[k]`` is ``A_k`` with ``A_k A_k^H = C_k``, from ``eigh`` with
+    rounding-level negative eigenvalues clipped to 0 (``C_k`` is singular
+    where the kernels have exact zeros, so Cholesky fails there), and real
+    at the real harmonics.  ``mean`` is each term's ``moments[0]``.
+    """
+
+    def __init__(self, terms, grid, basis):
+        n, nk = grid.n_phi, grid.n_phi // 2 + 1
+        weights = n * basis.spot.b_tilde * grid.cell_mu(basis.control)
+        gram = np.zeros((nk, len(terms), len(terms)), dtype=complex)
+        for i, a in enumerate(terms):
+            for j, b in enumerate(terms[: i + 1]):
+                rows, ia, jb = np.intersect1d(a.rows, b.rows, return_indices=True)
+                gram[:, i, j] = np.einsum(
+                    "l,lk,lk->k", weights[rows], a.spectrum[ia], np.conj(b.spectrum[jb])
+                )
+                gram[:, j, i] = np.conj(gram[:, i, j])
+        self.n_phi, self.gram = n, gram
+        self.real = np.array([0, n // 2] if n % 2 == 0 else [0])
+        self.factor = _psd_factor(gram)
+        self.factor[self.real] = _psd_factor(gram[self.real].real)
+        # complex normals of unit variance: N(0, 1/2) parts, a real N(0, 1)
+        # at the real harmonics
+        self.scale = np.full((nk, 1), math.sqrt(0.5))
+        self.scale[self.real] = 1.0
+        self.mean = np.array([term.moments[0] for term in terms])[:, None]
+
+    def values(self, seed):
+        """The terms' values (n_terms, n_phi) drawn from ``seed``: one block
+        of ``n_terms x (n/2 + 1)`` complex normals ``h_k``, then the
+        ``irfft`` of each term's ``A_k h_k``, plus the mean."""
+        shape = (*self.factor.shape[:2], 2)
+        h = seeded_generator(seed).standard_normal(shape).view(complex)[..., 0]
+        h *= self.scale
+        h.imag[self.real] = 0.0
+        coeffs = np.einsum("ktj,kj->tk", self.factor, h)
+        return np.fft.irfft(coeffs, n=self.n_phi, axis=1) + self.mean
+
+
+def _psd_factor(gram):
+    """``A`` with ``A A^H = gram`` for a stack of positive semidefinite
+    Hermitian matrices, negative eigenvalues clipped to 0."""
+    w, v = np.linalg.eigh(gram)
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
 def _rate_kernel(spec, grid, t):
     fbar = _ambit.induced_weight(
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
@@ -476,16 +542,17 @@ def _term(spec, grid, t, mode):
 
 @dataclass(frozen=True)
 class _Radius:
-    """The radius at one time, ``scale * link(level + term(realization))``;
-    ``level + term`` is the linear predictor (see :mod:`levygrowth.cli`)."""
+    """The radius at one time, ``scale * link(level + value)`` for a value
+    of ``term``; ``level + value`` is the linear predictor (see
+    :mod:`levygrowth.cli`)."""
 
     term: object
     level: object  # a number, or one value per grid angle
     scale: object = 1.0
     link: Optional[Callable] = None
 
-    def __call__(self, draw):
-        x = self.level + self.term.read(draw)
+    def __call__(self, value):
+        x = self.level + value
         return self.scale * (x if self.link is None else self.link(x))
 
     def moments(self):
@@ -533,19 +600,34 @@ class _Plan:
             return _Radius(term, level)
         return _Radius(term, level, np.asarray(spec.multiplier(angles), dtype=float))
 
-    def profiles(self, seed):
-        """Radii (n_times, n_phi) on the realization drawn from ``seed``.
+    @cached_property
+    def joint_spectrum(self):
+        """The :class:`_JointSpectrum` of the terms on a Gaussian basis, else
+        None; built on first use, so ``levygrowth moments`` never builds it."""
+        if self.spec.basis.spot.kind != "gaussian":
+            return None
+        return _JointSpectrum([radius.term for radius in self.radii], self.grid, self.spec.basis)
 
-        Without point terms only the rows the mesh terms read are drawn;
-        point placement needs the counts of every row."""
-        rows, spans = self.reads
-        realization = sample_realization(
-            self.spec.basis, self.grid, seed, rows=None if spans else rows
-        )
-        draw = _Draw(realization, self.reads)
+    def profiles(self, seed):
+        """Radii (n_times, n_phi) drawn from ``seed``.
+
+        A Gaussian basis draws its terms' joint spectrum, one block of
+        normals from ``seeded_generator(seed)``, and samples no realization.
+        Other bases sample the realization from ``seed``'s row streams:
+        without point terms only the rows the mesh terms read, since point
+        placement needs the counts of every row."""
+        if self.joint_spectrum is not None:
+            values = self.joint_spectrum.values(seed)
+        else:
+            rows, spans = self.reads
+            realization = sample_realization(
+                self.spec.basis, self.grid, seed, rows=None if spans else rows
+            )
+            draw = _Draw(realization, self.reads)
+            values = [radius.term.read(draw) for radius in self.radii]
         out = np.empty((self.times.size, self.grid.n_phi))
         for i, radius in enumerate(self.radii):
-            out[i] = radius(draw)
+            out[i] = radius(values[i])
         if not np.all(np.isfinite(out)):
             raise NonFiniteValue("simulation produced non-finite radii")
         return out

@@ -5,11 +5,18 @@ realization drawn from ``mix_seed(seed, r)``, so replicates can run in any
 order or concurrently and still reproduce bit-for-bit.  The replicates of
 ``moments.mc_verify``, never read alone, are consecutive draws of one generator.
 
-Cell increments are row-addressed: row ``l`` of the realization drawn from
-``seed`` draws from ``PCG64(SeedSequence(seed))`` advanced by
-``l * ROW_STRIDE`` (2**40) outputs, see :class:`RowStreams`.  A row takes far
-fewer than 2**40 outputs, so rows never overlap, and any set of rows can be
-drawn alone with the values a full draw gives them.
+A simulation drawn from ``seed`` reads the stream
+``PCG64(SeedSequence(seed))`` (:func:`seeded_generator`).  On a Gaussian
+basis it takes, in one call from the start of that stream, the joint
+spectrum of its terms: ``n_times x (n_phi // 2 + 1)`` complex normals (see
+:class:`levygrowth.growth._JointSpectrum`), and no increment rows.
+
+The cell increments of every other basis, and of any realization drawn on
+its own, are row-addressed: row ``l`` of the realization drawn from ``seed``
+draws from that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
+:class:`RowStreams`.  A row takes far fewer than 2**40 outputs, so rows never
+overlap, and any set of rows can be drawn alone with the values a full draw
+gives them.
 """
 
 import numpy as np
@@ -37,6 +44,11 @@ def mix_seed(seed, stream):
     return _splitmix64(_splitmix64(x))
 
 
+def seeded_generator(seed):
+    """The generator on ``PCG64(SeedSequence(seed mod 2**64))``."""
+    return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+
+
 class RowStreams:
     """The row-addressed streams of one seed.
 
@@ -47,9 +59,9 @@ class RowStreams:
     """
 
     def __init__(self, seed):
-        self._bitgen = np.random.PCG64(int(seed) & _MASK64)
+        self._rng = seeded_generator(seed)
+        self._bitgen = self._rng.bit_generator
         self._origin = self._bitgen.state
-        self._rng = np.random.Generator(self._bitgen)
 
     def at(self, row):
         """The generator positioned at the start of row ``row``."""

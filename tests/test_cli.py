@@ -741,6 +741,17 @@ AGREEMENT_MODELS = {
     "ex4": ("ex4", {"grid": {"dphi_divisor": 100}}),
     "ex5": ("ex5", {"grid": {"dphi_divisor": 100}}),
     "ex6": ("ex6", {"grid": {"dphi_divisor": 100}}),
+    # a nonzero spot mean, not centred: the terms' mean rides on the draw
+    "ex4-mean": (
+        "ex4",
+        {
+            "model": {
+                "basis": {"a": 0.5},
+                "ambit": {"theta": {"kind": "constant", "value": math.pi / 5}},
+            },
+            "grid": {"dphi_divisor": 100},
+        },
+    ),
     "tumour": ("tumour", {"grid": {"dphi_divisor": 100}}),
     "tumour-poisson": (
         "tumour",

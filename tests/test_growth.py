@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levygrowth.ambit import (
@@ -46,7 +46,7 @@ from levygrowth.levy_core import (
     spot_variance,
 )
 from levygrowth.quadrature import adaptive_simpson
-from levygrowth.rngtools import mix_seed
+from levygrowth.rngtools import mix_seed, seeded_generator
 from levygrowth.timefn import TimeFn
 
 TWO_PI = 2 * math.pi
@@ -365,9 +365,12 @@ def _multi_time_case(name):
             "direct", Drift.zero(), 1.0, _poisson_basis(5.0), Tumour.of(3.0, 1.0, 1.0)
         )
         return spec, small_grid(n_phi=32, dt=0.25, t_max=6.0), (3.0, 4.0, 6.0)
-    if name == "ex4-mesh":
-        return ex4.spec, ex4.grid, (20.0, 22.0, 45.0, 80.0)
-    return replace(ex4.spec, kind="rate_linear"), ex4.grid, ex4.times
+    # a Gaussian basis draws its joint spectrum, not rows, so the mesh cases
+    # take the Gamma basis of ex5
+    ex5 = example_preset("ex5")
+    if name == "ex5-mesh":
+        return ex5.spec, ex5.grid, (20.0, 22.0, 45.0, 80.0)
+    return replace(ex5.spec, kind="rate_linear"), ex5.grid, ex5.times
 
 
 @pytest.mark.parametrize(
@@ -378,8 +381,8 @@ def _multi_time_case(name):
         "tumour-poisson",
         "cosine-full-angle-poisson",
         "constant-tumour-family-poisson",
-        "ex4-mesh",
-        "ex4-rate-mesh",
+        "ex5-mesh",
+        "ex5-rate-mesh",
     ],
 )
 def test_multi_time_simulation_equals_single_time_terms(name):
@@ -400,7 +403,7 @@ def test_multi_time_simulation_equals_single_time_terms(name):
         assert np.array_equal(profiles[i], expected), (name, t)
 
 
-@pytest.mark.parametrize("name", ["ex4-mesh", "ex4-rate-mesh", "ex4-poisson", "tumour-poisson"])
+@pytest.mark.parametrize("name", ["ex5-mesh", "ex5-rate-mesh", "ex4-poisson", "tumour-poisson"])
 def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
     from levygrowth import growth
 
@@ -555,7 +558,7 @@ DETERMINISM_SPOTS = (
 )
 
 
-def determinism_spec(kind, spot):
+def determinism_spec(kind, spot, lag=1.0):
     basis = BasisSpec(spot, ControlMeasure(TimeDensity.constant(1.0)))
     if kind == "exponential_tumour":
         family = Tumour.of(3.0, 1.0, 1.0)
@@ -566,7 +569,7 @@ def determinism_spec(kind, spot):
         Drift.constant(1.0),
         ConstantWeight(0.3),
         basis,
-        Rectangular.of(0.7, TimeFn.constant(1.0)),
+        Rectangular.of(0.7, TimeFn.constant(lag)),
         r0=1.0,
         multiplier=asymmetry_profile if kind == "direct_scaled" else None,
     )
@@ -589,6 +592,94 @@ def test_replicate_equals_simulate_on_its_derived_seed(kind, spot, seed, n_repli
         assert np.array_equal(profiles[r], single)
 
 
+GAUSSIAN_TIMES = st.lists(st.sampled_from([3.3, 3.4, 3.5, 4.0]), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MODEL_KINDS),
+    st.sampled_from([15, 16]),
+    st.sampled_from([0.0, 0.7]),
+    st.sampled_from([0.0, 1.3]),
+    st.sampled_from([0.3, 1.0]),
+    GAUSSIAN_TIMES,
+)
+# three times whose windows hold one and the same kernel row
+@example("direct", 16, 0.7, 1.3, 0.3, [3.3, 3.4, 3.5])
+# no noise (b = 0) but a mean, on an odd number of angles
+@example("direct", 15, 0.7, 0.0, 1.0, [3.3, 4.0])
+def test_joint_spectrum_factor_is_the_mesh_law(kind, n_phi, a, b, lag, times):
+    # a Gaussian plan's factor reproduces the covariance the shared increment
+    # rows give its terms: per harmonic, at each time and across times
+    from levygrowth.ambit import mesh_kernel
+    from levygrowth.growth import _Plan, _rate_kernel
+    from levygrowth.levy_core import cumulant_sum
+
+    spec = determinism_spec(kind, SpotLaw.gaussian(a, b), lag=lag)
+    grid = small_grid(n_phi=n_phi)
+    plan = _Plan(spec, grid, times)
+    law = plan.joint_spectrum
+    terms = [radius.term for radius in plan.radii]
+    n, mu = grid.n_phi, grid.cell_mu(spec.basis.control)
+    stack = np.zeros((len(terms), grid.n_t, n // 2 + 1), dtype=complex)
+    for i, term in enumerate(terms):
+        stack[i, term.rows] = term.spectrum
+    gram = n * b * np.einsum("l,tlk,ulk->ktu", mu, stack, np.conj(stack))
+    factored = law.factor @ np.conj(np.swapaxes(law.factor, 1, 2))
+    scale = np.abs(gram).max()
+    assert np.abs(law.gram - gram).max() <= 1e-12 * scale
+    assert np.abs(factored - gram).max() <= 1e-12 * scale
+    assert np.all(law.factor[law.real].imag == 0.0)
+
+    # Parseval: the profile covariance at one angle sums the harmonics, the
+    # inner ones twice (their conjugates)
+    twice = np.full(n // 2 + 1, 2.0)
+    twice[law.real] = 1.0
+    cov = np.einsum("k,ktu->tu", twice, factored).real / n**2
+    kernels = [
+        _rate_kernel(spec, grid, t)
+        if kind in ("rate_linear", "rate_of_log")
+        else mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+        for t in plan.times
+    ]
+    var = np.array([term.moments[1] for term in terms])
+    assert np.abs(np.diag(cov) - var).max() <= 1e-12 * max(var.max(), 1e-300)
+    for i, j in zip(*np.triu_indices(len(terms), 1)):
+        exact = cumulant_sum(spec.basis.spot, mu, kernels[i], kernels[j])
+        assert abs(cov[i, j] - exact) <= 1e-12 * max(math.sqrt(var[i] * var[j]), 1e-300)
+
+    # the draw: unit complex normals h_k from the seed's stream, real at the
+    # real harmonics, coefficients A_k h_k, plus the terms' means
+    assert np.array_equal(law.mean[:, 0], [term.moments[0] for term in terms])
+    z = seeded_generator(9).standard_normal((n // 2 + 1, len(terms), 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    h[law.real] = z[law.real, :, 0]
+    coeffs = np.einsum("ktj,kj->tk", law.factor, h)
+    expected = np.fft.irfft(coeffs, n=n, axis=1) + law.mean
+    values = law.values(9)
+    assert np.abs(values - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+    if b == 0.0:  # no noise: every draw is the mean
+        assert np.abs(values - law.mean).max() <= 1e-12 * max(np.abs(law.mean).max(), 1.0)
+
+
+@pytest.mark.parametrize("preset", ["ex4", "ex6", "tumour"])
+def test_gaussian_plan_draws_no_realization(monkeypatch, preset):
+    from levygrowth import growth, levy_core
+
+    p = example_preset(preset)
+    plan = growth._Plan(p.spec, p.grid, p.times)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gaussian plan sampled a realization")
+
+    monkeypatch.setattr(growth, "sample_realization", forbidden)
+    monkeypatch.setattr(levy_core, "sample_realization", forbidden)
+    monkeypatch.setattr(growth, "_Draw", forbidden)
+    profiles = plan.profiles(5)
+    assert profiles.shape == (len(p.times), p.grid.n_phi)
+    assert np.all(np.isfinite(profiles))
+
+
 @pytest.mark.parametrize(
     "spot",
     [SpotLaw.poisson(), SpotLaw.gamma_law(1.0, 1.0), SpotLaw.inverse_gaussian(1.0, 1.0)],
@@ -607,9 +698,15 @@ def test_monotone_growth_nonnegative_bases(spot):
 
 
 def test_direct_gaussian_keeps_negative_values_with_flag():
+    # a half-width below one cell: the 16 angles read disjoint cells, so
+    # their signs are independent fair coins
     grid = small_grid()
     spec = GrowthModelSpec(
-        "direct", Drift.zero(), ConstantWeight(1.0), gaussian_basis(4.0), FullAngle.of(2.0)
+        "direct",
+        Drift.zero(),
+        ConstantWeight(1.0),
+        gaussian_basis(4.0),
+        Rectangular.of(0.2, TimeFn.constant(2.0)),
     )
     hist = simulate(spec, grid, 3, [3.0])
     assert hist.flags["nonpositive_values"] > 0
