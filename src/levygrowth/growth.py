@@ -42,11 +42,14 @@ start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
 
 Gamma, inverse Gaussian and Poisson bases sample their realization with
 :func:`~levygrowth.levy_core.sample_realization` from the row-addressed
-streams of :mod:`levygrowth.rngtools`, only the rows their terms read unless
-a point sum needs every row's counts, and do once what several times read:
-the transform of each increment row in any time's window, and for point
-sums the points and, on a factorizing family, their arcs.  A term called on
-a realization, of any basis, reads that realization's rows.
+streams of :mod:`levygrowth.rngtools`, only the rows their terms read, and
+do once what several times read: the transform of each increment row in any
+time's window.  Point sums read whole point blocks
+(:data:`~levygrowth.rngtools.POINT_BLOCK` rows): block by block, the points
+are placed and, on a factorizing family, their arcs built, and each time
+whose window the block touches adds its points to its own difference
+array, so no array grows with the whole point pattern.  A term called on a
+realization, of any basis, reads that realization's rows.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -79,6 +82,7 @@ from .errors import NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
     BasisSpec,
     GridSpec,
+    block_rows,
     check_kumulant_domain,
     config_hash,
     constant_weight_cumulant,
@@ -86,7 +90,7 @@ from .levy_core import (
     sample_realization,
 )
 from .quadrature import adaptive_simpson
-from .rngtools import mix_seed, seeded_generator
+from .rngtools import POINT_BLOCK, mix_seed, seeded_generator
 from .timefn import TimeFn
 
 Drift = TimeFn
@@ -234,7 +238,7 @@ class _Term:
     realization reads a draw made for this term alone."""
 
     def __call__(self, realization):
-        return self.read(_Draw(realization, _reads([self])))
+        return self.read(_Draw(realization, _reads([self], realization.grid)))
 
 
 class _MeshTerm(_Term):
@@ -264,9 +268,13 @@ class _PointTerm(_Term):
     realization that arrived in the term's window (to 1e-12), each point
     adding over the grid angles its arc covers: ``c`` in ``"direct"`` mode,
     ``c * L(s, t)`` in ``"rate"`` mode, with ``L`` the length of the point's
-    window in the time union.  The draw's :class:`_PointBlock` holds the time
-    rows ``span``.  ``moments``, the (mean, variance) of the value at each
-    angle, are computed on first use."""
+    window in the time union.  The window's points lie in the point
+    ``blocks`` (whole blocks of time rows); the draw adds each block's
+    points to the term's :class:`_ArcSum` (:meth:`add`) in block order, on
+    a factorizing family as the block's :meth:`_PointBlock.arc_sum`, so the
+    term's value does not depend on what other terms read.  ``moments``,
+    the (mean, variance) of the value at each angle, are computed on first
+    use."""
 
     def __init__(self, spec, grid, t, mode):
         self.spec, self.grid, self.t, self.mode = spec, grid, t, mode
@@ -277,22 +285,26 @@ class _PointTerm(_Term):
         # below absorbs the rounding of that upper end.
         lo = int(np.searchsorted(edges, self.window[0] - _EPS, side="left")) - 2
         hi = int(np.searchsorted(edges, self.window[1] + _EPS, side="right"))
-        self.span = (max(lo, 0), min(hi, grid.n_t))
+        lo, hi = max(lo, 0), min(hi, grid.n_t)
+        self.blocks = range(lo // POINT_BLOCK, -(-hi // POINT_BLOCK))
 
-    def read(self, draw):
-        points = draw.points(self.span)
-        sel = points.select(*self.window)
-        s = points.s[sel]
-        if points.arcs is None:
-            widths = np.asarray(self.spec.ambit.half_width(self.t, s), dtype=float)
-            arcs = _arcs(points.theta[sel], widths, self.grid)
-        else:
-            arcs = points.arcs.take(sel)
+    def add(self, block, total):
+        """Add the points of the :class:`_PointBlock` ``block`` that lie in
+        the window to the :class:`_ArcSum` ``total``."""
+        sel = block.select(*self.window)
+        s = block.s[sel]
         if self.mode == "rate":
             values = self.c * _ambit.window_length_in_union(self.spec.ambit, s, self.t)
         else:
             values = np.full(s.shape, self.c)
-        return _arc_sum(arcs, values, self.grid.n_phi)
+        if block.arcs is None:
+            widths = np.asarray(self.spec.ambit.half_width(self.t, s), dtype=float)
+            total.add(_arcs(block.theta[sel], widths, self.grid), values)
+        else:
+            total.add_sum(block.arc_sum(sel, values))
+
+    def read(self, draw):
+        return draw.sums[self].profile()
 
     @cached_property
     def moments(self):
@@ -336,42 +348,78 @@ def _arcs(theta, widths, grid):
     return _Arcs(full, start, start + length.astype(np.int32))
 
 
-def _arc_sum(arcs, values, n):
-    """Per grid angle, the sum of ``values`` over the arcs covering it.
+class _ArcSum:
+    """Per grid angle, the sum of values over the arcs covering it, added one
+    batch of points at a time (:meth:`add`) or one finished sum at a time
+    (:meth:`add_sum`).
 
-    The difference array takes the arc starts in point order, then the arc
-    ends (slot n collects what no cell reads), so points in the same order
-    give the same bits whether or not zero values or empty arcs are among
-    them.  Zero values are left out of the full-circle sum for that reason.
+    The difference array takes each batch's arc starts in point order, then
+    its arc ends (slot n collects what no cell reads), so the same batches of
+    points give the same bits whether or not zero values or empty arcs are
+    among them.  Zero values are left out of the full-circle sum for that
+    reason.
     """
-    wrap = arcs.end > n
-    diff = np.zeros(n + 1)
-    np.add.at(diff, arcs.start, values)
-    np.add.at(diff, np.minimum(arcs.end, n), -values)
-    np.add.at(diff, np.zeros(np.count_nonzero(wrap), dtype=np.int32), values[wrap])
-    np.add.at(diff, arcs.end[wrap] - n, -values[wrap])
-    full = values[arcs.full]
-    profile = np.zeros(n)
-    profile += float(np.sum(full[full != 0.0]))
-    profile += np.cumsum(diff[:n])
-    return profile
+
+    def __init__(self, n):
+        self.n, self.diff, self.full = n, np.zeros(n + 1), 0.0
+
+    def add(self, arcs, values):
+        n, diff = self.n, self.diff
+        np.add.at(diff, arcs.start, values)
+        np.add.at(diff, np.minimum(arcs.end, n), -values)
+        wrap = arcs.end > n
+        if wrap.any():
+            np.add.at(diff, np.zeros(np.count_nonzero(wrap), dtype=np.int32), values[wrap])
+            np.add.at(diff, arcs.end[wrap] - n, -values[wrap])
+        if arcs.full.any():
+            full = values[arcs.full]
+            self.full += float(np.sum(full[full != 0.0]))
+        return self
+
+    def add_sum(self, other):
+        self.diff += other.diff
+        self.full += other.full
+
+    def profile(self):
+        profile = np.zeros(self.n)
+        profile += self.full
+        profile += np.cumsum(self.diff[: self.n])
+        return profile
+
+
+def _arc_sum(arcs, values, n):
+    """Per grid angle, the sum of ``values`` over the arcs covering it."""
+    return _ArcSum(n).add(arcs, values).profile()
 
 
 class _PointBlock:
-    """The points of a realization in time rows ``span`` (views, in pattern
-    order, so sorted by row), and their :class:`_Arcs` when the ambit family
-    factorizes, so that every time reads the same arcs (``term`` is any term
-    of the block)."""
+    """The points of one point block of a realization, in row order, and
+    their :class:`_Arcs` when the ambit family factorizes, so that every time
+    reads the same arcs (``term`` is any term reading the block)."""
 
-    def __init__(self, realization, span, term):
+    def __init__(self, realization, term):
         pts = realization.points()
-        a, b = np.searchsorted(pts.row, span)
-        self.span = span
-        self.theta, self.s = pts.theta[a:b], pts.s[a:b]
+        self.theta, self.s = pts.theta, pts.s
         self.arcs = None
         if term.spec.ambit.factorizes:
             widths = np.asarray(term.spec.ambit.half_width(term.t, self.s), dtype=float)
             self.arcs = _arcs(self.theta, widths, term.grid)
+        self.n_phi, self.sums = term.grid.n_phi, []
+
+    def arc_sum(self, sel, values):
+        """The :class:`_ArcSum` of ``values`` over the arcs of the points
+        ``sel``, made once per slice and values, so that times whose windows
+        hold the same points with bitwise equal values share it: on the rate
+        kinds, every time by which ``L(s, t)`` has stopped growing for all
+        of the block's points."""
+        if not isinstance(sel, slice):
+            return _ArcSum(self.n_phi).add(self.arcs.take(sel), values)
+        for done, done_values, total in self.sums:
+            if done == sel and np.array_equal(done_values, values):
+                return total
+        total = _ArcSum(self.n_phi).add(self.arcs.take(sel), values)
+        self.sums.append((sel, values, total))
+        return total
 
     def select(self, lo, hi):
         """Index of the points with ``lo - 1e-12 <= s <= hi + 1e-12``: a
@@ -379,47 +427,57 @@ class _PointBlock:
         except for rounding at its end rows, else a boolean mask."""
         inside = (self.s >= lo - _EPS) & (self.s <= hi + _EPS)
         count = int(np.count_nonzero(inside))
-        first = int(np.argmax(inside))
+        first = int(np.argmax(inside)) if count else 0
         if inside[first : first + count].all():
             return slice(first, first + count)
         return inside
 
 
-def _reads(terms):
-    """What ``terms`` read of a realization: the sorted union of the mesh
-    terms' rows, and the point-term row spans merged where they overlap,
-    each with one of its terms."""
+class _Reads(NamedTuple):
+    """What terms read of a realization: ``rows``, the sorted time rows to
+    draw; ``mesh``, the sorted rows whose spectra the mesh terms read;
+    ``points``, the point terms; and ``blocks``, the sorted point blocks they
+    read."""
+
+    rows: np.ndarray
+    mesh: np.ndarray
+    points: list
+    blocks: list
+
+
+def _reads(terms, grid):
+    """The :class:`_Reads` of ``terms`` on ``grid``."""
     mesh = [term.rows for term in terms if isinstance(term, _MeshTerm)]
-    rows = np.unique(np.concatenate(mesh)) if mesh else np.empty(0, dtype=np.intp)
-    spans = []
-    for term in sorted((t for t in terms if isinstance(t, _PointTerm)), key=lambda t: t.span):
-        lo, hi = term.span
-        if spans and lo <= spans[-1][0][1]:
-            lo, hi = spans[-1][0][0], max(hi, spans[-1][0][1])
-            spans.pop()
-        spans.append(((lo, hi), term))
-    return rows, spans
+    mesh = np.unique(np.concatenate(mesh)) if mesh else np.empty(0, dtype=np.intp)
+    points = [term for term in terms if isinstance(term, _PointTerm)]
+    blocks = sorted({b for term in points for b in term.blocks})
+    rows = np.unique(np.concatenate([mesh, *(block_rows(grid, b) for b in blocks)]))
+    return _Reads(rows, mesh, points, blocks)
 
 
 class _Draw:
     """A realization with the work its terms share, done once whichever
     times read it: one ``rfft`` per increment row that a mesh term reads,
-    and one :class:`_PointBlock` per run of overlapping point-term spans."""
+    and per point block, its :class:`_PointBlock`, which every point term
+    reading the block adds to its :class:`_ArcSum` in ``sums``."""
 
     def __init__(self, realization, reads):
-        self.rows, spans = reads
+        self.rows = reads.mesh
         if self.rows.size:
-            increments = realization.increments
-            if realization.rows is None:  # else drawn for these reads alone
-                increments = increments[self.rows]
-            self.spectra = np.fft.rfft(increments, axis=1)
-        self.blocks = [_PointBlock(realization, span, term) for span, term in spans]
+            mesh = realization
+            if mesh.rows is None or not np.array_equal(mesh.rows, self.rows):
+                mesh = realization.take_rows(self.rows)
+            self.spectra = np.fft.rfft(mesh.increments, axis=1)
+        grid = realization.grid
+        self.sums = {term: _ArcSum(grid.n_phi) for term in reads.points}
+        for b in reads.blocks:
+            terms = [term for term in reads.points if b in term.blocks]
+            block = _PointBlock(realization.take_rows(block_rows(grid, b)), terms[0])
+            for term in terms:
+                term.add(block, self.sums[term])
 
     def row_spectra(self, rows):
         return self.spectra[np.searchsorted(self.rows, rows)]
-
-    def points(self, span):
-        return next(b for b in self.blocks if b.span[0] <= span[0] and span[1] <= b.span[1])
 
 
 class _JointSpectrum:
@@ -490,8 +548,7 @@ def _point_path(spec, mode):
     and on a factorizing one for the rate mode, where the point sum has
     closed-form moments.  Every other Poisson weight, cosine-series and
     tumour weights included, integrates the cell counts on the mesh, so its
-    ``moments`` are its law exactly; and a Poisson model draws every row
-    only when it has a point sum."""
+    ``moments`` are its law exactly."""
     return (
         spec.basis.spot.kind == "poisson"
         and isinstance(spec.weight, ConstantWeight)
@@ -578,7 +635,7 @@ class _Plan:
         for t in self.times:
             check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
         self.radii = [self._radius(t) for t in self.times]
-        self.reads = _reads([radius.term for radius in self.radii])
+        self.reads = _reads([radius.term for radius in self.radii], grid)
         self.spec_hash = config_hash(spec, grid)
 
     def _radius(self, t):
@@ -613,16 +670,13 @@ class _Plan:
 
         A Gaussian basis draws its terms' joint spectrum, one block of
         normals from ``seeded_generator(seed)``, and samples no realization.
-        Other bases sample the realization from ``seed``'s row streams:
-        without point terms only the rows the mesh terms read, since point
-        placement needs the counts of every row."""
+        Other bases sample, from ``seed``'s row streams, only the rows the
+        mesh terms read and the rows of the point blocks the point terms
+        read, and place those blocks' points one block at a time."""
         if self.joint_spectrum is not None:
             values = self.joint_spectrum.values(seed)
         else:
-            rows, spans = self.reads
-            realization = sample_realization(
-                self.spec.basis, self.grid, seed, rows=None if spans else rows
-            )
+            realization = sample_realization(self.spec.basis, self.grid, seed, rows=self.reads.rows)
             draw = _Draw(realization, self.reads)
             values = [radius.term.read(draw) for radius in self.radii]
         out = np.empty((self.times.size, self.grid.n_phi))

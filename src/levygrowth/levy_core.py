@@ -18,6 +18,9 @@ Sampling draws each grid cell directly from that marginal, so realizations
 are exact in distribution on the cell algebra; no series truncation is
 involved.  Each time row draws from its own stream
 (:class:`~levygrowth.rngtools.RowStreams`), so rows can be drawn alone.
+A Poisson realization's points are placed one block of
+:data:`~levygrowth.rngtools.POINT_BLOCK` rows at a time, each block from its
+own point stream, so the points of whole blocks can be placed alone too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     RegionOutsideGrid,
     UnboundedRegion,
 )
-from .rngtools import RowStreams, mix_seed
+from .rngtools import POINT_BLOCK, RowStreams, mix_seed
 from .timefn import TimeFn
 
 _POINTS_STREAM = 0x706F696E  # sub-stream tag for Poisson point placement
@@ -379,6 +382,12 @@ class PointPattern:
     row: np.ndarray  # time-cell index
 
 
+def block_rows(grid, block):
+    """The time rows of point block ``block``: ``POINT_BLOCK`` rows from
+    ``block * POINT_BLOCK``, fewer in the grid's last block."""
+    return np.arange(block * POINT_BLOCK, min((block + 1) * POINT_BLOCK, grid.n_t))
+
+
 @dataclass
 class BasisRealization:
     """Cell increments of one basis draw on a grid.
@@ -386,8 +395,12 @@ class BasisRealization:
     ``increments`` has shape (n_t, n_phi), time-major, or (len(rows), n_phi)
     holding the time rows ``rows`` when only those were drawn.  For the
     Poisson kind the underlying point pattern is materialized lazily and
-    deterministically from a sub-stream of the realization seed; per cell,
-    the number of points equals the cell increment.
+    deterministically from a sub-stream of the realization seed, one block of
+    ``POINT_BLOCK`` rows at a time (:class:`_PointPlacer`); per cell, the
+    number of points equals the cell increment.  A row draw has points when
+    its rows are whole blocks in row order, and they are the full draw's
+    points in those rows.  Row draws taken with :meth:`take_rows` share
+    their realization's placer, so place their points one after another.
     """
 
     spec: BasisSpec
@@ -396,6 +409,7 @@ class BasisRealization:
     increments: np.ndarray
     rows: Optional[np.ndarray] = None
     _points: Optional[PointPattern] = None
+    _placer: Optional[_PointPlacer] = field(default=None, repr=False, compare=False)
 
     @property
     def kind(self):
@@ -407,13 +421,34 @@ class BasisRealization:
     def points(self) -> PointPattern:
         if self.kind != "poisson":
             raise ValueError("point pattern only exists for the Poisson kind")
-        if self.rows is not None:
-            raise ValueError("point placement needs the counts of every row")
+        rows = np.arange(self.grid.n_t) if self.rows is None else self.rows
+        starts = rows[rows % POINT_BLOCK == 0]
+        whole = (starts[:, None] + np.arange(POINT_BLOCK)).ravel()
+        if np.any(np.diff(starts) <= 0) or not np.array_equal(rows, whole[whole < self.grid.n_t]):
+            raise ValueError("point placement needs the counts of whole row blocks, in row order")
         if self._points is None:
-            self._points = _place_points(
-                self.spec, self.grid, self.increments, mix_seed(self.seed, _POINTS_STREAM)
-            )
+            self._points = self._point_placer().place(self.increments, rows)
         return self._points
+
+    def _point_placer(self):
+        if self._placer is None:
+            self._placer = _PointPlacer(self.spec, self.grid, self.seed)
+        return self._placer
+
+    def take_rows(self, rows):
+        """This realization on the time rows ``rows`` alone, in that order;
+        each must have been drawn."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if self.rows is None:
+            increments = self.increments[rows]
+        else:
+            at = np.full(self.grid.n_t, -1)
+            at[self.rows] = np.arange(self.rows.size)
+            if np.any(at[rows] < 0):
+                raise ValueError("the realization did not draw every requested row")
+            increments = self.increments[at[rows]]
+        placer = self._point_placer() if self.kind == "poisson" else None
+        return BasisRealization(self.spec, self.grid, self.seed, increments, rows, _placer=placer)
 
     def to_csv(self, path):
         """Debug export: one row per drawn cell (theta_lo, theta_hi, t_lo,
@@ -549,29 +584,68 @@ def sample_realization(
     return BasisRealization(spec, grid, int(seed), increments, None if rows is None else index)
 
 
-def _place_points(spec, grid, counts, seed):
-    """Locate Poisson points inside their cells; rejection against g in time."""
-    rng = np.random.default_rng(seed)
-    counts = counts.astype(int)
-    # points come in row order, so row-level values repeat into per-point ones
-    row_counts = counts.sum(axis=1)
-    row = np.repeat(np.arange(grid.n_t), row_counts)
-    col = np.repeat(np.nonzero(counts)[1], counts[counts != 0])
-    total = row.size
-    theta = grid.phi_edges[col] + grid.dphi * rng.random(total)
-    edges = grid.t_edges
-    t_lo = np.repeat(edges[:-1], row_counts)
-    g = spec.control.g
-    g_max = np.repeat(g.max_on(edges[:-1], edges[1:]), row_counts)
-    # Every point proposes, then the rejected ones propose again.
-    s = t_lo + grid.dt * rng.random(total)
-    pending = np.flatnonzero(rng.random(total) * g_max > g(s))
-    while pending.size:
-        prop = t_lo[pending] + grid.dt * rng.random(pending.size)
-        accept = rng.random(pending.size) * g_max[pending] <= g(prop)
-        s[pending[accept]] = prop[accept]
-        pending = pending[~accept]
-    return PointPattern(theta, s, row)
+class _PointPlacer:
+    """What placing the Poisson points of the realization drawn from
+    ``seed`` takes besides its counts, prepared once: the point streams, row
+    streams of ``mix_seed(seed, _POINTS_STREAM)``, and per time row the
+    bound of ``g`` that rejection proposes against.  The streams are shared,
+    so place one set of rows before the next."""
+
+    def __init__(self, spec, grid, seed):
+        self.g, self.grid = spec.control.g, grid
+        self.streams = RowStreams(mix_seed(seed, _POINTS_STREAM))
+        self.t_edges, self.phi_edges = grid.t_edges, grid.phi_edges
+        self.g_max = self.g.max_on(self.t_edges[:-1], self.t_edges[1:])
+
+    def place(self, counts, rows):
+        """Locate the points of ``counts``, which hold the time rows ``rows``
+        (whole point blocks in row order), inside their cells, by rejection
+        against g in time.  Each block is :meth:`place_block`."""
+        starts = range(0, rows.size, POINT_BLOCK)
+        if len(starts) == 1:
+            return self.place_block(counts, rows[0])
+        total = int(counts.sum())
+        out = PointPattern(np.empty(total), np.empty(total), np.empty(total, dtype=np.intp))
+        at = 0
+        for i in starts:
+            block = self.place_block(counts[i : i + POINT_BLOCK], rows[i])
+            n = block.row.size
+            out.theta[at : at + n], out.s[at : at + n], out.row[at : at + n] = block.theta, block.s, block.row
+            at += n
+        return out
+
+    def place_block(self, counts, first):
+        """The points of the point block whose first time row is ``first``
+        and whose cell counts are ``counts``, drawn from row ``first //
+        POINT_BLOCK`` of the point streams: every point's angle, then every
+        point's proposed time and its acceptance uniform, then further rounds
+        for the rejected points, in row order."""
+        rng = self.streams.at(first // POINT_BLOCK)
+        grid, g = self.grid, self.g
+        n_rows = counts.shape[0]
+        counts = counts.astype(np.intp)
+        # points come in row-major cell order, so cell values repeat into per-point ones
+        row_counts = counts.sum(axis=1)
+        row = np.repeat(np.arange(first, first + n_rows), row_counts)
+        total = row.size
+        theta = rng.random(total)
+        theta *= grid.dphi
+        theta += np.repeat(np.tile(self.phi_edges[:-1], n_rows), counts.ravel())
+        t_lo = np.repeat(self.t_edges[first : first + n_rows], row_counts)
+        g_max = np.repeat(self.g_max[first : first + n_rows], row_counts)
+        # Every point proposes, then the rejected ones propose again.
+        s = rng.random(total)
+        s *= grid.dt
+        s += t_lo
+        height = rng.random(total)
+        height *= g_max
+        pending = np.flatnonzero(height > g(s))
+        while pending.size:
+            prop = t_lo[pending] + grid.dt * rng.random(pending.size)
+            accept = rng.random(pending.size) * g_max[pending] <= g(prop)
+            s[pending[accept]] = prop[accept]
+            pending = pending[~accept]
+        return PointPattern(theta, s, row)
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +715,13 @@ def integrate(f, region, realization: BasisRealization):
     :func:`levygrowth.ambit.mesh_kernel` and the simulator.  A realization
     drawn on some rows only is summed over them, and the region's weight
     must vanish on every other row.  Poisson realizations are integrated
-    exactly over their point pattern.
+    exactly over their point pattern; a Poisson row draw must hold whole
+    point blocks and every row the region's time window reaches.
     """
     grid = realization.grid
     t_lo, t_hi = region.time_window()
-    if not grid.covers(max(t_lo, realization.spec.control.g.support[0]), t_hi):
+    lo = max(t_lo, realization.spec.control.g.support[0])  # no mass below the support
+    if not grid.covers(lo, t_hi):
         raise RegionOutsideGrid(
             f"region window [{t_lo}, {t_hi}] outside grid "
             f"[{grid.t_min}, {grid.t_max}]"
@@ -657,6 +733,11 @@ def integrate(f, region, realization: BasisRealization):
         fv = lambda theta, s: np.full(np.broadcast(theta, s).shape, const)
 
     if realization.kind == "poisson":
+        if realization.rows is not None:
+            edges = grid.t_edges
+            reached = np.flatnonzero((edges[1:] >= lo) & (edges[:-1] <= t_hi))
+            if not np.all(np.isin(reached, realization.rows)):
+                raise ValueError("the region reaches time rows that were not drawn")
         pts = realization.points()
         mask = region.contains(pts.theta, pts.s)
         if not np.any(mask):

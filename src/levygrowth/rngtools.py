@@ -17,6 +17,14 @@ draws from that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
 :class:`RowStreams`.  A row takes far fewer than 2**40 outputs, so rows never
 overlap, and any set of rows can be drawn alone with the values a full draw
 gives them.
+
+The Poisson points of a realization are placed one block of
+``POINT_BLOCK`` (8) time rows at a time: block ``b``, rows ``8 b .. 8 b + 7``,
+draws from row ``b`` of the row streams of ``mix_seed(seed, tag)`` (see
+:mod:`levygrowth.levy_core`).  So the points of any set of whole blocks can
+be placed alone, from those rows' counts, with the values a full placement
+gives them.  Like ``ROW_STRIDE``, the block size is part of the stream
+layout, not a setting.
 """
 
 import numpy as np
@@ -25,6 +33,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
 
 ROW_STRIDE = 1 << 40  # stream outputs reserved for one row of increments
+POINT_BLOCK = 8  # time rows whose Poisson points one point stream places
 
 
 def _splitmix64(z):

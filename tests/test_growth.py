@@ -403,6 +403,32 @@ def test_multi_time_simulation_equals_single_time_terms(name):
         assert np.array_equal(profiles[i], expected), (name, t)
 
 
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["ex3", "ex4-poisson"]), seed=st.integers(0, 2**64 - 1))
+def test_block_by_block_point_sums_equal_each_term_on_the_full_draw(name, seed):
+    # the plan draws only its point blocks' rows and places their points block
+    # by block; each term alone reads every point of the full draw
+    from levygrowth.growth import _Plan, _term
+
+    spec, grid, times = _multi_time_case(name)
+    if name == "ex3":  # 42 rows: the last point block has 2
+        grid, times = GridSpec(TWO_PI / 100, 0.5, 0.0, 21.0), (5.0, 12.0, 21.0)
+    mode = "rate" if spec.kind == "rate_linear" else "direct"
+    plan = _Plan(spec, grid, times)
+    got = plan.profiles(seed)
+    real = sample_realization(spec.basis, grid, seed)
+    for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
+        want = radius(_term(spec, grid, t, mode)(real))
+        assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_point_sum_over_windows_without_points_is_zero():
+    spec = GrowthModelSpec(
+        "direct", Drift.zero(), 1.0, _poisson_basis(1e-9), Rectangular.of(0.5, TimeFn.constant(1.0))
+    )
+    assert np.all(simulate(spec, small_grid(), 3, [2.0, 4.0]).profiles == 0.0)
+
+
 @pytest.mark.parametrize("name", ["ex5-mesh", "ex5-rate-mesh", "ex4-poisson", "tumour-poisson"])
 def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
     from levygrowth import growth
@@ -418,14 +444,17 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
 
     monkeypatch.setattr(growth, "sample_realization", recording)
     plan.profiles(5)
-    rows, spans = plan.reads
+    reads = plan.reads
     assert len(drawn) == 1
-    if spans:  # point sums place the points of every row's count
-        assert drawn[0].rows is None and drawn[0].increments.shape[0] == grid.n_t
+    assert np.array_equal(drawn[0].rows, reads.rows)
+    assert drawn[0].increments.shape[0] == reads.rows.size
+    if reads.points:  # point sums draw the whole point blocks their windows touch
+        block_rows = [np.arange(8 * b, min(8 * b + 8, grid.n_t)) for b in reads.blocks]
+        assert np.array_equal(reads.rows, np.concatenate(block_rows))
+        assert 0 < reads.rows.size < grid.n_t
     else:
-        assert rows.size > 0
-        assert np.array_equal(drawn[0].rows, rows)
-        assert drawn[0].increments.shape[0] == rows.size
+        assert reads.rows.size > 0
+        assert np.array_equal(reads.rows, reads.mesh)
 
 
 def test_rate_kernel_matches_induced_weight_sum_gamma():

@@ -319,45 +319,55 @@ def test_point_rejection_follows_density():
 
 def _reference_place_points(spec, grid, counts, seed):
     """Point placement gathering every per-point value through the point's
-    row; also returns the number of rejection rounds."""
-    rng = np.random.default_rng(seed)
+    row, block of 8 rows b drawing from PCG64(seed) advanced b * 2**40
+    outputs; also returns the number of rejection rounds."""
     counts = counts.astype(int)
-    rows, cols = np.nonzero(counts)
-    reps = counts[rows, cols]
-    row = np.repeat(rows, reps)
-    col = np.repeat(cols, reps)
-    total = row.size
-    theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
     edges = grid.t_edges
-    t_lo = edges[row]
     g = spec.control.g
     g_max = g.max_on(edges[:-1], edges[1:])
-    s = t_lo + grid.dt * rng.uniform(size=total)
-    pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
-    rounds = 0
-    while pending.size:
-        rounds += 1
-        prop = t_lo[pending] + grid.dt * rng.uniform(size=pending.size)
-        accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
-        s[pending[accept]] = prop[accept]
-        pending = pending[~accept]
-    return (theta, s, row), rounds
+    parts, rounds = [], 0
+    for b in range(-(-grid.n_t // 8)):
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(b * 2**40)
+        rng = np.random.Generator(bitgen)
+        rows, cols = np.nonzero(counts[8 * b : 8 * b + 8])
+        reps = counts[8 * b + rows, cols]
+        row = np.repeat(8 * b + rows, reps)
+        col = np.repeat(cols, reps)
+        total = row.size
+        theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
+        t_lo = edges[row]
+        s = t_lo + grid.dt * rng.uniform(size=total)
+        pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
+        while pending.size:
+            rounds += 1
+            prop = t_lo[pending] + grid.dt * rng.uniform(size=pending.size)
+            accept = rng.uniform(size=pending.size) * g_max[row[pending]] <= g(prop)
+            s[pending[accept]] = prop[accept]
+            pending = pending[~accept]
+        parts.append((theta, s, row))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts)), rounds
+
+
+# densities with rows of zero measure, with rejection at table nodes, and
+# with rejection in every row
+BLOCK_DENSITIES = (
+    TimeDensity.constant(20.0, support_lo=1.5),
+    TimeDensity.tabulated([1.5, 3.0, 5.0], [30.0, 8.0, 40.0]),
+    TimeDensity.linear(12.0),
+)
 
 
 @pytest.mark.parametrize(
     "g, rejects",
-    [
-        (TimeDensity.constant(20.0, support_lo=1.5), False),
-        (TimeDensity.tabulated([1.5, 3.0, 5.0], [30.0, 8.0, 40.0]), True),
-        (TimeDensity.linear(12.0), True),
-    ],
+    list(zip(BLOCK_DENSITIES, (False, True, True))),
     ids=["zero-measure-rows", "tabulated", "linear"],
 )
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed):
-    from levygrowth.levy_core import _POINTS_STREAM, _place_points
+    from levygrowth.levy_core import _POINTS_STREAM, _PointPlacer
 
-    grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 5.0)
+    grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 5.0)  # 20 rows: blocks of 8, 8 and 4
     real = sample_realization(unit_basis(SpotLaw.poisson(), g), grid, seed)
     got = real.points()
     want, rounds = _reference_place_points(
@@ -366,10 +376,39 @@ def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed)
     assert got.theta.size > 100 and (rounds > 0) == rejects
     for a, b in zip((got.theta, got.s, got.row), want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    none = _place_points(real.spec, grid, np.zeros_like(real.increments), seed)
-    want, _ = _reference_place_points(real.spec, grid, np.zeros_like(real.increments), seed)
+    zeros = np.zeros_like(real.increments)
+    none = _PointPlacer(real.spec, grid, seed).place(zeros, np.arange(grid.n_t))
+    want, _ = _reference_place_points(real.spec, grid, zeros, mix_seed(seed, _POINTS_STREAM))
     for a, b in zip((none.theta, none.s, none.row), want):
         assert a.dtype == b.dtype and a.size == b.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from(BLOCK_DENSITIES),
+    n_t=st.integers(1, 30).filter(lambda n: n % 8 != 0),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_whole_point_blocks_drawn_alone_hold_the_full_draws_points(g, n_t, seed, data):
+    grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 0.25 * n_t)
+    basis = unit_basis(SpotLaw.poisson(), g)
+    full = sample_realization(basis, grid, seed)
+    pts = full.points()
+    blocks = data.draw(st.sets(st.integers(0, (n_t - 1) // 8)))
+    rows = np.flatnonzero(np.isin(np.arange(n_t) // 8, list(blocks)))
+    part = sample_realization(basis, grid, seed, rows=rows)
+    got = part.points()
+    keep = np.isin(pts.row, rows)
+    for a, b in zip((got.theta, got.s, got.row), (pts.theta[keep], pts.s[keep], pts.row[keep])):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for real, p in ((full, pts), (part, got)):
+        col = np.searchsorted(grid.phi_edges, p.theta, side="right") - 1
+        counted = np.zeros((grid.n_t, grid.n_phi))
+        np.add.at(counted, (p.row, col), 1.0)
+        drawn = np.arange(n_t) if real.rows is None else real.rows
+        assert np.array_equal(counted[drawn], real.increments)
+        assert np.all(p.s >= grid.t_edges[p.row]) and np.all(p.s <= grid.t_edges[p.row + 1])
 
 
 def test_disjoint_increments_uncorrelated():
@@ -759,6 +798,19 @@ def test_integrate_rejects_a_region_on_undrawn_rows(rows):
     part = sample_realization(basis, grid, 3, rows=rows)
     with pytest.raises(ValueError, match="not drawn"):
         integrate(1.0, whole_grid(grid), part)
+
+
+def test_integrate_sums_a_poisson_row_draw_of_whole_point_blocks():
+    grid = GridSpec(2 * math.pi / 8, 0.25, 0.0, 5.0)  # point block 1 is t in [2, 4]
+    basis = unit_basis(SpotLaw.poisson(), TimeDensity.constant(6.0))
+    full = sample_realization(basis, grid, 8)
+    part = sample_realization(basis, grid, 8, rows=np.arange(8, 16))
+    region = Rect(-1.0, 2.0, 2.2, 3.9)
+    assert integrate(1.0, region, part) == integrate(1.0, region, full) > 0
+    with pytest.raises(ValueError, match="not drawn"):
+        integrate(1.0, Rect(-1.0, 2.0, 1.0, 3.0), part)
+    with pytest.raises(ValueError, match="whole row blocks"):
+        integrate(1.0, Rect(-1.0, 2.0, 2.2, 2.8), sample_realization(basis, grid, 8, rows=np.arange(8, 12)))
 
 
 def test_realization_csv_export_of_a_row_draw(tmp_path):
