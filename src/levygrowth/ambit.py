@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
-from .errors import NonMonotoneRadius, RegionOutsideGrid
+from .errors import AssumptionViolation, NonMonotoneRadius, RegionOutsideGrid
 from .levy_core import ControlMeasure, GridSpec
 from .quadrature import adaptive_simpson
 from .timefn import TimeFn
@@ -441,7 +441,7 @@ def window_length_in_union(family: AmbitFamily, s, t):
     """Length of {apex u in [0, t] whose window covers slice s}.
 
     Requires the window start ``u - T(u)`` to be non-decreasing.  Nothing
-    here checks it: the caller checks with :func:`check_monotone_window_start`.
+    here checks it: the caller checks with :func:`check_union_window_start`.
     """
     s = np.asarray(s, dtype=float)
     upper = _union_upper(family, s, t)
@@ -483,10 +483,24 @@ def _union_upper(family, s, t):
     return out
 
 
+def check_union_window_start(family: AmbitFamily, t_grid, floor=-np.inf):
+    """Raise :class:`AssumptionViolation` where the window start ``t - T(t)``,
+    raised to at least ``floor``, decreases (by more than 1e-9) along
+    ``t_grid``: :func:`window_length_in_union` needs it non-decreasing."""
+    starts = np.maximum([family.window(t)[0] for t in np.atleast_1d(t_grid)], floor)
+    drops = np.flatnonzero(np.diff(starts) < -1e-9)
+    if drops.size:
+        raise AssumptionViolation(
+            f"the ambit window start t - T(t) decreases after t = {t_grid[drops[0]]:g}; "
+            "the time-union length needs it non-decreasing"
+        )
+
+
 def check_monotone_window_start(family: AmbitFamily, t_grid):
     """Warn when t - T(t) decreases somewhere (breaks the independence split)."""
-    starts = np.array([family.window(t)[0] for t in np.atleast_1d(t_grid)])
-    if np.any(np.diff(starts) < -1e-9):
+    try:
+        check_union_window_start(family, t_grid)
+    except AssumptionViolation:
         warnings.warn(
             "ambit window start t - T(t) is not non-decreasing; "
             "past/future independence split does not apply",

@@ -49,7 +49,6 @@ class RunConfig:
     cov: Optional[dict] = None
     mc: Optional[tuple] = None
     fit: Optional[dict] = None
-    preset_name: Optional[str] = None
 
 
 _REQUIRED = object()
@@ -459,7 +458,6 @@ def parse_config(doc) -> RunConfig:
         cov=blocks.get("cov"),
         mc=blocks.get("mc"),
         fit=blocks.get("fit"),
-        preset_name=preset_name,
     )
 
 

@@ -74,6 +74,7 @@ from .ambit import (
     WedgeOverS,
     as_weight,
     check_covered,
+    check_union_window_start,
     mesh_kernel,
 )
 from .csvrows import csv_block, reprs
@@ -634,6 +635,11 @@ class _Plan:
         union = spec.kind in ("rate_linear", "rate_of_log")
         for t in self.times:
             check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
+        if union and self.times.size and spec.ambit.factorizes and not spec.weight.apex_dependent:
+            # rate terms read the time-union length (exact induced weight, point sum)
+            edges = grid.t_edges[(grid.t_edges >= 0.0) & (grid.t_edges <= self.times[-1] + _EPS)]
+            floor = max(grid.t_min, spec.basis.control.g.support[0])  # no mass below
+            check_union_window_start(spec.ambit, edges, floor)
         self.radii = [self._radius(t) for t in self.times]
         self.reads = _reads([radius.term for radius in self.radii], grid)
         self.spec_hash = config_hash(spec, grid)

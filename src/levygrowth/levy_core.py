@@ -14,9 +14,10 @@ closed-form marginal with parameter ``mu(A)``:
 * Gamma:              ``Gamma(beta*mu(A), alpha)`` (rate parameterization)
 * inverse Gaussian:   ``IG(eta*mu(A), gamma)``
 
-Sampling draws each grid cell directly from that marginal, so realizations
-are exact in distribution on the cell algebra; no series truncation is
-involved.  Each time row draws from its own stream
+Sampling draws each grid cell directly from that marginal with
+:func:`draw_cells` (the inverse Gaussian by numpy's ``wald``), so
+realizations are exact in distribution on the cell algebra; no series
+truncation is involved.  Each time row draws from its own stream
 (:class:`~levygrowth.rngtools.RowStreams`), so rows can be drawn alone.
 A Poisson realization's points are placed one block of
 :data:`~levygrowth.rngtools.POINT_BLOCK` rows at a time, each block from its
@@ -466,96 +467,36 @@ class BasisRealization:
                 fh.write(csv_block(phis[:-1], phis[1:], ts[l], ts[l + 1], reprs(values)))
 
 
-class CellSampler:
-    """Increments of one spot law for cells of measures ``mu``, with the
-    arithmetic that depends only on a measure done once per measure.
-
-    ``mu`` has the shape that broadcasts against the increments: (n_rows, 1)
-    for grid rows, each row drawing its cells from its own stream
-    (``fill(rng, out, j)`` for row ``j``), or (n_cells,) for cells drawn
-    together, replicate after replicate from one stream (``fill(rng, out)``).
-    Raw draws of many rows or replicates are stacked along a first axis, and
-    :meth:`finish` turns the stack into increments in one step.
-
-    The raw draws are standard normals (Gaussian), counts (Poisson) or
-    standard gamma variates (Gamma), one per cell.  An inverse Gaussian cell
-    takes a normal and a uniform, all normals of a stream before its
-    uniforms, so its raw draws have shape (2, cells); cells of zero measure
-    take none and are 0.  ``drawn`` indexes the first axis of ``mu`` where
-    draws are taken.
-    """
-
-    def __init__(self, spot: SpotLaw, mu):
-        mu = np.asarray(mu, dtype=float)
-        if np.any(mu < 0):
-            raise ValueError("cell measures must be nonnegative")
-        self.kind, self.n = spot.kind, mu.shape[0]
-        self.drawn = np.arange(self.n)
-        if self.kind == "gaussian":
-            self.scale, self.shift = np.sqrt(spot.b_tilde * mu), spot.a_tilde * mu
-        elif self.kind == "poisson":
-            self.lam = mu
-        elif self.kind == "gamma":
-            self.shape, self.scale = spot.beta * mu, 1.0 / spot.alpha
-        else:
-            self.drawn = np.flatnonzero(np.ravel(mu) > 0)
-            delta = spot.eta * mu[self.drawn]
-            self.mean, self.lam = delta / spot.gamma, delta * delta
-
-    def raw_shape(self, cells):
-        """Shape of one stream's raw draws for ``cells`` cells."""
-        return (2, cells) if self.kind == "inverse_gaussian" else (cells,)
-
-    def fill(self, rng, out, j=None):
-        """Raw draws from ``rng`` into ``out``: every cell of measure
-        ``mu[j]``, or every drawn cell of ``mu`` when ``j`` is None.  A stack
-        of such draws along leading axes is filled member after member."""
-        if self.kind == "gaussian":
-            rng.standard_normal(out=out)
-        elif self.kind == "poisson":
-            out[...] = rng.poisson(self.lam if j is None else self.lam.flat[j], out.shape)
-        elif self.kind == "gamma":
-            rng.standard_gamma(self.shape if j is None else self.shape.flat[j], out=out)
-        elif out.ndim > 2:  # a stack of inverse Gaussian draws
-            for one in out:
-                self.fill(rng, one, j)
-        else:
-            rng.standard_normal(out=out[0])
-            rng.random(out=out[1])
-
-    def finish(self, raw):
-        """Increments from a stack of raw draws, in place where the kind
-        allows: the cells' values ``a mu + sqrt(b mu) z`` (Gaussian), the
-        counts, ``scale * gamma(beta mu)`` (Gamma), or the inverse Gaussian
-        root below."""
-        if self.kind == "gaussian":
-            raw *= self.scale
-            raw += self.shift
-            return raw
-        if self.kind == "poisson":
-            return raw
-        if self.kind == "gamma":
-            raw *= self.scale
-            return raw
-        x = _ig_root(raw[:, 0], raw[:, 1], self.mean, self.lam)
-        if self.drawn.size == self.n:
-            return x
-        axis = x.ndim - self.mean.ndim  # the axis that ``mu``'s first one maps to
-        out = np.zeros(x.shape[:axis] + (self.n,) + x.shape[axis + 1 :])
-        out[(slice(None),) * axis + (self.drawn,)] = x
-        return out
-
-
-def _ig_root(z, u, m, lam):
-    """Inverse Gaussian draws of mean ``m`` and shape ``lam`` by the
-    transformation-with-rejection method, from standard normals ``z`` and
-    uniforms ``u``: the smaller root of the transformed quadratic, or its
-    reflection ``m**2 / x`` with the usual probability."""
-    y = z**2
-    x = m + (m * m * y) / (2.0 * lam) - (m / (2.0 * lam)) * np.sqrt(
-        4.0 * m * lam * y + (m * y) ** 2
-    )
-    np.divide(m**2, x, out=x, where=u > m / (m + x))
+def draw_cells(spot: SpotLaw, rng, mu, shape):
+    """Increments of cells of measure ``mu`` (nonnegative), broadcast to
+    ``shape`` and drawn in C order from ``rng``: ``a mu + sqrt(b mu) z`` of
+    a standard normal (Gaussian), a count (Poisson), a standard gamma
+    variate of shape ``beta mu`` over ``alpha`` (Gamma), or numpy's
+    ``wald`` of mean ``delta / gamma`` and shape ``delta**2``, ``delta = eta
+    mu``, which takes a normal and then a uniform (inverse Gaussian).  An
+    inverse Gaussian cell of shape 0 (zero measure, or so small that its
+    square underflows) takes no draws and is 0."""
+    if spot.kind == "gaussian":
+        x = rng.standard_normal(shape)
+        x *= np.sqrt(spot.b_tilde * mu)
+        x += spot.a_tilde * mu
+        return x
+    if spot.kind == "poisson":
+        return rng.poisson(mu, shape).astype(float)
+    if spot.kind == "gamma":
+        x = rng.standard_gamma(spot.beta * mu, shape)
+        x *= 1.0 / spot.alpha
+        return x
+    delta = spot.eta * np.asarray(mu, dtype=float)
+    if delta.size and np.all(delta == delta.flat[0]):
+        delta = delta.flat[0]  # one measure: numpy's scalar-parameter path is faster
+    lam = delta * delta
+    if lam.ndim == 0:
+        return rng.wald(delta / spot.gamma, lam, shape) if lam > 0 else np.zeros(shape)
+    delta, lam = np.broadcast_to(delta, shape), np.broadcast_to(lam, shape)
+    x = np.zeros(shape)
+    drawn = lam > 0
+    x[drawn] = rng.wald(delta[drawn] / spot.gamma, lam[drawn])
     return x
 
 
@@ -564,7 +505,7 @@ def sample_realization(
 ) -> BasisRealization:
     """Sample one basis realization on the grid; deterministic in the seed.
 
-    Time row ``l`` draws from row ``l`` of
+    Time row ``l`` draws its cells with :func:`draw_cells` from row ``l`` of
     :class:`~levygrowth.rngtools.RowStreams` of ``seed``.  With ``rows``
     (time-row indices), only those rows are drawn: ``increments`` holds them
     in that order, each equal to its row of the full realization.
@@ -575,12 +516,13 @@ def sample_realization(
         index = np.asarray(rows, dtype=np.intp).reshape(-1)
         if index.size and (index.min() < 0 or index.max() >= grid.n_t):
             raise ValueError(f"rows must lie in [0, {grid.n_t})")
-    sampler = CellSampler(spec.spot, grid.cell_mu(spec.control)[index, None])
+    mu = grid.cell_mu(spec.control)[index]
+    if np.any(mu < 0):
+        raise ValueError("cell measures must be nonnegative")
     streams = RowStreams(seed)
-    raw = np.empty((sampler.drawn.size, *sampler.raw_shape(grid.n_phi)))
-    for i, j in enumerate(sampler.drawn):
-        sampler.fill(streams.at(index[j]), raw[i], j)
-    increments = sampler.finish(raw)
+    increments = np.empty((index.size, grid.n_phi))
+    for i, (l, mu_l) in enumerate(zip(index, mu)):
+        increments[i] = draw_cells(spec.spot, streams.at(l), mu_l, grid.n_phi)
     return BasisRealization(spec, grid, int(seed), increments, None if rows is None else index)
 
 

@@ -29,16 +29,17 @@ import numpy as np
 from .ambit import AmbitFamily, ConstantWeight, as_weight, check_covered, mesh_kernel
 from .levy_core import (
     BasisSpec,
-    CellSampler,
     GridSpec,
     check_kumulant_domain,
     constant_weight_cumulant,
     cumulant_sum,
+    draw_cells,
     kumulant_array,
     log_laplace_sum,
 )
+from .rngtools import seeded_generator
 
-_BLOCK_VALUES = 1 << 16  # raw draws mc_verify transforms at once; bounds the temporaries
+_BLOCK_VALUES = 1 << 16  # cells mc_verify draws at once; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -223,30 +224,29 @@ def check_problem(statistic, points, lambdas):
 def _sample_fields(query: MomentQuery, n_replicates, seed):
     """Field values at every query point for each replicate, shape (n, P).
 
-    The replicates are consecutive draws of ``default_rng(seed mod 2**64)``;
+    The replicates are consecutive draws of ``seeded_generator(seed)``;
     only cells supporting at least one point's weight are sampled.  A block
-    of replicates takes its raw draws in one fill and is transformed in one
-    step; the values do not depend on the block size.
+    of replicates draws its cells in one :func:`draw_cells` call; the values
+    do not depend on the block size.
     """
     weights = query.kernels
     mask = np.zeros(weights[0].shape, dtype=bool)
     for w in weights:
         mask |= w != 0
     mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
+    if np.any(mu < 0):
+        raise ValueError("cell measures must be nonnegative")
     wm = np.stack([w[mask] for w in weights], axis=1)  # (cells, P)
-    sampler = CellSampler(query.basis.spot, mu)
-    shape = sampler.raw_shape(sampler.drawn.size)
-    block = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
-    raw = np.empty((min(block, n_replicates), *shape))
+    block = max(1, _BLOCK_VALUES // max(1, mu.size))
     out = np.empty((n_replicates, len(weights)))
-    rng = np.random.default_rng(int(seed) % 2**64)
+    rng = seeded_generator(seed)
 
     for start in range(0, n_replicates, block):
         m = min(block, n_replicates - start)
-        sampler.fill(rng, raw[:m])
         # one product per replicate: a block-wide matmul's bits depend on m
-        for r, row in enumerate(sampler.finish(raw[:m]), start):
-            out[r] = row @ wm
+        cells = draw_cells(query.basis.spot, rng, mu, (m, mu.size))
+        out[start : start + m] = [row @ wm for row in cells]
+        del cells  # freed before the next block is drawn, not after
     return out
 
 

@@ -276,6 +276,59 @@ def test_grid_short_of_the_times_exits_3(tmp_path, capsys, command):
     assert "RegionOutsideGrid" in capsys.readouterr().err
 
 
+def _shrinking_window_document(kind, basis):
+    """A rectangular ambit whose lag T jumps from 1 to 5 over [10, 11], so
+    the window start u - T(u) falls from 9 to 6 there."""
+    T = {"kind": "table", "ts": [0.0, 10.0, 11.0], "values": [0.0, 1.0, 5.0]}
+    return {
+        "model": {
+            "kind": kind,
+            "drift": {"kind": "constant", "value": 0.0},
+            "weight": {"kind": "constant", "value": 1.0},
+            "basis": basis,
+            "control": {"kind": "constant", "c": 1.0},
+            "ambit": {"kind": "rectangular", "theta": {"kind": "constant", "value": 0.3}, "T": T},
+            **({"r0": 0.0} if kind == "rate_linear" else {}),
+        },
+        "grid": {"dphi_divisor": 200, "dt": 0.05, "t_min": 0.0, "t_max": 11.0},
+        "times": [11.0],
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments"])
+@pytest.mark.parametrize(
+    "basis", [{"kind": "gaussian", "a": 1.0, "b": 1.0}, {"kind": "poisson"}], ids=["gaussian", "poisson"]
+)
+def test_rate_model_with_a_decreasing_window_start_exits_3(tmp_path, capsys, command, basis):
+    # the time-union length read 4.0 and 3.0 at s = 7 and 8 (apex brute
+    # force: 1.11 and 1.56), so moments printed a mean of 8.655 against the
+    # continuum's 2 theta a int_0^11 T = 4.8
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_shrinking_window_document("rate_linear", basis)))
+    assert run([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "AssumptionViolation" in err and "window start" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,T",
+    [
+        ("direct", None),
+        # u - T(u) = -u falls, but only below the control's support s >= 0,
+        # where the time-union length still holds
+        ("rate_linear", {"kind": "proportional", "factor": 2.0}),
+    ],
+)
+def test_models_the_window_start_check_lets_through_run(tmp_path, kind, T):
+    path = tmp_path / "cfg.json"
+    doc = _shrinking_window_document(kind, {"kind": "gaussian", "a": 1.0, "b": 1.0})
+    if T is not None:
+        doc["model"]["ambit"]["T"] = T
+    path.write_text(json.dumps(doc))
+    assert run(["moments", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # cov / moments
 # ---------------------------------------------------------------------------

@@ -269,6 +269,33 @@ def test_ks_inverse_gaussian_marginal():
     assert stat < KS_CRIT_1PC / math.sqrt(x.size)
 
 
+def _tiny_ig_cells():
+    """An inverse Gaussian basis under an exponentially decaying control, so
+    late rows have cells of measure down to about 1e-15."""
+    basis = unit_basis(SpotLaw.inverse_gaussian(1.0, 1.0), TimeDensity.exponential(1.0, 1.0))
+    return basis, GridSpec(2 * math.pi / 200, 0.25, 0.0, 30.0)
+
+
+def test_small_inverse_gaussian_cells_are_nonnegative():
+    basis, grid = _tiny_ig_cells()
+    for seed in range(20):
+        assert np.all(sample_realization(basis, grid, seed).increments >= 0.0), seed
+
+
+@pytest.mark.parametrize("row", [54, 80])
+def test_ks_small_inverse_gaussian_cells(row):
+    basis, grid = _tiny_ig_cells()
+    x = np.concatenate(
+        [sample_realization(basis, grid, seed, rows=[row]).increments[0] for seed in range(25)]
+    )
+    delta = float(grid.cell_mu(basis.control)[row])  # eta = gamma = 1
+    mean, lam = delta, delta**2
+    stat = scipy.stats.kstest(
+        x, lambda q: scipy.stats.invgauss.cdf(q, mean / lam, scale=lam)
+    ).statistic
+    assert stat < KS_CRIT_1PC / math.sqrt(x.size)
+
+
 def test_gamma_increment_moments_frozen():
     # Gamma(beta=2, alpha=4) over a cell of measure 3: mean 1.5, var 0.375
     x = _cells_as_samples(SpotLaw.gamma_law(2.0, 4.0), 3.0, seed=7)
@@ -447,8 +474,8 @@ def test_determinism_bitwise():
 
 def _reference_increments(spot, mu, rng):
     """Reference sampler with nothing prepared: every cell's parameters
-    computed per cell, every cell drawn in order from ``rng`` (inverse Gaussian: all normals, then all uniforms, none for
-    cells of zero measure)."""
+    computed per cell, every cell drawn in order from ``rng`` (inverse
+    Gaussian: one ``wald`` call per cell, none for cells of zero measure)."""
     mu = np.asarray(mu, dtype=float)
     if spot.kind == "gaussian":
         return spot.a_tilde * mu + np.sqrt(spot.b_tilde * mu) * rng.standard_normal(mu.shape)
@@ -456,21 +483,11 @@ def _reference_increments(spot, mu, rng):
         return rng.poisson(mu).astype(float)
     if spot.kind == "gamma":
         return rng.gamma(shape=spot.beta * mu, scale=1.0 / spot.alpha)
-    delta = spot.eta * mu
-    out = np.zeros(delta.shape)
-    mask = delta > 0
-    if not np.any(mask):
-        return out
-    d = delta[mask]
-    m, lam = d / spot.gamma, d * d
-    y = rng.standard_normal(d.shape) ** 2
-    x = m + (m * m * y) / (2.0 * lam) - (m / (2.0 * lam)) * np.sqrt(
-        4.0 * m * lam * y + (m * y) ** 2
-    )
-    u = rng.uniform(size=d.shape)
-    pick_other = u > m / (m + x)
-    x[pick_other] = (m[pick_other] ** 2) / x[pick_other]
-    out[mask] = x
+    out = np.zeros(mu.shape)
+    for i, mu_i in enumerate(mu):
+        if mu_i > 0:
+            d = spot.eta * mu_i
+            out[i] = rng.wald(d / spot.gamma, d * d)
     return out
 
 
@@ -543,7 +560,6 @@ def _mc_query(spot, g, stat):
 @pytest.mark.parametrize("replicates_per_block", [1, 3])
 def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicates_per_block):
     from levygrowth import moments
-    from levygrowth.levy_core import CellSampler
 
     def reference_fields(query, n_replicates, seed):
         weights = query.kernels
@@ -570,9 +586,7 @@ def test_mc_verify_equals_the_per_replicate_reference_loop(monkeypatch, replicat
         mask = np.zeros(query.kernels[0].shape, dtype=bool)
         for w in query.kernels:
             mask |= w != 0
-        mu = np.broadcast_to(query.cell_mu()[:, None], mask.shape)[mask]
-        sampler = CellSampler(query.basis.spot, mu)
-        return math.prod(sampler.raw_shape(sampler.drawn.size))
+        return int(mask.sum())
 
     # one block of all 37 replicates, then blocks of 1 or 3 (the last one short)
     for k, (query, stat) in enumerate(cases):
