@@ -270,7 +270,7 @@ class Tumour(AmbitFamily):
 def time_overlap(t1, T1, t2, T2):
     """Shared time interval of two windows [t_i - T_i, t_i]; None when empty."""
     if T1 < 0 or T2 < 0:
-        raise ValueError("time lags must be nonnegative")
+        raise AssumptionViolation("time lags must be nonnegative")
     lo = max(t1 - T1, t2 - T2)
     hi = min(t1, t2)
     return (lo, hi) if lo <= hi else None

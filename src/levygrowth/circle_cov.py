@@ -130,7 +130,7 @@ def harmonic_cov(weight: FourierWeight, g: TimeFn, T, t1, t2, k):
         T = TimeFn.of(T)
         T1, T2 = T(t1), T(t2)
         if np.any(np.minimum(T1, T2) < 0.0):
-            raise ValueError("time lags must be nonnegative")
+            raise AssumptionViolation("time lags must be nonnegative")
         lo, hi = np.maximum(t1 - T1, t2 - T2), np.minimum(t1, t2)
         live = hi > lo
         if weight.s_independent:

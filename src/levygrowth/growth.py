@@ -31,25 +31,28 @@ prints its law exactly.
 A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
 kernels, kept as the spectra of their nonzero (ambit-window) rows, the
-centring shifts and the drift values.
+centring shifts and the drift values.  A plan's terms are all of one kind,
+mesh terms or point sums, since the path depends only on the spec and the
+model kind, so one sampler draws them all:
 
-On a Gaussian basis those spectra fix the joint law of every time's term:
-per harmonic k, the terms' profile coefficients are complex normal across
-the times, independent over k (the circle's exact form of circulant
-embedding).  The plan factors each harmonic's covariance once, and a
-replicate draws the coefficients directly, one block of normals from the
-start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
+* On a Gaussian basis the spectra fix the joint law of every time's term:
+  per harmonic k, the terms' profile coefficients are complex normal across
+  the times, independent over k (the circle's exact form of circulant
+  embedding).  The plan factors each harmonic's covariance once, and a
+  replicate draws the coefficients directly, one block of normals from the
+  start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
+* Other mesh terms sample, with
+  :func:`~levygrowth.levy_core.sample_realization` from the row-addressed
+  streams of :mod:`levygrowth.rngtools`, only the rows they read, and
+  transform each row once whichever times read it (:class:`_MeshRows`).
+* Point sums draw the counts of whole point blocks
+  (:data:`~levygrowth.rngtools.POINT_BLOCK` rows): block by block, the
+  points are placed and, on a factorizing family, their arcs built, and each
+  time whose window the block touches adds its points to its own difference
+  array, so no array grows with the whole point pattern (:class:`_PointSums`).
 
-Gamma, inverse Gaussian and Poisson bases sample their realization with
-:func:`~levygrowth.levy_core.sample_realization` from the row-addressed
-streams of :mod:`levygrowth.rngtools`, only the rows their terms read, and
-do once what several times read: the transform of each increment row in any
-time's window.  Point sums read whole point blocks
-(:data:`~levygrowth.rngtools.POINT_BLOCK` rows): block by block, the points
-are placed and, on a factorizing family, their arcs built, and each time
-whose window the block touches adds its points to its own difference
-array, so no array grows with the whole point pattern.  A term called on a
-realization, of any basis, reads that realization's rows.
+A term called on a full realization, of any basis, reads that realization
+through a sampler of its own.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -83,7 +86,7 @@ from .errors import NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
     BasisSpec,
     GridSpec,
-    block_rows,
+    _PointPlacer,
     check_kumulant_domain,
     config_hash,
     constant_weight_cumulant,
@@ -234,19 +237,22 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
 
 
 class _Term:
-    """The ambit integral at one time.  ``read(draw)`` gives its profile from
-    a :class:`_Draw` shared with other terms; calling the term on a
-    realization reads a draw made for this term alone."""
+    """The ambit integral at one time.  A plan's sampler draws the values of
+    all its terms at once; calling a term on a full realization reads that
+    draw through a sampler of the term alone (:func:`_row_sampler`)."""
 
     def __call__(self, realization):
-        return self.read(_Draw(realization, _reads([self], realization.grid)))
+        if realization.rows is not None:
+            raise ValueError("a term reads a full realization, not a row draw")
+        sampler = _row_sampler([self], realization.spec, realization.grid)
+        return sampler.read(realization.increments[sampler.rows], realization.seed)[0]
 
 
 class _MeshTerm(_Term):
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
     Only the kernel's nonzero rows (the ambit window) are kept, with their
-    conjugated spectra; the draw supplies the spectra of those increment
+    conjugated spectra; :meth:`read` takes the spectra of those increment
     rows.  ``moments`` is the (mean, variance) of the value at each angle.
     """
 
@@ -257,11 +263,9 @@ class _MeshTerm(_Term):
         mu, spot = grid.cell_mu(basis.control), basis.spot
         self.moments = cumulant_sum(spot, mu, kernel), cumulant_sum(spot, mu, kernel, kernel)
 
-    def read(self, draw):
-        if self.rows.size == 0:
-            return np.zeros(self.n_phi)
-        zf = draw.row_spectra(self.rows)
-        return np.fft.irfft((zf * self.spectrum).sum(axis=0), n=self.n_phi)
+    def read(self, spectra):
+        """The value given ``spectra``, the ``rfft`` of the rows ``rows``."""
+        return np.fft.irfft((spectra * self.spectrum).sum(axis=0), n=self.n_phi)
 
 
 class _PointTerm(_Term):
@@ -270,10 +274,11 @@ class _PointTerm(_Term):
     adding over the grid angles its arc covers: ``c`` in ``"direct"`` mode,
     ``c * L(s, t)`` in ``"rate"`` mode, with ``L`` the length of the point's
     window in the time union.  The window's points lie in the point
-    ``blocks`` (whole blocks of time rows); the draw adds each block's
-    points to the term's :class:`_ArcSum` (:meth:`add`) in block order, on
-    a factorizing family as the block's :meth:`_PointBlock.arc_sum`, so the
-    term's value does not depend on what other terms read.  ``moments``,
+    ``blocks`` (whole blocks of time rows); :class:`_PointSums` adds each
+    block's points to the term's :class:`_ArcSum` (:meth:`add`) in block
+    order, on a factorizing family as the block's
+    :meth:`_PointBlock.arc_sum`, so the term's value does not depend on what
+    other terms read.  ``moments``,
     the (mean, variance) of the value at each angle, are computed on first
     use."""
 
@@ -303,9 +308,6 @@ class _PointTerm(_Term):
             total.add(_arcs(block.theta[sel], widths, self.grid), values)
         else:
             total.add_sum(block.arc_sum(sel, values))
-
-    def read(self, draw):
-        return draw.sums[self].profile()
 
     @cached_property
     def moments(self):
@@ -394,13 +396,13 @@ def _arc_sum(arcs, values, n):
 
 
 class _PointBlock:
-    """The points of one point block of a realization, in row order, and
-    their :class:`_Arcs` when the ambit family factorizes, so that every time
-    reads the same arcs (``term`` is any term reading the block)."""
+    """The :class:`~levygrowth.levy_core.PointPattern` ``points`` of one
+    point block, in row order, and their :class:`_Arcs` when the ambit family
+    factorizes, so that every time reads the same arcs (``term`` is any term
+    reading the block)."""
 
-    def __init__(self, realization, term):
-        pts = realization.points()
-        self.theta, self.s = pts.theta, pts.s
+    def __init__(self, points, term):
+        self.theta, self.s = points.theta, points.s
         self.arcs = None
         if term.spec.ambit.factorizes:
             widths = np.asarray(term.spec.ambit.half_width(term.t, self.s), dtype=float)
@@ -434,51 +436,61 @@ class _PointBlock:
         return inside
 
 
-class _Reads(NamedTuple):
-    """What terms read of a realization: ``rows``, the sorted time rows to
-    draw; ``mesh``, the sorted rows whose spectra the mesh terms read;
-    ``points``, the point terms; and ``blocks``, the sorted point blocks they
-    read."""
+class _RowSampler:
+    """Draws the time rows ``rows`` of a ``basis`` realization on ``grid``
+    that its ``terms`` read, and gives their values (``read``)."""
 
-    rows: np.ndarray
-    mesh: np.ndarray
-    points: list
-    blocks: list
+    def values(self, seed):
+        """The terms' values, drawn from ``seed``'s row streams."""
+        realization = sample_realization(self.basis, self.grid, seed, rows=self.rows)
+        return self.read(realization.increments, realization.seed)
 
 
-def _reads(terms, grid):
-    """The :class:`_Reads` of ``terms`` on ``grid``."""
-    mesh = [term.rows for term in terms if isinstance(term, _MeshTerm)]
-    mesh = np.unique(np.concatenate(mesh)) if mesh else np.empty(0, dtype=np.intp)
-    points = [term for term in terms if isinstance(term, _PointTerm)]
-    blocks = sorted({b for term in points for b in term.blocks})
-    rows = np.unique(np.concatenate([mesh, *(block_rows(grid, b) for b in blocks)]))
-    return _Reads(rows, mesh, points, blocks)
+class _MeshRows(_RowSampler):
+    """Mesh terms: each row any term reads is drawn and transformed once,
+    and each term reads the spectra of its own rows."""
+
+    def __init__(self, terms, basis, grid):
+        self.terms, self.basis, self.grid = terms, basis, grid
+        rows = [term.rows for term in terms]
+        self.rows = np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.intp)
+
+    def read(self, increments, seed):
+        spectra = np.fft.rfft(increments, axis=1)
+        return [term.read(spectra[np.searchsorted(self.rows, term.rows)]) for term in self.terms]
 
 
-class _Draw:
-    """A realization with the work its terms share, done once whichever
-    times read it: one ``rfft`` per increment row that a mesh term reads,
-    and per point block, its :class:`_PointBlock`, which every point term
-    reading the block adds to its :class:`_ArcSum` in ``sums``."""
+class _PointSums(_RowSampler):
+    """Point terms: the rows are those of the point ``blocks`` the terms'
+    windows touch, drawn as cell counts.  Block by block, the points are
+    placed as :meth:`~levygrowth.levy_core.BasisRealization.points` places
+    them, the block's :class:`_PointBlock` is built, and each term whose
+    window the block touches adds it to the term's :class:`_ArcSum`, so no
+    array grows with the whole point pattern."""
 
-    def __init__(self, realization, reads):
-        self.rows = reads.mesh
-        if self.rows.size:
-            mesh = realization
-            if mesh.rows is None or not np.array_equal(mesh.rows, self.rows):
-                mesh = realization.take_rows(self.rows)
-            self.spectra = np.fft.rfft(mesh.increments, axis=1)
-        grid = realization.grid
-        self.sums = {term: _ArcSum(grid.n_phi) for term in reads.points}
-        for b in reads.blocks:
-            terms = [term for term in reads.points if b in term.blocks]
-            block = _PointBlock(realization.take_rows(block_rows(grid, b)), terms[0])
+    def __init__(self, terms, basis, grid):
+        self.terms, self.basis, self.grid = terms, basis, grid
+        self.blocks = sorted({b for term in terms for b in term.blocks})
+        self.rows = np.flatnonzero(np.isin(np.arange(grid.n_t) // POINT_BLOCK, self.blocks))
+
+    def read(self, counts, seed):
+        placer = _PointPlacer(self.basis, self.grid, seed)
+        sums = {term: _ArcSum(self.grid.n_phi) for term in self.terms}
+        for i, b in enumerate(self.blocks):
+            first = b * POINT_BLOCK  # every block but the grid's last has POINT_BLOCK rows
+            points = placer.place_block(counts[i * POINT_BLOCK : (i + 1) * POINT_BLOCK], first)
+            terms = [term for term in self.terms if b in term.blocks]
+            block = _PointBlock(points, terms[0])
             for term in terms:
-                term.add(block, self.sums[term])
+                term.add(block, sums[term])
+        return [sums[term].profile() for term in self.terms]
 
-    def row_spectra(self, rows):
-        return self.spectra[np.searchsorted(self.rows, rows)]
+
+def _row_sampler(terms, basis, grid):
+    """:class:`_PointSums` of point ``terms``, else :class:`_MeshRows`; a
+    plan's terms are all of one kind, :func:`_point_path` of its spec."""
+    point = bool(terms) and isinstance(terms[0], _PointTerm)
+    return (_PointSums if point else _MeshRows)(terms, basis, grid)
 
 
 class _JointSpectrum:
@@ -641,7 +653,6 @@ class _Plan:
             floor = max(grid.t_min, spec.basis.control.g.support[0])  # no mass below
             check_union_window_start(spec.ambit, edges, floor)
         self.radii = [self._radius(t) for t in self.times]
-        self.reads = _reads([radius.term for radius in self.radii], grid)
         self.spec_hash = config_hash(spec, grid)
 
     def _radius(self, t):
@@ -664,27 +675,19 @@ class _Plan:
         return _Radius(term, level, np.asarray(spec.multiplier(angles), dtype=float))
 
     @cached_property
-    def joint_spectrum(self):
-        """The :class:`_JointSpectrum` of the terms on a Gaussian basis, else
-        None; built on first use, so ``levygrowth moments`` never builds it."""
-        if self.spec.basis.spot.kind != "gaussian":
-            return None
-        return _JointSpectrum([radius.term for radius in self.radii], self.grid, self.spec.basis)
+    def sampler(self):
+        """What draws the terms' values, ``values(seed)`` of shape (n_times,
+        n_phi): the :class:`_JointSpectrum` on a Gaussian basis, else the
+        terms' :func:`_row_sampler`.  Built on first use, so ``levygrowth
+        moments`` never builds it."""
+        terms = [radius.term for radius in self.radii]
+        if self.spec.basis.spot.kind == "gaussian":
+            return _JointSpectrum(terms, self.grid, self.spec.basis)
+        return _row_sampler(terms, self.spec.basis, self.grid)
 
     def profiles(self, seed):
-        """Radii (n_times, n_phi) drawn from ``seed``.
-
-        A Gaussian basis draws its terms' joint spectrum, one block of
-        normals from ``seeded_generator(seed)``, and samples no realization.
-        Other bases sample, from ``seed``'s row streams, only the rows the
-        mesh terms read and the rows of the point blocks the point terms
-        read, and place those blocks' points one block at a time."""
-        if self.joint_spectrum is not None:
-            values = self.joint_spectrum.values(seed)
-        else:
-            realization = sample_realization(self.spec.basis, self.grid, seed, rows=self.reads.rows)
-            draw = _Draw(realization, self.reads)
-            values = [radius.term.read(draw) for radius in self.radii]
+        """Radii (n_times, n_phi) drawn from ``seed`` by the :attr:`sampler`."""
+        values = self.sampler.values(seed)
         out = np.empty((self.times.size, self.grid.n_phi))
         for i, radius in enumerate(self.radii):
             out[i] = radius(values[i])

@@ -383,12 +383,6 @@ class PointPattern:
     row: np.ndarray  # time-cell index
 
 
-def block_rows(grid, block):
-    """The time rows of point block ``block``: ``POINT_BLOCK`` rows from
-    ``block * POINT_BLOCK``, fewer in the grid's last block."""
-    return np.arange(block * POINT_BLOCK, min((block + 1) * POINT_BLOCK, grid.n_t))
-
-
 @dataclass
 class BasisRealization:
     """Cell increments of one basis draw on a grid.
@@ -400,8 +394,7 @@ class BasisRealization:
     ``POINT_BLOCK`` rows at a time (:class:`_PointPlacer`); per cell, the
     number of points equals the cell increment.  A row draw has points when
     its rows are whole blocks in row order, and they are the full draw's
-    points in those rows.  Row draws taken with :meth:`take_rows` share
-    their realization's placer, so place their points one after another.
+    points in those rows.
     """
 
     spec: BasisSpec
@@ -410,7 +403,6 @@ class BasisRealization:
     increments: np.ndarray
     rows: Optional[np.ndarray] = None
     _points: Optional[PointPattern] = None
-    _placer: Optional[_PointPlacer] = field(default=None, repr=False, compare=False)
 
     @property
     def kind(self):
@@ -428,28 +420,8 @@ class BasisRealization:
         if np.any(np.diff(starts) <= 0) or not np.array_equal(rows, whole[whole < self.grid.n_t]):
             raise ValueError("point placement needs the counts of whole row blocks, in row order")
         if self._points is None:
-            self._points = self._point_placer().place(self.increments, rows)
+            self._points = _PointPlacer(self.spec, self.grid, self.seed).place(self.increments, rows)
         return self._points
-
-    def _point_placer(self):
-        if self._placer is None:
-            self._placer = _PointPlacer(self.spec, self.grid, self.seed)
-        return self._placer
-
-    def take_rows(self, rows):
-        """This realization on the time rows ``rows`` alone, in that order;
-        each must have been drawn."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if self.rows is None:
-            increments = self.increments[rows]
-        else:
-            at = np.full(self.grid.n_t, -1)
-            at[self.rows] = np.arange(self.rows.size)
-            if np.any(at[rows] < 0):
-                raise ValueError("the realization did not draw every requested row")
-            increments = self.increments[at[rows]]
-        placer = self._point_placer() if self.kind == "poisson" else None
-        return BasisRealization(self.spec, self.grid, self.seed, increments, rows, _placer=placer)
 
     def to_csv(self, path):
         """Debug export: one row per drawn cell (theta_lo, theta_hi, t_lo,
@@ -543,13 +515,10 @@ class _PointPlacer:
         """Locate the points of ``counts``, which hold the time rows ``rows``
         (whole point blocks in row order), inside their cells, by rejection
         against g in time.  Each block is :meth:`place_block`."""
-        starts = range(0, rows.size, POINT_BLOCK)
-        if len(starts) == 1:
-            return self.place_block(counts, rows[0])
         total = int(counts.sum())
         out = PointPattern(np.empty(total), np.empty(total), np.empty(total, dtype=np.intp))
         at = 0
-        for i in starts:
+        for i in range(0, rows.size, POINT_BLOCK):
             block = self.place_block(counts[i : i + POINT_BLOCK], rows[i])
             n = block.row.size
             out.theta[at : at + n], out.s[at : at + n], out.row[at : at + n] = block.theta, block.s, block.row

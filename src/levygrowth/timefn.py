@@ -75,7 +75,9 @@ class TimeFn:
     @staticmethod
     def gompertz(kappa0, eta, gamma):
         """Gompertz growth rate, the derivative of
-        ``kappa0 * exp((eta / gamma) * (1 - exp(-gamma t)))``."""
+        ``kappa0 * exp((eta / gamma) * (1 - exp(-gamma t)))``, gamma != 0."""
+        if float(gamma) == 0.0:
+            raise ValueError("gompertz needs a nonzero gamma")
         return TimeFn("gompertz", (float(kappa0), float(eta), float(gamma)))
 
     @staticmethod

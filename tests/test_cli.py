@@ -240,6 +240,8 @@ def test_unknown_preset_exits_2(capsys):
     [
         ('model.kind="foo"', "model"),
         ('model.ambit.T={"kind":"table","ts":[2,1],"values":[1,2]}', "model.ambit.T"),
+        # gamma = 0 divided by zero in the drift's value
+        ('model.drift={"kind":"gompertz","kappa0":1.0,"eta":1.0,"gamma":0.0}', "model.drift"),
     ],
 )
 def test_invalid_model_value_exits_2(tmp_path, capsys, assignment, path):
@@ -267,6 +269,19 @@ def test_model_error_exits_3(tmp_path, capsys):
     code = run(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "Kumulant" in capsys.readouterr().err
+
+
+def test_cov_with_a_negative_lag_exits_3(tmp_path, capsys):
+    # the lag T falls from 1 at t = 0 to -1 at t = 10
+    T = '{"kind":"table","ts":[0.0,10.0],"values":[1.0,-1.0]}'
+    argv = [
+        "cov", "--preset", "ex4", "--out-dir", str(tmp_path / "o"),
+        "--set", 'model.weight={"kind":"cosine","coeffs":[0.0,0.3,0.2]}',
+        "--set", f'model.ambit={{"kind":"full_angle","T":{T}}}',
+    ]  # fmt: skip
+    assert run(argv) == 3
+    assert "AssumptionViolation: time lags must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "moments"])

@@ -444,17 +444,18 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
 
     monkeypatch.setattr(growth, "sample_realization", recording)
     plan.profiles(5)
-    reads = plan.reads
+    sampler = plan.sampler
     assert len(drawn) == 1
-    assert np.array_equal(drawn[0].rows, reads.rows)
-    assert drawn[0].increments.shape[0] == reads.rows.size
-    if reads.points:  # point sums draw the whole point blocks their windows touch
-        block_rows = [np.arange(8 * b, min(8 * b + 8, grid.n_t)) for b in reads.blocks]
-        assert np.array_equal(reads.rows, np.concatenate(block_rows))
-        assert 0 < reads.rows.size < grid.n_t
+    assert np.array_equal(drawn[0].rows, sampler.rows)
+    assert drawn[0].increments.shape[0] == sampler.rows.size
+    if isinstance(sampler, growth._PointSums):  # the whole point blocks their windows touch
+        block_rows = [np.arange(8 * b, min(8 * b + 8, grid.n_t)) for b in sampler.blocks]
+        assert np.array_equal(sampler.rows, np.concatenate(block_rows))
+        assert 0 < sampler.rows.size < grid.n_t
     else:
-        assert reads.rows.size > 0
-        assert np.array_equal(reads.rows, reads.mesh)
+        assert sampler.rows.size > 0
+        mesh = np.concatenate([radius.term.rows for radius in plan.radii])
+        assert np.array_equal(sampler.rows, np.unique(mesh))
 
 
 def test_rate_kernel_matches_induced_weight_sum_gamma():
@@ -647,7 +648,7 @@ def test_joint_spectrum_factor_is_the_mesh_law(kind, n_phi, a, b, lag, times):
     spec = determinism_spec(kind, SpotLaw.gaussian(a, b), lag=lag)
     grid = small_grid(n_phi=n_phi)
     plan = _Plan(spec, grid, times)
-    law = plan.joint_spectrum
+    law = plan.sampler
     terms = [radius.term for radius in plan.radii]
     n, mu = grid.n_phi, grid.cell_mu(spec.basis.control)
     stack = np.zeros((len(terms), grid.n_t, n // 2 + 1), dtype=complex)
@@ -703,10 +704,40 @@ def test_gaussian_plan_draws_no_realization(monkeypatch, preset):
 
     monkeypatch.setattr(growth, "sample_realization", forbidden)
     monkeypatch.setattr(levy_core, "sample_realization", forbidden)
-    monkeypatch.setattr(growth, "_Draw", forbidden)
     profiles = plan.profiles(5)
     assert profiles.shape == (len(p.times), p.grid.n_phi)
     assert np.all(np.isfinite(profiles))
+
+
+PLAN_FAMILIES = {
+    "rectangular": Rectangular.of(0.7, TimeFn.constant(1.0)),
+    "wedge": WedgeOverS(theta=0.5, T=1.0),
+    "full_angle": FullAngle.of(1.0),
+    "tumour": Tumour.of(3.0, 1.0, 1.0),  # does not factorize
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MODEL_KINDS),
+    st.sampled_from(DETERMINISM_SPOTS),
+    st.sampled_from(sorted(PLAN_FAMILIES)),
+    st.sampled_from(["constant", "cosine"]),
+)
+def test_a_plans_terms_are_all_of_one_kind(kind, spot, family, weight):
+    # a plan draws all its terms with one sampler, chosen from its first term
+    from levygrowth.circle_cov import FourierWeight
+    from levygrowth.growth import _Plan, _PointTerm, _point_path
+
+    spec = determinism_spec(kind, spot)
+    if kind != "exponential_tumour":  # which takes the tumour family and weight alone
+        w = ConstantWeight(0.3) if weight == "constant" else FourierWeight.constant_coeffs([0.3, 0.2])
+        spec = replace(spec, weight=w, ambit=PLAN_FAMILIES[family])
+    plan = _Plan(spec, small_grid(), [1.0, 2.5, 3.0, 4.0])
+    classes = {type(radius.term) for radius in plan.radii}
+    mode = "rate" if kind in ("rate_linear", "rate_of_log") else "direct"
+    assert len(classes) == 1
+    assert (classes.pop() is _PointTerm) == _point_path(spec, mode)
 
 
 @pytest.mark.parametrize(
