@@ -117,37 +117,51 @@ class FourierWeight:
 def harmonic_cov(weight: FourierWeight, g: TimeFn, T, t1, t2, k):
     """Per-harmonic covariance coefficient over the shared time window.
 
-    ``t1`` and ``t2`` broadcast against each other; ``k`` is one order.
-    ``g`` is the variance density; ``T`` the window lag (anything accepted
-    by :class:`TimeFn`).  Exact when the coefficients are slice-independent
-    (each distinct time's coefficient is evaluated once), adaptive Simpson
-    per element otherwise.  Zero where the windows do not overlap or ``k``
-    exceeds the truncation.  Scalar times give a float.
+    ``k`` (one order or an integer array of them), ``t1`` and ``t2``
+    broadcast against each other.  ``g`` is the variance density; ``T`` the
+    window lag (anything accepted by :class:`TimeFn`).  The window bounds
+    and the window mass ``g.integral`` are computed once per time pair,
+    whatever the number of orders.  Exact when the coefficients are
+    slice-independent (a table with one row per order and one column per
+    distinct time, each entry evaluated once), adaptive Simpson per element
+    otherwise.  Zero where the windows do not overlap or the order exceeds
+    the truncation.  Every element equals its one-order, one-pair value bit
+    for bit; scalar inputs give a float.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    out = np.zeros(t1.shape)
-    if k <= weight.k_max:
+    k = np.asarray(k)
+    out = np.zeros(np.broadcast_shapes(k.shape, t1.shape))
+    wanted = k <= weight.k_max
+    if np.any(wanted):
         T = TimeFn.of(T)
         T1, T2 = T(t1), T(t2)
         if np.any(np.minimum(T1, T2) < 0.0):
             raise AssumptionViolation("time lags must be nonnegative")
         lo, hi = np.maximum(t1 - T1, t2 - T2), np.minimum(t1, t2)
         live = hi > lo
-        if weight.s_independent:
-            times, at = np.unique(np.stack([t1[live], t2[live]]), return_inverse=True)
-            a = np.array([float(weight.coef(k, t, 0.0)) for t in times.tolist()])
-            a1, a2 = a[at.reshape(2, -1)]
-            out[live] = math.pi * a1 * a2 * g.integral(lo[live], hi[live])
-        else:
-            for i in np.flatnonzero(live):
-                x1, x2, s_lo, s_hi = t1.flat[i], t2.flat[i], lo.flat[i], hi.flat[i]
+        mass = np.zeros(t1.shape)
+        mass[live] = g.integral(lo[live], hi[live])
+        todo = wanted & live
+        if not weight.s_independent:
+            ks, x1s, x2s, los, his, masses = np.broadcast_arrays(k, t1, t2, lo, hi, mass)
+            for i in np.flatnonzero(todo):
+                order, x1, x2 = ks.flat[i].item(), x1s.flat[i], x2s.flat[i]
 
                 def integrand(s):
-                    c1 = weight.coef(k, x1, np.asarray(s))
-                    return float(c1 * weight.coef(k, x2, np.asarray(s)) * g(s))
+                    c1 = weight.coef(order, x1, np.asarray(s))
+                    return float(c1 * weight.coef(order, x2, np.asarray(s)) * g(s))
 
-                tol = 1e-12 * (abs(g.integral(s_lo, s_hi)) + 1.0)
+                s_lo, s_hi, tol = los.flat[i], his.flat[i], 1e-12 * (abs(masses.flat[i]) + 1.0)
                 out.flat[i] = math.pi * adaptive_simpson(integrand, s_lo, s_hi, tol=tol)
+        elif np.any(live):
+            times, at = np.unique(np.stack([t1[live], t2[live]]), return_inverse=True)
+            # not np.unique: without an inverse it imports numpy.ma, tens of ms
+            orders = sorted(set(k[wanted].tolist()))
+            a = np.array([[float(weight.coef(o, t, 0.0)) for t in times.tolist()] for o in orders])
+            row = np.minimum(np.searchsorted(orders, k), len(orders) - 1)
+            col = np.zeros((2, *t1.shape), dtype=np.intp)  # 0 where the windows miss
+            col[:, live] = at.reshape(2, -1)
+            out = np.where(todo, math.pi * a[row, col[0]] * a[row, col[1]] * mass, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -156,7 +170,10 @@ class CircleCovModel:
     """Covariance on the circle as harmonic coefficients tau(k, t1, t2).
 
     Convention: ``cov = 2*tau_0 + sum_{k>=1} tau_k cos(k dphi)``; the
-    coefficients are symmetric in the two times.
+    coefficients are symmetric in the two times.  ``tau(k, t1, t2)`` must
+    broadcast its three arguments: it is called once, with the orders
+    0..k_max as a leading axis ``(k_max + 1, 1, ...)`` against the times
+    (or it may return one value for every order and pair).
     """
 
     tau: Callable
@@ -169,13 +186,17 @@ class CircleCovModel:
 
     def cov(self, t1, phi1, t2, phi2):
         """Covariance between (t1, phi1) and (t2, phi2); the arguments
-        broadcast.  ``tau`` is called once per order on the times alone, so
-        times shaped (P, 1) against angles shaped (D,) cost P per order."""
+        broadcast.  ``tau`` is called once on the orders and the times
+        alone, so times shaped (P, 1) against angles shaped (D,) cost
+        (k_max + 1) x P coefficients."""
         d = cyc_dist(phi1, phi2)
-        total = 2.0 * self.tau(0, t1, t2)
+        times_shape = np.broadcast_shapes(np.shape(t1), np.shape(t2))
+        ks = np.arange(self.k_max + 1).reshape(-1, *(1,) * len(times_shape))
+        tau = np.broadcast_to(self.tau(ks, t1, t2), (ks.size, *times_shape))
+        total = 2.0 * tau[0]
         for k in range(1, self.k_max + 1):
-            total = total + self.tau(k, t1, t2) * np.cos(k * d)
-        total = np.broadcast_to(total, np.broadcast_shapes(np.shape(t1), np.shape(t2), d.shape))
+            total = total + tau[k] * np.cos(k * d)
+        total = np.broadcast_to(total, np.broadcast_shapes(times_shape, d.shape))
         return total.copy() if total.ndim else float(total)
 
     def table(self, time_pairs, dphis):

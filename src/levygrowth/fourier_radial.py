@@ -121,25 +121,54 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
 
     ``cos_coef`` / ``sin_coef`` have shape (n_times, K+1) or
     (n_reps, n_times, K+1).  ``tau(k, t1, t2)``, the per-harmonic
-    covariance, is called once per order on the times as a column and a row
-    and returns their (n_times, n_times) matrix or one scalar.  Each order's
+    covariance, is called once: with the orders as an integer array of
+    shape (n_orders, 1, 1) and the times as a column and a row.  It must
+    broadcast the three arguments and return their (n_orders, n_times,
+    n_times) array, or one value for every order and pair.  Each order's
     cosine and sine series are independent zero-mean multivariate normals
-    with that Gram matrix.  Raises :class:`SingularCovariance` when a Gram
-    matrix has no Cholesky factor (e.g. duplicated observation times).
+    with that Gram matrix.  The series are first reduced to one triangular
+    factor per order (:func:`_reduce_series`), so scoring costs the same
+    whatever the replicate count.  Raises :class:`SingularCovariance` when
+    a Gram matrix has no Cholesky factor (e.g. duplicated observation
+    times).
     """
     times = np.asarray(times, dtype=float)
+    return _score_series(times, _reduce_series(cos_coef, sin_coef, orders), tau)
+
+
+def _reduce_series(cos_coef, sin_coef, orders):
+    """``(orders, factor, n_reps)``: each order's coefficient series reduced
+    to what the likelihood reads of them.
+
+    The order-k series are the columns of X_k, (n_times, 2 n_reps): every
+    replicate's cosine and sine series.  ``factor[i]`` is R_k with
+    R_k R_k^T = X_k X_k^T, the transposed triangle of a QR factorization of
+    X_k^T, of shape (n_times, min(n_times, 2 n_reps)); the quadratic form
+    sum_j x_j^T G^-1 x_j over the columns of X_k equals that over R_k.
+    """
     cos_coef = _as_reps(cos_coef)
     sin_coef = _as_reps(sin_coef)
-    n_reps, n_times, k_max = cos_coef.shape[0], times.size, cos_coef.shape[2] - 1
+    k_max = cos_coef.shape[2] - 1
     orders = list(range(1, k_max + 1) if orders is None else orders)
     for k in orders:
         if k < 1 or k > k_max:
             raise ValueError(f"order {k} outside the available range 1..{k_max}")
+    # each order's replicate cosine and sine series, as the rows of X_k^T
+    x_t = np.concatenate([cos_coef[:, :, orders], sin_coef[:, :, orders]]).transpose(2, 0, 1)
+    return orders, np.linalg.qr(x_t, mode="r").swapaxes(1, 2), cos_coef.shape[0]
+
+
+def _score_series(times, reduced, tau):
+    """The log-likelihood of series reduced by :func:`_reduce_series` under
+    ``tau``, called once on the orders (n_orders, 1, 1), the times as a
+    column and as a row."""
+    orders, factor, n_reps = reduced
     if not orders:
         return 0.0
-    shape, col = (n_times, n_times), times[:, None]
-    full = np.stack([np.broadcast_to(tau(k, col, col.T), shape) for k in orders])
-    upper = np.triu(np.ones(shape, dtype=bool))
+    n_times = times.size
+    shape, col = (len(orders), n_times, n_times), times[:, None]
+    full = np.broadcast_to(tau(np.array(orders)[:, None, None], col, col.T), shape)
+    upper = np.triu(np.ones(shape[1:], dtype=bool))
     gram = np.where(upper, full, full.swapaxes(1, 2))  # mirrors tau(k, t_i, t_j), i <= j
     chol = _cholesky(gram)
     if chol is None:
@@ -148,9 +177,7 @@ def gaussian_loglik(times, cos_coef, sin_coef, tau, orders=None):
             f"coefficient Gram matrix at order {bad} is not positive definite"
         )
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
-    # each order's cosine and sine series are the columns of its right-hand side
-    x = np.concatenate([cos_coef[:, :, orders], sin_coef[:, :, orders]]).transpose(2, 1, 0)
-    quad = float(np.sum(np.linalg.solve(chol, x) ** 2))
+    quad = float(np.sum(np.linalg.solve(chol, factor) ** 2))
     return -0.5 * (quad + 2 * n_reps * (logdet + len(orders) * n_times * math.log(2.0 * math.pi)))
 
 

@@ -82,7 +82,7 @@ from .ambit import (
 )
 from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, cyc_dist
-from .errors import NonFiniteValue, UnknownId, WrongBasisKind
+from .errors import AssumptionViolation, NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
     BasisSpec,
     GridSpec,
@@ -646,6 +646,8 @@ class _Plan:
         self.times = np.sort(np.asarray(times, dtype=float))
         union = spec.kind in ("rate_linear", "rate_of_log")
         for t in self.times:
+            if spec.ambit.window(t)[0] > t:
+                raise AssumptionViolation(f"time lags must be nonnegative; T({t:g}) < 0")
             check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
         if union and self.times.size and spec.ambit.factorizes and not spec.weight.apex_dependent:
             # rate terms read the time-union length (exact induced weight, point sum)

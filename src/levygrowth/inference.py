@@ -30,7 +30,7 @@ from .errors import (
     NonUniformGrid,
     SingularCovariance,
 )
-from .fourier_radial import gaussian_loglik, radial_fourier
+from .fourier_radial import _reduce_series, _score_series, radial_fourier
 from .rngtools import mix_seed
 from .timefn import TimeFn
 
@@ -453,9 +453,13 @@ def tumour_log_cov_model(T, t0, phi0, spot_var=1.0):
 def fit_fourier_mle(dataset, tau_family, bounds, *, orders, seed=0, n_starts=3, max_iter=400):
     """Maximum likelihood over a parameterized coefficient-covariance family.
 
-    ``tau_family(params)`` returns a callable ``tau(k, t1, t2)``.  The
-    coefficient series of every replicate are scored jointly; orders are
-    k >= 1.  A single observation time cannot identify more than one
+    ``tau_family(params)`` returns a callable ``tau(k, t1, t2)`` that
+    broadcasts over an order array as over the times (see
+    :func:`levygrowth.fourier_radial.gaussian_loglik`).  The coefficient
+    series of every replicate are scored jointly; orders are k >= 1.  They
+    are reduced to one triangular factor per order once, before the
+    optimizer, so an evaluation costs the same whatever the replicate
+    count.  A single observation time cannot identify more than one
     temporal parameter and raises :class:`NonConvergence` up front.
     """
     orders = list(orders)
@@ -466,11 +470,13 @@ def fit_fourier_mle(dataset, tau_family, bounds, *, orders, seed=0, n_starts=3, 
             "one observation time cannot identify multiple temporal parameters"
         )
     fs = radial_fourier(dataset.profiles, dataset.angles, max(orders))
+    times = np.asarray(dataset.times, dtype=float)
+    reduced = _reduce_series(fs.cos_coef, fs.sin_coef, orders)
 
     def objective(params):
         tau = tau_family(params)
         try:
-            ll = gaussian_loglik(dataset.times, fs.cos_coef, fs.sin_coef, tau, orders=orders)
+            ll = _score_series(times, reduced, tau)
         except SingularCovariance:
             return math.inf
         return -ll

@@ -134,8 +134,7 @@ class TimeFn:
             out = np.asarray(values)[idx]
         elif kind == "gompertz":
             k0, eta, gam = p
-            decay = np.exp(-gam * t)
-            out = k0 * np.exp((eta / gam) * (1.0 - decay)) * eta * decay
+            out = k0 * np.exp(self._gompertz_exponent(t)) * eta * np.exp(-gam * t)
         else:
             out = np.asarray(self.fn(t), dtype=float)
         if self.support != _UNBOUNDED:
@@ -190,8 +189,7 @@ class TimeFn:
             a, alpha = p
             return a * np.power(np.maximum(x, 0.0), alpha + 1.0) / (alpha + 1.0)
         if kind == "gompertz":
-            k0, eta, gam = p
-            return k0 * (np.exp((eta / gam) * (1.0 - np.exp(-gam * x))) - 1.0)
+            return p[0] * np.expm1(self._gompertz_exponent(x))
         # table / step: the whole pieces below x plus the partial piece
         # holding it, then the flat extensions before the first node and
         # after the last
@@ -210,6 +208,16 @@ class TimeFn:
         dx = xc - ts[i]
         inside = cum[i] + vs[i] * dx + 0.5 * slopes[i] * dx * dx
         return inside + vs[0] * np.minimum(x - ts[0], 0.0) + vs[-1] * np.maximum(x - ts[-1], 0.0)
+
+    def _gompertz_exponent(self, t):
+        """``(eta / gamma) (1 - exp(-gamma t))`` as ``eta t expm1(x) / x``
+        with ``x = -gamma t``: the quotient form is inf * 0 for a subnormal
+        gamma and cancels for a tiny one, while its limit is ``eta t``."""
+        _, eta, gam = self.params
+        x = -gam * t
+        with np.errstate(invalid="ignore"):
+            rel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+        return eta * t * rel
 
     def max_on(self, a, b):
         """Upper bound of the function on each interval [a[i], b[i]].

@@ -125,6 +125,28 @@ def test_array_harmonic_cov_equals_the_scalar_calls_bit_for_bit(kind, lag, t1, t
     assert isinstance(harmonic_cov(w, UNIT, T, t1[0], t2[0], k), float)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(WEIGHT_KINDS),
+    st.sampled_from(sorted(LAGS)),
+    st.lists(st.floats(0.5, 12.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.5, 12.0), min_size=1, max_size=3),
+    st.lists(st.integers(0, 14), min_size=1, max_size=4),
+)
+@example("constant", "constant", [2.5], [5.0], [1, 0])  # windows that only touch
+@example("separable", "short", [3.0, 6.0], [6.5], [5, 9])  # every order above k_max
+def test_order_array_harmonic_cov_equals_the_scalar_order_calls(kind, lag, t1, t2, ks):
+    T = LAGS[lag]
+    w = _weight(kind, T)
+    t1, t2 = np.array(t1)[:, None], np.array(t2)[None, :]
+    got = harmonic_cov(w, UNIT, T, t1, t2, np.array(ks)[:, None, None])
+    stacked = np.stack([harmonic_cov(w, UNIT, T, t1, t2, k) for k in ks])
+    assert got.shape == stacked.shape and np.array_equal(got, stacked)
+    # one time pair against an order vector
+    pair = harmonic_cov(w, UNIT, T, t1[0, 0], t2[0, 0], np.array(ks))
+    assert np.array_equal(pair, [harmonic_cov(w, UNIT, T, t1[0, 0], t2[0, 0], k) for k in ks])
+
+
 def test_table_calls_tau_once_per_order():
     calls = []
 
@@ -135,7 +157,7 @@ def test_table_calls_tau_once_per_order():
     model = CircleCovModel(tau, 5)
     pairs, dphis = [(6.0, 6.0), (6.0, 7.0), (8.0, 7.5)], np.linspace(0.0, math.pi, 7)
     rows = model.table(pairs, dphis)
-    assert calls == list(range(6))
+    assert len(calls) == 1 and np.array_equal(np.ravel(calls[0]), range(6))
     assert rows.shape == (21, 4)
     assert np.array_equal(rows[:, :3], [(t1, t2, d) for t1, t2 in pairs for d in dphis])
     for t1, t2, d, cov in rows:

@@ -285,6 +285,19 @@ def test_cov_with_a_negative_lag_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "moments"])
+def test_a_negative_lag_at_a_requested_time_exits_3(tmp_path, capsys, command):
+    # the lag T falls from 1 at t = 0 to -30 at t = 100, below 0 after t = 3.2
+    T = '{"kind":"table","ts":[0.0,100.0],"values":[1.0,-30.0]}'
+    argv = [
+        command, "--preset", "ex4", "--out-dir", str(tmp_path / "o"),
+        "--set", f'model.ambit={{"kind":"rectangular","theta":0.05,"T":{T}}}',
+    ]  # fmt: skip
+    assert run(argv) == 3
+    assert "AssumptionViolation: time lags must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments"])
 def test_grid_short_of_the_times_exits_3(tmp_path, capsys, command):
     args = [command, "--preset", "ex4", "--set", "grid.t_max=40", "--out-dir", str(tmp_path)]
     assert run(args) == 3

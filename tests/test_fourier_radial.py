@@ -12,6 +12,8 @@ from levygrowth.ambit import FullAngle, Rectangular
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
 from levygrowth.errors import AliasError, AssumptionViolation, SingularCovariance
 from levygrowth.fourier_radial import (
+    _reduce_series,
+    _score_series,
     fourier_cov_structure,
     gaussian_loglik,
     parseval_gap,
@@ -183,7 +185,11 @@ def test_loglik_calls_tau_once_per_order():
     rng = np.random.default_rng(9)
     cos, sin = rng.normal(size=(2, 5, 4, 4))
     ll = gaussian_loglik(times, cos, sin, tau, orders=[1, 2, 3])
-    assert calls == [(k, (4, 1), (1, 4)) for k in (1, 2, 3)]
+    # one call, the orders as a leading (3, 1, 1) axis
+    assert len(calls) == 1
+    k, shape1, shape2 = calls[0]
+    assert k.shape == (3, 1, 1) and np.array_equal(k.ravel(), [1, 2, 3])
+    assert (shape1, shape2) == ((4, 1), (1, 4))
     expected = 0.0
     for k in (1, 2, 3):
         gram = [[harmonic_cov(w, UNIT, 2.0, a, b, k) for b in times] for a in times]
@@ -250,14 +256,14 @@ def _per_order_loglik(times, cos, sin, tau, orders):
 def test_stacked_loglik_equals_the_per_order_reference(n_times, n_reps, orders, seed):
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(1.0, 10.0, n_times))
-    grams = {}
+    grams = np.zeros((5, n_times, n_times))
     for k in set(orders):
         a = rng.normal(size=(n_times, n_times))
         grams[k] = a @ a.T + n_times * np.eye(n_times)
 
     def tau(k, t1, t2):
         i, j = np.searchsorted(times, t1), np.searchsorted(times, t2)
-        return grams[k][i, j]
+        return grams[k, i, j]
 
     shape = (n_times, 5) if n_reps is None else (n_reps, n_times, 5)
     cos, sin = rng.normal(size=(2, *shape))
@@ -265,13 +271,37 @@ def test_stacked_loglik_equals_the_per_order_reference(n_times, n_reps, orders, 
     assert ll == pytest.approx(_per_order_loglik(times, cos, sin, tau, orders), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_times, n_reps", [(6, 1), (6, 2), (3, 4), (1, 1)])
+def test_reduced_loglik_equals_the_per_order_reference(n_times, n_reps):
+    rng = np.random.default_rng(17)
+    times = np.sort(rng.uniform(1.0, 10.0, n_times))
+    a = rng.normal(size=(4, n_times, n_times))
+    grams = a @ a.swapaxes(1, 2) + n_times * np.eye(n_times)
+
+    def tau_at(scale):
+        def tau(k, t1, t2):
+            return scale * grams[k, np.searchsorted(times, t1), np.searchsorted(times, t2)]
+
+        return tau
+
+    cos, sin = rng.normal(size=(2, n_reps, n_times, 4))
+    orders = [1, 3, 3, 2]
+    reduced = _reduce_series(cos, sin, orders)
+    # one factor per order, fewer columns than times when 2 n_reps < n_times
+    assert reduced[1].shape == (4, n_times, min(n_times, 2 * n_reps))
+    for scale in (0.5, 1.0, 3.0):  # one reduction serves every tau, as in a fit
+        tau = tau_at(scale)
+        reference = _per_order_loglik(times, cos, sin, tau, orders)
+        assert _score_series(times, reduced, tau) == pytest.approx(reference, rel=1e-12)
+
+
 def test_loglik_names_the_order_whose_gram_is_singular():
     w = FourierWeight.constant_coeffs([0.0, 0.4, 0.3, 0.2])
     times = np.array([4.0, 5.0, 6.5])
 
     def tau(k, t1, t2):
-        if k == 3:  # order 3 sees times 5.0 and 6.5 as one time
-            t1, t2 = np.minimum(t1, 5.0), np.minimum(t2, 5.0)
+        # order 3 sees times 5.0 and 6.5 as one time
+        t1, t2 = (np.where(k == 3, np.minimum(t, 5.0), t) for t in (t1, t2))
         return harmonic_cov(w, UNIT, 2.0, t1, t2, k)
 
     cos, sin = np.random.default_rng(2).normal(size=(2, 3, 4))

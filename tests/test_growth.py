@@ -78,6 +78,17 @@ def test_gompertz_drift_value_and_integral():
     assert d.integral(0.0, t) == pytest.approx(numeric, rel=1e-9)
 
 
+@pytest.mark.parametrize("gam", [1e-12, 1e-300, 1e-320])
+def test_gompertz_drift_with_a_tiny_gamma_keeps_its_limit(gam):
+    k0, eta, t = 1.0, 0.05, 20.0
+    d = Drift.gompertz(k0, eta, gam)
+    x = gam * t  # to first order in x the exponent is eta t (1 - x / 2)
+    expected = k0 * eta * math.exp(eta * t) * (1.0 - x * (1.0 + 0.5 * eta * t))
+    assert d(t) == pytest.approx(expected, rel=1e-13)
+    closed = k0 * math.expm1(eta * t * (1.0 - 0.5 * x))
+    assert d.integral(0.0, t) == pytest.approx(closed, rel=1e-13)
+
+
 def test_step_drift_holds_values():
     d = Drift.step((21.0, 25.0, 55.0), (1.0, 2.0, 3.0))
     assert d(21.0) == 1.0
