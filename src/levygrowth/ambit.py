@@ -420,14 +420,15 @@ def as_weight(x):
     return x
 
 
-def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi):
+def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi, rows=None):
     """Weight times membership in ``A_t(phi)`` at every cell midpoint.
 
-    Shape (n_t, n_phi), rows indexed by time slice.  ``weight`` is a weight
-    object (see :func:`as_weight`).
+    Shape (n_t, n_phi), rows indexed by time slice; with ``rows``, only
+    those time rows, in that order.  ``weight`` is a weight object (see
+    :func:`as_weight`).
     """
     theta = grid.phi_mids[None, :]
-    s = grid.t_mids[:, None]
+    s = grid.t_mids[:, None] if rows is None else grid.t_mids[rows, None]
     member = family.contains(t, phi, theta, s)
     return np.where(member, weight.value(t, theta, s, phi), 0.0)
 
@@ -440,11 +441,13 @@ def mesh_kernel(family: AmbitFamily, weight, grid: GridSpec, t, phi):
 def window_length_in_union(family: AmbitFamily, s, t):
     """Length of {apex u in [0, t] whose window covers slice s}.
 
+    ``t`` may be an array broadcasting against ``s``: the last apex whose
+    window covers a slice is then found once, up to the largest ``t``.
     Requires the window start ``u - T(u)`` to be non-decreasing.  Nothing
     here checks it: the caller checks with :func:`check_union_window_start`.
     """
     s = np.asarray(s, dtype=float)
-    upper = _union_upper(family, s, t)
+    upper = _union_upper(family, s, t if np.isscalar(t) else float(np.max(t)))
     return np.maximum(0.0, np.minimum(upper, t) - np.maximum(s, 0.0))
 
 
@@ -460,27 +463,19 @@ def _union_upper(family, s, t):
         if c >= 1.0:
             return np.full(s.shape, t)
         return np.minimum(s / (1.0 - c), t)
-    # generic: largest u <= t with window_lo(u) <= s, via bisection
-    lo_fn = lambda u: family.window(u)[0]
-    out = np.empty(s.shape)
-    flat = s.ravel()
-    res = out.ravel()
-    for i, si in enumerate(flat):
-        if lo_fn(t) <= si:
-            res[i] = t
-            continue
-        a, b = max(si, 0.0), t
-        if lo_fn(a) > si:
-            res[i] = a
-            continue
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if lo_fn(mid) <= si:
-                a = mid
-            else:
-                b = mid
-        res[i] = 0.5 * (a + b)
-    return out
+    # generic: largest u <= t with window_lo(u) <= s, by bisection of every
+    # slice at once; the window start is u - T(u) where T is a time function
+    if isinstance(T, TimeFn) and T.kind != "callable":
+        lo_fn = lambda u: u - T(u)
+    else:
+        lo_fn = np.vectorize(lambda u: family.window(u)[0], otypes=[float])
+    start = np.maximum(s, 0.0)
+    a, b = start, np.full(s.shape, float(t))
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        below = lo_fn(mid) <= s
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return np.where(lo_fn(t) <= s, t, np.where(lo_fn(start) > s, start, 0.5 * (a + b)))
 
 
 def check_union_window_start(family: AmbitFamily, t_grid, floor=-np.inf):

@@ -283,11 +283,15 @@ def weight_from_targets(targets, g: TimeFn, T, k_max=None):
         target_fn = lambda k, t: arr[k] if k < arr.size else 0.0
         km = arr.size - 1 if k_max is None else k_max
 
+    masses = {}  # the window mass per time, computed once
+
     def fn(k, t, s):
         lam = float(target_fn(k, t))
         if lam < 0:
             raise NegativeTargetCoefficient("target coefficients must be >= 0")
-        denom = float(g.integral(t - float(T(t)), t))
+        denom = masses.get(float(t))
+        if denom is None:
+            denom = masses[float(t)] = float(g.integral(t - float(T(t)), t))
         val = math.sqrt(lam / (math.pi * denom)) if denom > 0 and lam > 0 else 0.0
         return np.full(np.asarray(s, dtype=float).shape, val)
 

@@ -26,19 +26,24 @@ point pattern, whose moments are the continuum formulas: on any family for
 the direct kinds, on a factorizing family for the rate kinds.  Every other
 Poisson weight, cosine-series and tumour weights included, integrates its
 cell counts on the mesh like the other bases, so ``levygrowth moments``
-prints its law exactly.
+prints its law exactly.  A Gaussian basis with a constant weight on a
+rectangular cone of constant half-width (:func:`_cone_plan`) follows the
+continuum law instead: its terms carry the continuum moments of point sums,
+and its plan draws the exact law of the continuum field (:class:`_ConeLaw`).
 
 A call of :func:`simulate` or :func:`simulate_replicates` first builds a
 plan holding everything that does not depend on the realization: the
 kernels, kept as the spectra of their nonzero (ambit-window) rows, the
 centring shifts and the drift values.  A plan's terms are all of one kind,
-mesh terms or point sums, since the path depends only on the spec and the
-model kind, so one sampler draws them all:
+mesh terms, point sums or cone terms, since the path depends only on the
+spec and the model kind, so one sampler draws them all:
 
-* On a Gaussian basis the spectra fix the joint law of every time's term:
-  per harmonic k, the terms' profile coefficients are complex normal across
-  the times, independent over k (the circle's exact form of circulant
-  embedding).  The plan factors each harmonic's covariance once, and a
+* On a Gaussian cone plan one lag spectrum and one factor over the times
+  give every harmonic's covariance, with no kernel (:class:`_ConeLaw`).
+* On any other Gaussian basis the spectra fix the joint law of every
+  time's term: per harmonic k, the terms' profile coefficients are complex
+  normal across the times, independent over k (the circle's exact form of
+  circulant embedding).  The plan factors each harmonic's covariance once, and a
   replicate draws the coefficients directly, one block of normals from the
   start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
 * Other mesh terms sample, with
@@ -51,8 +56,8 @@ model kind, so one sampler draws them all:
   time whose window the block touches adds its points to its own difference
   array, so no array grows with the whole point pattern (:class:`_PointSums`).
 
-A term called on a full realization, of any basis, reads that realization
-through a sampler of its own.
+A mesh or point term called on a full realization, of any basis, reads
+that realization through a sampler of its own.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -73,6 +78,7 @@ from . import ambit as _ambit
 from .ambit import (
     AmbitFamily,
     ConstantWeight,
+    Rectangular,
     Tumour,
     WedgeOverS,
     as_weight,
@@ -81,7 +87,7 @@ from .ambit import (
     mesh_kernel,
 )
 from .csvrows import csv_block, reprs
-from .cyclic import TWO_PI, cyc_dist
+from .cyclic import TWO_PI, arc_overlap_length, cyc_dist
 from .errors import AssumptionViolation, NonFiniteValue, UnknownId, WrongBasisKind
 from .levy_core import (
     BasisSpec,
@@ -93,7 +99,7 @@ from .levy_core import (
     cumulant_sum,
     sample_realization,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, tanh_sinh
 from .rngtools import POINT_BLOCK, mix_seed, seeded_generator
 from .timefn import TimeFn
 
@@ -251,17 +257,22 @@ class _Term:
 class _MeshTerm(_Term):
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
-    Only the kernel's nonzero rows (the ambit window) are kept, with their
+    ``kernel`` holds the time rows ``rows`` (the window), the kernel being
+    zero on the others.  Only its nonzero rows are kept, with their
     conjugated spectra; :meth:`read` takes the spectra of those increment
     rows.  ``moments`` is the (mean, variance) of the value at each angle.
     """
 
-    def __init__(self, kernel, grid, basis):
-        self.rows = np.flatnonzero(np.any(kernel != 0.0, axis=1))
+    def __init__(self, kernel, rows, grid, basis):
+        nonzero = np.any(kernel != 0.0, axis=1)
+        self.rows = rows[nonzero]
         self.n_phi = kernel.shape[1]
-        self.spectrum = np.conj(np.fft.rfft(kernel[self.rows], axis=1))
+        self.spectrum = np.conj(np.fft.rfft(kernel[nonzero], axis=1))
         mu, spot = grid.cell_mu(basis.control), basis.spot
-        self.moments = cumulant_sum(spot, mu, kernel), cumulant_sum(spot, mu, kernel, kernel)
+        self.moments = (
+            cumulant_sum(spot, mu, kernel, rows=rows),
+            cumulant_sum(spot, mu, kernel, kernel, rows=rows),
+        )
 
     def read(self, spectra):
         """The value given ``spectra``, the ``rfft`` of the rows ``rows``."""
@@ -311,16 +322,22 @@ class _PointTerm(_Term):
 
     @cached_property
     def moments(self):
-        """``c^p m_p I_p`` for p = 1, 2, with ``m_p`` the spot mean and
-        variance and ``I_p`` the ambit measure ``mu(A_t)`` (direct) or
-        :func:`_union_integrals` (rate)."""
+        """:func:`_continuum_moments` with ``I_p`` the ambit measure
+        ``mu(A_t)`` (direct) or :func:`_union_integrals` (rate)."""
         spec = self.spec
         if self.mode == "rate":
             integrals = _union_integrals(spec, self.grid, self.t)
         else:
             integrals = (spec.ambit.measure(self.t, spec.basis.control),) * 2
-        spot = spec.basis.spot
-        return tuple(constant_weight_cumulant(spot, self.c, x, p) for p, x in zip((1, 2), integrals))
+        return _continuum_moments(spec, integrals)
+
+
+def _continuum_moments(spec, integrals):
+    """``c^p m_p I_p`` for p = 1, 2: the (mean, variance) of a constant
+    weight ``c``'s ambit integral, with ``m_p`` the spot mean and variance
+    and ``I_p`` the ``integrals``, ``int k^p dmu`` for the integrand ``c k``."""
+    spot, c = spec.basis.spot, float(spec.weight.c)
+    return tuple(constant_weight_cumulant(spot, c, x, p) for p, x in zip((1, 2), integrals))
 
 
 class _Arcs(NamedTuple):
@@ -452,8 +469,10 @@ class _MeshRows(_RowSampler):
 
     def __init__(self, terms, basis, grid):
         self.terms, self.basis, self.grid = terms, basis, grid
-        rows = [term.rows for term in terms]
-        self.rows = np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.intp)
+        read = np.zeros(grid.n_t, dtype=bool)
+        for term in terms:
+            read[term.rows] = True
+        self.rows = np.flatnonzero(read)
 
     def read(self, increments, seed):
         spectra = np.fft.rfft(increments, axis=1)
@@ -493,6 +512,19 @@ def _row_sampler(terms, basis, grid):
     return (_PointSums if point else _MeshRows)(terms, basis, grid)
 
 
+def _harmonic_normals(seed, n_phi, n_terms):
+    """Unit complex normals ``h`` (n/2 + 1, n_terms), one block from the
+    start of ``seed``'s stream: N(0, 1/2) real and imaginary parts, and a
+    real N(0, 1) at the real harmonics (k = 0, and n/2 for an even n)."""
+    real = [0, n_phi // 2] if n_phi % 2 == 0 else [0]
+    h = seeded_generator(seed).standard_normal((n_phi // 2 + 1, n_terms, 2)).view(complex)[..., 0]
+    scale = np.full((h.shape[0], 1), math.sqrt(0.5))
+    scale[real] = 1.0
+    h *= scale
+    h.imag[real] = 0.0
+    return h
+
+
 class _JointSpectrum:
     """The joint law of Gaussian mesh terms, harmonic by harmonic.
 
@@ -523,36 +555,128 @@ class _JointSpectrum:
         self.real = np.array([0, n // 2] if n % 2 == 0 else [0])
         self.factor = _psd_factor(gram)
         self.factor[self.real] = _psd_factor(gram[self.real].real)
-        # complex normals of unit variance: N(0, 1/2) parts, a real N(0, 1)
-        # at the real harmonics
-        self.scale = np.full((nk, 1), math.sqrt(0.5))
-        self.scale[self.real] = 1.0
         self.mean = np.array([term.moments[0] for term in terms])[:, None]
 
     def values(self, seed):
-        """The terms' values (n_terms, n_phi) drawn from ``seed``: one block
-        of ``n_terms x (n/2 + 1)`` complex normals ``h_k``, then the
-        ``irfft`` of each term's ``A_k h_k``, plus the mean."""
-        shape = (*self.factor.shape[:2], 2)
-        h = seeded_generator(seed).standard_normal(shape).view(complex)[..., 0]
-        h *= self.scale
-        h.imag[self.real] = 0.0
+        """The terms' values (n_terms, n_phi) drawn from ``seed``: the
+        :func:`_harmonic_normals` ``h_k``, then the ``irfft`` of each term's
+        ``A_k h_k``, plus the mean."""
+        h = _harmonic_normals(seed, self.n_phi, self.factor.shape[1])
         coeffs = np.einsum("ktj,kj->tk", self.factor, h)
         return np.fft.irfft(coeffs, n=self.n_phi, axis=1) + self.mean
 
 
 def _psd_factor(gram):
-    """``A`` with ``A A^H = gram`` for a stack of positive semidefinite
-    Hermitian matrices, negative eigenvalues clipped to 0."""
+    """``A`` with ``A A^H = gram`` for a positive semidefinite Hermitian
+    matrix or a stack of them, negative eigenvalues clipped to 0."""
     w, v = np.linalg.eigh(gram)
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _rate_kernel(spec, grid, t):
+def _cone_plan(spec):
+    """Whether ``spec``'s plan draws from a :class:`_ConeLaw`: a Gaussian
+    basis with a constant weight on a rectangular cone of constant
+    half-width (every model kind but the tumour model, whose family and
+    weight are its own)."""
+    return (
+        spec.basis.spot.kind == "gaussian"
+        and isinstance(spec.weight, ConstantWeight)
+        and isinstance(spec.ambit, Rectangular)
+        and spec.ambit.theta.is_constant
+    )
+
+
+class _ConeTerm(NamedTuple):
+    """One time's ambit integral on a cone plan: only its (mean, variance)
+    at each angle, ``moments``; the plan's :class:`_ConeLaw` draws it."""
+
+    moments: tuple
+
+
+class _ConeLaw:
+    """The exact joint law, at the grid angles and the requested ``times``,
+    of a Gaussian basis's ambit integrals over a rectangular cone of
+    constant half-width ``theta``, with a constant weight ``c``.
+
+    At times t, u and angle lag d the covariance splits into a lag part and
+    a time part, ``kappa2 c^2 ov(d) M(t, u)``: ``ov`` is
+    :func:`~levygrowth.cyclic.arc_overlap_length` ``(d, theta, theta)``, and
+    ``M`` (``mass``) is ``int g`` over the intersection of the two windows
+    (``"direct"`` mode) or ``int L(s, t) L(s, u) g(s) ds`` (``"rate"``, ``L``
+    the window length in the time union, integrated on
+    :func:`_union_nodes`).  A profile at the n grid angles then has, per
+    harmonic k = 0..n/2, coefficients complex normal across the times with
+    covariance ``n kappa2 c^2 a(k) M``, ``a`` (``spectrum``) the ``rfft`` of
+    ``ov`` at the grid lags, independent over k and real at the real
+    harmonics: circulant embedding, which on the circle needs no padding
+    (Wood & Chan 1994; Dietrich & Newsam 1997).  ``a >= 0`` up to rounding,
+    since ``ov`` is the autocorrelation of an arc's indicator.  One
+    ``factor`` ``A`` with ``A A^T = M`` and the per-harmonic ``scale``
+    ``sqrt(n kappa2 c^2 a(k))`` (``a`` clipped at 0) make every harmonic's
+    factor.  Each of the ``terms`` carries :func:`_continuum_moments`, with
+    ``I_p = mu(A_t)`` (direct) or ``2 min(theta, pi) int L^p g`` (rate, on
+    the nodes of ``M``).  No mesh kernel is involved.
+    """
+
+    def __init__(self, spec, grid, times, mode):
+        family, g, n = spec.ambit, spec.basis.control.g, grid.n_phi
+        theta = family.theta.value
+        self.n_phi = n
+        self.spectrum = np.fft.rfft(arc_overlap_length(grid.dphi * np.arange(n), theta, theta)).real
+        kappa2 = spec.basis.spot.b_tilde * float(spec.weight.c) ** 2
+        self.scale = np.sqrt(n * kappa2 * np.clip(self.spectrum, 0.0, None))
+        if mode == "direct":
+            starts = np.array([family.window(t)[0] for t in times])
+            self.mass = g.integral(np.maximum.outer(starts, starts), np.minimum.outer(times, times))
+            integrals = [(family.measure(t, spec.basis.control),) * 2 for t in times]
+        else:
+            s, w = _union_nodes(spec, grid, times)
+            lengths = _ambit.window_length_in_union(family, s[:, None], times)
+            weighted = lengths * (w * g(s))[:, None]
+            # einsum, not a BLAS product: on 2 CPUs a two-thread gemm of
+            # 40 times over 4680 nodes took 112 ms, einsum 3 ms
+            self.mass = np.einsum("si,sj->ij", weighted, lengths)
+            width = 2.0 * min(theta, np.pi)
+            first = width * weighted.sum(axis=0)
+            integrals = [(float(x), float(width * m)) for x, m in zip(first, np.diag(self.mass))]
+        self.factor = _psd_factor(self.mass)
+        self.terms = [_ConeTerm(_continuum_moments(spec, x)) for x in integrals]
+        self.mean = np.array([term.moments[0] for term in self.terms])[:, None]
+
+    def values(self, seed):
+        """The terms' values (n_terms, n_phi) drawn from ``seed``: the
+        :func:`_harmonic_normals` ``h_k``, coefficients ``scale[k] A h_k``,
+        their ``irfft``, plus the mean; the stream layout of
+        :class:`_JointSpectrum`."""
+        h = _harmonic_normals(seed, self.n_phi, len(self.terms))
+        coeffs = (self.factor @ h.T) * self.scale
+        return np.fft.irfft(coeffs, n=self.n_phi, axis=1) + self.mean
+
+
+def _union_nodes(spec, grid, times):
+    """:func:`~levygrowth.quadrature.tanh_sinh` nodes and weights over the
+    slices below the last of the (sorted, nonempty) ``times``, from the lowest slice the grid and
+    the control density reach, split where the time-union lengths ``L(s,
+    t)`` of the ``times`` or the density ``g`` have kinks: at 0, at the
+    window starts of 0 and of each time, at each time, and at the ends and
+    nodes of ``g``."""
+    family, g = spec.ambit, spec.basis.control.g
+    lo, hi = max(grid.t_min, g.support[0]), float(times[-1])
+    kinks = {0.0, family.window(0.0)[0], *g.support, *times}
+    kinks.update(family.window(t)[0] for t in times)
+    if g.kind in ("table", "step"):
+        kinks.update(g.params[0])
+    return tanh_sinh([lo, *sorted(k for k in kinks if lo < k < hi), hi])
+
+
+def _rate_kernel(spec, grid, t, rows=None):
+    """The time-union kernel of the rate kinds at ``t``, on the time rows
+    ``rows`` (all by default), as :func:`~levygrowth.ambit.mesh_kernel`."""
     fbar = _ambit.induced_weight(
         spec.ambit, spec.weight, t, phi=grid.phi_mids[0], step=grid.dt
     )
-    return np.asarray(fbar(grid.phi_mids[None, :], grid.t_mids[:, None]), dtype=float)
+    s = grid.t_mids[:, None] if rows is None else grid.t_mids[rows, None]
+    return np.asarray(fbar(grid.phi_mids[None, :], s), dtype=float)
 
 
 def _point_path(spec, mode):
@@ -603,11 +727,15 @@ def _term(spec, grid, t, mode):
     variance) of that value.  Mesh kernels are built here, once."""
     if _point_path(spec, mode):
         return _PointTerm(spec, grid, t, mode)
+    # the kernel is built on the rows whose midpoints lie in the window (the
+    # union window up to t for the rate mode); it is zero on the others
+    lo, hi = spec.ambit.window(t) if mode == "direct" else (grid.t_min, t)
+    rows = np.flatnonzero((grid.t_mids >= lo) & (grid.t_mids <= hi))
     if mode == "direct":
-        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0])
+        kernel = mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0], rows)
     else:
-        kernel = _rate_kernel(spec, grid, t)
-    return _MeshTerm(kernel, grid, spec.basis)
+        kernel = _rate_kernel(spec, grid, t, rows)
+    return _MeshTerm(kernel, rows, grid, spec.basis)
 
 
 @dataclass(frozen=True)
@@ -638,7 +766,9 @@ class _Plan:
     with its term's kernel spectra, centring, drift and profile values
     computed up front.  Replicates run the same plan, so each does exactly
     the arithmetic of a single :func:`simulate`; ``levygrowth moments``
-    reads the same radii's moments.
+    reads the same radii's moments.  On a cone plan (:func:`_cone_plan`) the
+    :class:`_ConeLaw` (``cone``) is built here, since its terms' moments
+    come from it.
     """
 
     def __init__(self, spec, grid, times):
@@ -649,28 +779,31 @@ class _Plan:
             if spec.ambit.window(t)[0] > t:
                 raise AssumptionViolation(f"time lags must be nonnegative; T({t:g}) < 0")
             check_covered(spec.ambit, spec.basis.control, grid, t, union=union)
+            if spec.kind == "exponential_tumour":
+                check_kumulant_domain(spec.basis.spot, spec.weight.max_positive_value(t))
         if union and self.times.size and spec.ambit.factorizes and not spec.weight.apex_dependent:
             # rate terms read the time-union length (exact induced weight, point sum)
             edges = grid.t_edges[(grid.t_edges >= 0.0) & (grid.t_edges <= self.times[-1] + _EPS)]
             floor = max(grid.t_min, spec.basis.control.g.support[0])  # no mass below
             check_union_window_start(spec.ambit, edges, floor)
-        self.radii = [self._radius(t) for t in self.times]
+        mode = "rate" if union else "direct"
+        self.cone = None
+        if self.times.size and _cone_plan(spec):  # a plan without times has no law
+            self.cone = _ConeLaw(spec, grid, self.times, mode)
+        terms = self.cone.terms if self.cone else [_term(spec, grid, t, mode) for t in self.times]
+        self.radii = [self._radius(t, term) for t, term in zip(self.times, terms)]
         self.spec_hash = config_hash(spec, grid)
 
-    def _radius(self, t):
-        spec, grid = self.spec, self.grid
-        angles = grid.phi_mids
+    def _radius(self, t, term):
+        spec, angles = self.spec, self.grid.phi_mids
         if spec.kind in ("rate_linear", "rate_of_log"):
-            term = _term(spec, grid, t, "rate")
             accumulated = spec.drift.integral(0.0, t)
             r0 = spec.r0_profile(angles)
             if spec.kind == "rate_linear":
                 return _Radius(term, r0 + accumulated)
             return _Radius(term, accumulated, r0, np.exp)
         if spec.kind == "exponential_tumour":
-            check_kumulant_domain(spec.basis.spot, spec.weight.max_positive_value(t))
-            return _Radius(_term(spec, grid, t, "direct"), spec.drift(t), link=np.exp)
-        term = _term(spec, grid, t, "direct")
+            return _Radius(term, spec.drift(t), link=np.exp)
         level = spec.drift(t) - (term.moments[0] if spec.center_stochastic_mean else 0.0)
         if spec.kind == "direct":
             return _Radius(term, level)
@@ -679,9 +812,12 @@ class _Plan:
     @cached_property
     def sampler(self):
         """What draws the terms' values, ``values(seed)`` of shape (n_times,
-        n_phi): the :class:`_JointSpectrum` on a Gaussian basis, else the
-        terms' :func:`_row_sampler`.  Built on first use, so ``levygrowth
-        moments`` never builds it."""
+        n_phi): the :class:`_ConeLaw` on a cone plan, the
+        :class:`_JointSpectrum` on any other Gaussian basis, else the terms'
+        :func:`_row_sampler`.  The last two are built on first use, so
+        ``levygrowth moments`` never builds them."""
+        if self.cone is not None:
+            return self.cone
         terms = [radius.term for radius in self.radii]
         if self.spec.basis.spot.kind == "gaussian":
             return _JointSpectrum(terms, self.grid, self.spec.basis)

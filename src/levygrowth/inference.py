@@ -189,7 +189,7 @@ def _blocks(rep, t, phi, r):
         b = np.flatnonzero(bad)[np.argmin(first_row[bad])]
         key = (int(rep[starts[b]]), float(t[starts[b]]))
         raise NonUniformGrid(f"angle grid differs in block {key}")
-    reps, times = np.unique(rep[starts]), np.unique(t[starts])
+    reps, times = _unique(rep[starts]), _unique(t[starts])
     if starts.size != reps.size * times.size:
         code = np.searchsorted(reps, rep[starts]) * times.size + np.searchsorted(
             times, t[starts]
@@ -199,6 +199,13 @@ def _blocks(rep, t, phi, r):
         key = (int(reps[i // times.size]), float(times[i % times.size]))
         raise NonUniformGrid(f"block (replicate, t) = {key} is missing")
     return ProfileDataset(times, ref, r.reshape(reps.size, times.size, n_phi))
+
+
+def _unique(x):
+    """The sorted distinct values of ``x``.  Asked for their first indices,
+    ``np.unique`` does not import ``numpy.ma``, which it does without them
+    (about 13 ms on first use)."""
+    return np.unique(x, return_index=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +239,7 @@ def empirical_moments(dataset: ProfileDataset, n_lags=16) -> EmpiricalMoments:
     if n_reps * n_phi < 2:
         raise InsufficientData("need at least two observations per time")
     dphi = TWO_PI / n_phi
-    lag_idx = np.unique(
-        np.round(np.linspace(0.0, np.pi, n_lags) / dphi).astype(int) % n_phi
-    )
+    lag_idx = _unique(np.round(np.linspace(0.0, np.pi, n_lags) / dphi).astype(int) % n_phi)
     lags = lag_idx * dphi
     mean = dataset.profiles.mean(axis=(0, 2))
     centered = dataset.profiles - mean[None, :, None]
@@ -422,8 +427,12 @@ def rect_direct_cov_model(T, g):
     """
     T = TimeFn.of(T)
 
+    masses = {}  # the window mass per time, computed once
+
     def model_cov(params, t, lags):
-        mass = float(g.integral(t - float(T(t)), t))
+        mass = masses.get(float(t))
+        if mass is None:
+            mass = masses[float(t)] = float(g.integral(t - float(T(t)), t))
         return params["sigma2"] * arc_overlap_length(np.asarray(lags), params["theta"], params["theta"]) * mass
 
     return model_cov

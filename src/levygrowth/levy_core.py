@@ -242,7 +242,7 @@ def check_kumulant_domain(spot: SpotLaw, args):
         )
 
 
-def cumulant_sum(spot: SpotLaw, mu_rows, *kernels):
+def cumulant_sum(spot: SpotLaw, mu_rows, *kernels, rows=None):
     """Joint cumulant of the integrals ``int K_i dL``, one per kernel.
 
     Cumulants of an independently scattered basis add over cells, so with
@@ -250,12 +250,20 @@ def cumulant_sum(spot: SpotLaw, mu_rows, *kernels):
     K_i[l, j]) * mu_l``: the mean for one kernel, the variance for ``(K, K)``,
     a covariance for ``(K1, K2)``.  Kernels have shape (n_t, n_phi) and
     ``mu_rows`` is the measure of one cell per time row; rows are summed
-    first (the centring of simulated radii depends on that order).
+    first (the centring of simulated radii depends on that order).  With
+    ``rows``, the kernels hold only those time rows and are zero on the
+    others; the row sums are placed among zeros, so the sum over all rows
+    takes the same order, and gives the same bits, as the full kernels.
     """
     prod = kernels[0]
     for kernel in kernels[1:]:
         prod = prod * kernel
-    return spot_cumulant(spot, len(kernels)) * float(np.sum(prod.sum(axis=1) * mu_rows))
+    sums = prod.sum(axis=1)
+    if rows is not None:
+        placed = np.zeros(np.shape(mu_rows))
+        placed[rows] = sums
+        sums = placed
+    return spot_cumulant(spot, len(kernels)) * float(np.sum(sums * mu_rows))
 
 
 def constant_weight_cumulant(spot: SpotLaw, c, integral, p):

@@ -9,7 +9,8 @@ A simulation drawn from ``seed`` reads the stream
 ``PCG64(SeedSequence(seed))`` (:func:`seeded_generator`).  On a Gaussian
 basis it takes, in one call from the start of that stream, the joint
 spectrum of its terms: ``n_times x (n_phi // 2 + 1)`` complex normals (see
-:class:`levygrowth.growth._JointSpectrum`), and no increment rows.
+:class:`levygrowth.growth._JointSpectrum` and
+:class:`levygrowth.growth._ConeLaw`), and no increment rows.
 
 The cell increments of every other basis, and of any realization drawn on
 its own, are row-addressed: row ``l`` of the realization drawn from ``seed``

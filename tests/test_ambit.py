@@ -309,6 +309,49 @@ def test_window_length_wedge_negative_slice():
     assert float(window_length_in_union(family, np.asarray(5.0), 10.0)) == pytest.approx(1.0)
 
 
+def _union_upper_one_slice(family, s, t):
+    """The largest apex u <= t whose window starts at or below slice s, by
+    bisection of that slice alone (nothing above t when none)."""
+    lo = lambda u: family.window(u)[0]
+    if lo(t) <= s:
+        return t
+    a, b = max(s, 0.0), t
+    if lo(a) > s:
+        return a
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if lo(mid) <= s else (a, mid)
+    return 0.5 * (a + b)
+
+
+# lags without a closed-form union (window starts u - T(u) non-decreasing)
+UNION_LAGS = [
+    TimeFn.affine(0.5, 0.2),
+    TimeFn.exponential(2.0, 0.05),
+    TimeFn.table((0.0, 10.0, 40.0), (1.0, 3.0, 9.0)),
+    TimeFn.of(lambda t: 0.3 * np.asarray(t) + 1.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(range(len(UNION_LAGS))),
+    st.lists(st.floats(-5.0, 50.0), min_size=1, max_size=20),
+    st.floats(0.5, 50.0),
+)
+def test_union_length_bisects_every_slice_as_one_slice_alone(lag, slices, t):
+    # all slices are bisected at once, with the arithmetic of one slice alone;
+    # several times at once cap one bisection up to the largest
+    family = Rectangular.of(0.3, UNION_LAGS[lag])
+    s = np.array(slices)
+    want = [max(0.0, min(_union_upper_one_slice(family, x, t), t) - max(x, 0.0)) for x in s]
+    assert np.array_equal(window_length_in_union(family, s, t), want)
+    times = np.array([0.4 * t, t])
+    both = window_length_in_union(family, s[:, None], times)
+    each = np.stack([window_length_in_union(family, s, u) for u in times], axis=1)
+    assert np.abs(both - each).max() <= 1e-12 * t
+
+
 def test_time_union_region_contains():
     family = Rectangular.of(0.5, TimeFn.constant(2.0))
     fbar = induced_weight(family, 1.0, 5.0)

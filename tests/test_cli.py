@@ -119,6 +119,29 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_reading_data_and_mesh_plans_do_not_import_numpy_ma(tmp_path):
+    # np.unique without an inverse or index imports numpy.ma (about 13 ms)
+    src = os.path.dirname(os.path.dirname(levygrowth.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from levygrowth.growth import _Plan, example_preset\n"
+        "from levygrowth.inference import ProfileDataset, empirical_moments, ingest_profiles\n"
+        "p = example_preset('ex5')\n"
+        "plan = _Plan(p.spec, p.grid, p.times)\n"
+        "profiles = plan.profiles(3)[None]\n"
+        "ProfileDataset(plan.times, p.grid.phi_mids, profiles).to_csv(sys.argv[1])\n"
+        "empirical_moments(ingest_profiles(sys.argv[1]))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "history.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_library_logging_is_silent_by_default():
     # a fresh interpreter, where no handler but the package's is installed
     src = os.path.dirname(os.path.dirname(levygrowth.__file__))
@@ -408,6 +431,30 @@ def test_moments_command_table(tmp_path):
     assert rows[20.0] == pytest.approx(16.0)
     assert rows[45.0] == pytest.approx(24.0)
     assert rows[80.0] == pytest.approx(32.0)
+
+
+def test_moments_of_a_narrow_gaussian_cone_are_the_continuum_law(tmp_path):
+    # theta = 0.001 is a third of a cell: the cone law's variance is
+    # 2 theta T(t) = 0.4 theta t, where the mesh gave a whole cell, pi times
+    # more; 4000 replicates at one angle agree with it
+    from levygrowth.growth import _Plan, example_preset
+    from levygrowth.rngtools import mix_seed
+
+    out = tmp_path / "out"
+    argv = ["moments", "--preset", "ex4", "--set", "model.ambit.theta=0.001", "--out-dir", str(out)]
+    assert run(argv) == 0
+    lines = (out / "moments.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.allclose(table[:, 2], [0.008, 0.018, 0.032], rtol=1e-12, atol=0.0)
+
+    p = example_preset("ex4", theta=0.001)
+    plan, n = _Plan(p.spec, p.grid, p.times), 4000
+    x = np.array([plan.profiles(mix_seed(17, r))[:, 0] for r in range(n)])
+    mean, var = table[:, 1], table[:, 2]
+    z_mean = (x.mean(axis=0) - mean) / np.sqrt(var / n)
+    z_var = (x.var(axis=0, ddof=1) - var) / (var * math.sqrt(2.0 / (n - 1)))
+    assert np.all(np.abs(z_mean) <= 3.0), z_mean
+    assert np.all(np.abs(z_var) <= 3.0), z_var
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Growth simulation: evaluation paths, presets, matching, outburst view."""
 
+import itertools
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +19,9 @@ from levygrowth.ambit import (
     Tumour,
     WedgeOverS,
     induced_weight,
+    intersection_measure,
 )
-from levygrowth.cyclic import cyc_dist
+from levygrowth.cyclic import arc_overlap_length, cyc_dist
 from levygrowth.errors import KumulantDomainError, RegionOutsideGrid, UnknownId, WrongBasisKind
 from levygrowth.growth import (
     MODEL_KINDS,
@@ -469,6 +472,41 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
         assert np.array_equal(sampler.rows, np.unique(mesh))
 
 
+WINDOW_ROW_FAMILIES = {
+    "rectangular": Rectangular.of(TimeFn.affine(0.3, 0.1), TimeFn.proportional(0.4)),
+    "wedge": WedgeOverS(theta=0.5, T=1.0),
+    "tumour": Tumour.of(3.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("mode", ["direct", "rate"])
+@pytest.mark.parametrize("family", sorted(WINDOW_ROW_FAMILIES))
+def test_window_row_kernels_keep_the_full_kernels_rows_and_moments(family, mode):
+    # a term built on its window rows keeps the rows, spectra and moments
+    # (bit for bit) of the kernel evaluated on the whole grid
+    from levygrowth.ambit import mesh_kernel
+    from levygrowth.circle_cov import FourierWeight
+    from levygrowth.growth import _rate_kernel, _term
+    from levygrowth.levy_core import cumulant_sum
+
+    basis = BasisSpec(SpotLaw.gamma_law(1.5, 2.0), ControlMeasure(TimeDensity.exponential(1.3, 0.2)))
+    weight = FourierWeight.constant_coeffs([0.7, 0.3, 0.2])
+    spec = GrowthModelSpec("direct", Drift.zero(), weight, basis, WINDOW_ROW_FAMILIES[family])
+    grid = GridSpec(TWO_PI / 24, 0.125, 0.0, 20.0)
+    mu = grid.cell_mu(basis.control)
+    for t in (2.3, 11.0, 19.9):
+        term = _term(spec, grid, t, mode)
+        if mode == "direct":
+            full = mesh_kernel(spec.ambit, weight, grid, t, grid.phi_mids[0])
+        else:
+            full = _rate_kernel(spec, grid, t)
+        rows = np.flatnonzero(np.any(full != 0.0, axis=1))
+        assert np.array_equal(term.rows, rows)
+        assert np.array_equal(term.spectrum, np.conj(np.fft.rfft(full[rows], axis=1)))
+        spot = basis.spot
+        assert term.moments == (cumulant_sum(spot, mu, full), cumulant_sum(spot, mu, full, full))
+
+
 def test_rate_kernel_matches_induced_weight_sum_gamma():
     from levygrowth.growth import _term
 
@@ -650,16 +688,21 @@ GAUSSIAN_TIMES = st.lists(st.sampled_from([3.3, 3.4, 3.5, 4.0]), min_size=1, max
 # no noise (b = 0) but a mean, on an odd number of angles
 @example("direct", 15, 0.7, 0.0, 1.0, [3.3, 4.0])
 def test_joint_spectrum_factor_is_the_mesh_law(kind, n_phi, a, b, lag, times):
-    # a Gaussian plan's factor reproduces the covariance the shared increment
-    # rows give its terms: per harmonic, at each time and across times
+    # a Gaussian mesh plan's factor reproduces the covariance the shared
+    # increment rows give its terms: per harmonic, at each time and across
+    # times
     from levygrowth.ambit import mesh_kernel
-    from levygrowth.growth import _Plan, _rate_kernel
+    from levygrowth.growth import _JointSpectrum, _Plan, _rate_kernel
     from levygrowth.levy_core import cumulant_sum
 
     spec = determinism_spec(kind, SpotLaw.gaussian(a, b), lag=lag)
+    if kind != "exponential_tumour":
+        # a half-width varying with s keeps the plan off the cone law
+        spec = replace(spec, ambit=Rectangular.of(TimeFn.affine(0.5, 0.05), TimeFn.constant(lag)))
     grid = small_grid(n_phi=n_phi)
     plan = _Plan(spec, grid, times)
     law = plan.sampler
+    assert isinstance(law, _JointSpectrum)
     terms = [radius.term for radius in plan.radii]
     n, mu = grid.n_phi, grid.cell_mu(spec.basis.control)
     stack = np.zeros((len(terms), grid.n_t, n // 2 + 1), dtype=complex)
@@ -718,6 +761,148 @@ def test_gaussian_plan_draws_no_realization(monkeypatch, preset):
     profiles = plan.profiles(5)
     assert profiles.shape == (len(p.times), p.grid.n_phi)
     assert np.all(np.isfinite(profiles))
+
+
+# ---------------------------------------------------------------------------
+# the cone law: Gaussian bases on a rectangular cone of constant half-width
+# ---------------------------------------------------------------------------
+
+CONE_KINDS = ("direct", "direct_scaled", "rate_linear", "rate_of_log")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CONE_KINDS),
+    st.sampled_from([0.3, 1.9, math.pi, 4.0]),  # half-widths below, at and above pi
+    st.sampled_from([15, 16]),
+    st.sampled_from([0.0, 0.7]),
+    st.sampled_from([0.0, 1.3]),
+    GAUSSIAN_TIMES,
+    st.integers(0, 2**64 - 1),
+)
+def test_cone_law_factor_is_the_continuum_covariance(kind, theta, n_phi, a, b, times, seed):
+    # per harmonic k the factor gives n kappa2 c^2 a(k) M, a the rfft of the
+    # arc overlap at the grid lags; summed over the harmonics it gives each
+    # term's variance, and a draw is the irfft of scale[k] A h_k plus the mean
+    from levygrowth.growth import _ConeLaw, _Plan
+
+    spec = replace(
+        determinism_spec(kind, SpotLaw.gaussian(a, b)), ambit=Rectangular.of(theta, TimeFn.constant(1.0))
+    )
+    grid = small_grid(n_phi=n_phi)
+    plan = _Plan(spec, grid, times)
+    law = plan.sampler
+    assert isinstance(law, _ConeLaw)
+    n, c, nt = grid.n_phi, spec.weight.c, len(times)
+    overlap = arc_overlap_length(grid.dphi * np.arange(n), theta, theta)
+    assert np.array_equal(law.spectrum, np.fft.rfft(overlap).real)
+    assert law.spectrum.min() >= -1e-12 * law.spectrum.max()
+    if kind in ("direct", "direct_scaled"):  # int g over the windows' intersection
+        for i, j in np.ndindex(nt, nt):
+            shared = intersection_measure(
+                spec.ambit, plan.times[i], 0.0, plan.times[j], 0.0, spec.basis.control
+            )
+            assert law.mass[i, j] == pytest.approx(shared / (2 * min(theta, math.pi)), rel=1e-12)
+
+    want = n * b * c**2 * law.spectrum[:, None, None] * law.mass
+    factor = law.scale[:, None, None] * law.factor
+    got = factor @ np.swapaxes(factor, 1, 2)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    real = [0, n // 2] if n % 2 == 0 else [0]
+    twice = np.full(n // 2 + 1, 2.0)
+    twice[real] = 1.0
+    var = np.array([radius.term.moments[1] for radius in plan.radii])
+    cov = np.einsum("k,ktu->tu", twice, got) / n**2
+    assert np.abs(np.diag(cov) - var).max() <= 1e-12 * max(var.max(), 1e-300)
+
+    mean = np.array([radius.term.moments[0] for radius in plan.radii])
+    z = seeded_generator(seed).standard_normal((n // 2 + 1, nt, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    h[real] = z[real, :, 0]
+    coeffs = law.scale[:, None] * (h @ law.factor.T)
+    expected = np.fft.irfft(coeffs.T, n=n, axis=1) + mean[:, None]
+    values = law.values(seed)
+    assert np.abs(values - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
+
+
+CONE_DENSITIES = {
+    "constant": TimeDensity.constant(1.3),
+    "constant-from": TimeDensity.constant(0.7, support_lo=1.5),
+    "linear": TimeDensity.linear(0.8),
+    "exponential": TimeDensity.exponential(2.0, 0.4),
+    "power": TimeDensity.power(1.5, 0.5),  # its derivative is singular at s = 0
+    "tabulated": TimeDensity.tabulated([0.0, 1.5, 3.0, 5.0], [0.5, 2.0, 0.2, 0.9]),
+}
+
+
+@pytest.mark.parametrize("density", sorted(CONE_DENSITIES))
+@pytest.mark.parametrize("lag", [TimeFn.constant(1.2), TimeFn.proportional(0.4)], ids=["constant", "proportional"])
+def test_cone_rate_mass_matches_scalar_quadrature(density, lag):
+    # M(t, u) = int L(s, t) L(s, u) g(s) ds; its diagonal times the cone
+    # width is the variance integral the point sums read
+    from levygrowth.ambit import window_length_in_union
+    from levygrowth.growth import _ConeLaw, _union_integrals
+
+    g = CONE_DENSITIES[density]
+    grid = small_grid(dt=0.25, t_max=5.0)
+    times = np.array([1.0, 2.7, 4.1, 5.0])
+    family = Rectangular.of(0.9, lag)
+    spec = GrowthModelSpec("rate_linear", Drift.zero(), 1.0, gaussian_basis(g=g), family)
+    mass = _ConeLaw(spec, grid, times, "rate").mass
+    lo = max(grid.t_min, g.support[0])
+    kinks = {0.0, *times, *g.support, *(family.window(t)[0] for t in (0.0, *times))}
+    if g.kind == "table":
+        kinks.update(g.params[0])
+    for (i, t), (j, u) in itertools.combinations_with_replacement(enumerate(times), 2):
+        hi = min(t, u)
+        edges = [lo, *sorted(k for k in kinks if lo < k < hi), hi]
+
+        def f(s):
+            lengths = window_length_in_union(family, s, t) * window_length_in_union(family, s, u)
+            return float(lengths * g(s))
+
+        ref = sum(adaptive_simpson(f, a, b, tol=1e-13) for a, b in zip(edges, edges[1:]))
+        assert abs(mass[i, j] - ref) <= 1e-12 * abs(ref), (t, u)
+        assert mass[j, i] == pytest.approx(mass[i, j], rel=1e-14)
+    for theta in (0.9, 4.0):  # below and above pi
+        wide = replace(spec, ambit=Rectangular.of(theta, lag))
+        assert np.array_equal(_ConeLaw(wide, grid, times, "rate").mass, mass)
+        for i, t in enumerate(times):
+            union = _union_integrals(wide, grid, t)[1]
+            assert abs(2 * min(theta, math.pi) * mass[i, i] - union) <= 1e-12 * union
+
+
+@pytest.mark.parametrize("name", ["ex4", "ex6", "ex4-rate"])
+def test_cone_plan_builds_no_mesh_kernel(monkeypatch, name):
+    from levygrowth import growth
+
+    p = example_preset(name.split("-")[0])
+    spec = replace(p.spec, kind="rate_linear") if name == "ex4-rate" else p.spec
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cone plan built a mesh kernel or a per-harmonic law")
+
+    for attr in ("mesh_kernel", "_rate_kernel", "_JointSpectrum", "sample_realization"):
+        monkeypatch.setattr(growth, attr, forbidden)
+    plan = growth._Plan(spec, p.grid, p.times)
+    assert isinstance(plan.sampler, growth._ConeLaw)
+    assert np.all(np.isfinite(plan.profiles(5)))
+
+
+def test_forty_time_cone_plan_stays_small():
+    # 40 times on ex4's 1000 angles: no n_times^2 per-harmonic stack
+    from levygrowth.growth import _Plan
+
+    p = example_preset("ex4")
+    tracemalloc.start()
+    try:
+        plan = _Plan(p.spec, p.grid, np.linspace(2.0, 80.0, 40))
+        plan.profiles(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 PLAN_FAMILIES = {
@@ -827,16 +1012,17 @@ def test_independence_split_past_vs_increment():
 
 
 def test_grid_refinement_shrinks_moment_gap():
+    # a Gamma basis stays on the mesh (a Gaussian one on this cone draws the
+    # continuum law at any grid)
     fam = Rectangular.of(0.37, TimeFn.constant(1.3))
     control = ControlMeasure(TimeDensity.constant(1.0))
-    continuum = fam.measure(4.1, control)  # variance of the direct Gaussian model
+    continuum = fam.measure(4.1, control)  # variance, unit spot variance
+    basis = BasisSpec(SpotLaw.gamma_law(1.0, 1.0), control)
     n = 3000
     gaps = []
     for factor in (1, 2):
         grid = GridSpec(TWO_PI / (40 * factor), 0.5 / factor, 0.0, 5.0)
-        spec = GrowthModelSpec(
-            "direct", Drift.zero(), ConstantWeight(1.0), gaussian_basis(), fam
-        )
+        spec = GrowthModelSpec("direct", Drift.zero(), ConstantWeight(1.0), basis, fam)
         profs = simulate_replicates(spec, grid, 55, [4.1], n)[:, 0, 0]
         gaps.append(abs(profs.var(ddof=1) - continuum))
     assert gaps[1] < gaps[0]

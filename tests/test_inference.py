@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from levygrowth import inference
 from levygrowth.ambit import Rectangular, intersection_measure
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
-from levygrowth.cyclic import wrap
+from levygrowth.cyclic import arc_overlap_length, wrap
 from levygrowth.errors import (
     InfeasibleBounds,
     MalformedFile,
@@ -571,21 +571,17 @@ def test_fit_moments_recovers_simulated_parameters():
 
 
 def test_estimator_consistency_under_replication():
-    # the empirical lag covariance converges to the simulated mesh's exact
-    # covariance, irfft(b sum_l mu_l |S_l|^2) over each term's kernel
-    # spectra, at rate n^-1/2: from 150 to 600 replicates the root-mean-square
-    # error over four seed pairs should fall by about half
-    from levygrowth.growth import _Plan
-
+    # the empirical lag covariance converges to the exact covariance of the
+    # simulated cone law, b ov(d) int_{W_t} g with ov the overlap of the cone
+    # and its rotation by the lag d, at rate n^-1/2: from 150 to 600
+    # replicates the root-mean-square error over four seed pairs should fall
+    # by about half
     p = example_preset("ex4", theta=math.pi / 5)
     grid = GridSpec(TWO_PI / 100, 1.0, 0.0, 80.0)
     t_list = [20.0, 45.0]
-    plan = _Plan(p.spec, grid, t_list)
-    mu = p.spec.basis.spot.b_tilde * grid.cell_mu(p.spec.basis.control)
-    exact = [
-        np.fft.irfft(np.sum(mu[term.rows, None] * np.abs(term.spectrum) ** 2, axis=0), n=grid.n_phi)
-        for term in (radius.term for radius in plan.radii)
-    ]
+    theta, g = p.spec.ambit.theta.value, p.spec.basis.control.g
+    overlap = arc_overlap_length(grid.dphi * np.arange(grid.n_phi), theta, theta)
+    exact = [p.spec.basis.spot.b_tilde * overlap * g.integral(*p.spec.ambit.window(t)) for t in t_list]
 
     def squared_error(n, seed):
         profs = simulate_replicates(p.spec, grid, seed, t_list, n)
