@@ -26,12 +26,17 @@ the weight or ambit that ``cov`` and ``fit`` need and ``fit``'s data file
 (exit 2), and mc-verify points the grid does not hold (exit 3).  The output
 directory is made on the first write, so a failed check leaves none.
 Outputs carry a provenance header with the configuration hash and seed.
+``--log-level`` prints the library's log records at that level and above
+to stderr (at DEBUG, what a simulation's replicate draws); without it the
+library stays silent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import os
 import sys
@@ -241,6 +246,12 @@ def _add_common(p):
         help="accepted, but currently without effect: every command runs single-threaded",
     )
     p.add_argument(
+        "--log-level",
+        type=str.upper,
+        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        help="print the library's log records at this level and above to stderr",
+    )
+    p.add_argument(
         "--fine",
         action="store_true",
         help="refine the grid 4x in each axis (quantifies discretization bias)",
@@ -268,19 +279,40 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _stderr_log(level):
+    """While a command runs, a stderr handler on the package logger at
+    ``level``; none without one."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("levygrowth")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except LevyGrowthError as exc:
-        print(f"model error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with _stderr_log(args.log_level):
+        try:
+            return args.fn(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except LevyGrowthError as exc:
+            print(f"model error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_MODEL
+        except FileNotFoundError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

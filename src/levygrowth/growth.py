@@ -46,10 +46,16 @@ spec and the model kind, so one sampler draws them all:
   circulant embedding).  The plan factors each harmonic's covariance once, and a
   replicate draws the coefficients directly, one block of normals from the
   start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
-* Other mesh terms sample, with
-  :func:`~levygrowth.levy_core.sample_realization` from the row-addressed
-  streams of :mod:`levygrowth.rngtools`, only the rows they read, and
-  transform each row once whichever times read it (:class:`_MeshRows`).
+* Other mesh terms draw only the rows they read, grouped into segments:
+  rows that every term weighs with the bitwise same kernel row, or not at
+  all (:class:`_MeshRows`).  A Gamma or inverse Gaussian segment is drawn
+  as one row of cells of the summed measure, from the row-addressed stream
+  (:mod:`levygrowth.rngtools`) of its first row, and transformed once.
+  These cell laws are convolution semigroups in the measure, so the draw is
+  exact, but a time's values depend on which other times the plan holds,
+  as a Gaussian plan's do.  A Poisson plan keeps one segment per row, drawn
+  by :func:`~levygrowth.levy_core.sample_realization`: its cells are point
+  counts, which the realization's points read.
 * Point sums draw the counts of whole point blocks
   (:data:`~levygrowth.rngtools.POINT_BLOCK` rows): block by block, the
   points are placed and, on a factorizing family, their arcs built, and each
@@ -57,7 +63,8 @@ spec and the model kind, so one sampler draws them all:
   array, so no array grows with the whole point pattern (:class:`_PointSums`).
 
 A mesh or point term called on a full realization, of any basis, reads
-that realization through a sampler of its own.
+that realization through a sampler of its own, a mesh term summing each of
+its segments' rows before the transform.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -67,6 +74,7 @@ Weights are coerced once by :func:`levygrowth.ambit.as_weight`.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -97,6 +105,7 @@ from .levy_core import (
     config_hash,
     constant_weight_cumulant,
     cumulant_sum,
+    draw_rows,
     sample_realization,
 )
 from .quadrature import adaptive_simpson, tanh_sinh
@@ -106,6 +115,7 @@ from .timefn import TimeFn
 Drift = TimeFn
 
 _EPS = 1e-12
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +261,27 @@ class _Term:
         if realization.rows is not None:
             raise ValueError("a term reads a full realization, not a row draw")
         sampler = _row_sampler([self], realization.spec, realization.grid)
-        return sampler.read(realization.increments[sampler.rows], realization.seed)[0]
+        return sampler.read(sampler.cells(realization.increments), realization.seed)[0]
 
 
 class _MeshTerm(_Term):
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
     ``kernel`` holds the time rows ``rows`` (the window), the kernel being
-    zero on the others.  Only its nonzero rows are kept, with their
-    conjugated spectra; :meth:`read` takes the spectra of those increment
-    rows.  ``moments`` is the (mean, variance) of the value at each angle.
+    zero on the others.  Only its nonzero rows are kept, as their conjugated
+    ``spectrum``, which :class:`_MeshRows` reads.  ``moments`` is the (mean,
+    variance) of the value at each angle.
     """
 
     def __init__(self, kernel, rows, grid, basis):
         nonzero = np.any(kernel != 0.0, axis=1)
         self.rows = rows[nonzero]
-        self.n_phi = kernel.shape[1]
         self.spectrum = np.conj(np.fft.rfft(kernel[nonzero], axis=1))
         mu, spot = grid.cell_mu(basis.control), basis.spot
         self.moments = (
             cumulant_sum(spot, mu, kernel, rows=rows),
             cumulant_sum(spot, mu, kernel, kernel, rows=rows),
         )
-
-    def read(self, spectra):
-        """The value given ``spectra``, the ``rfft`` of the rows ``rows``."""
-        return np.fft.irfft((spectra * self.spectrum).sum(axis=0), n=self.n_phi)
 
 
 class _PointTerm(_Term):
@@ -462,21 +467,76 @@ class _RowSampler:
         realization = sample_realization(self.basis, self.grid, seed, rows=self.rows)
         return self.read(realization.increments, realization.seed)
 
+    def cells(self, increments):
+        """What :meth:`read` reads, taken from the ``increments`` of a full
+        realization."""
+        return increments[self.rows]
+
 
 class _MeshRows(_RowSampler):
-    """Mesh terms: each row any term reads is drawn and transformed once,
-    and each term reads the spectra of its own rows."""
+    """Mesh terms, drawn and read one segment of rows at a time.
+
+    A segment holds rows that every term reads with the bitwise same kernel
+    row (a row of its ``spectrum``), or does not read.  So the terms read a
+    segment's cells only through their sum at each angle, which, the basis
+    being independently scattered and each cell law a convolution semigroup
+    in the measure (Gamma(beta mu, alpha), IG(eta mu, gamma)), is one cell
+    of the summed measure ``mu``.  A segment is drawn as that row of cells
+    with :func:`~levygrowth.levy_core.draw_cells` from row ``first`` (its
+    first row) of the seed's :class:`~levygrowth.rngtools.RowStreams`,
+    transformed once, and read by each term with one kernel spectrum.  A
+    segment of one row is drawn and read as the realization's row.
+
+    A Poisson basis keeps one segment per row, drawn by
+    :func:`~levygrowth.levy_core.sample_realization`: its cells are the
+    point counts that the realization's points and the point sums read.
+    ``segments`` holds each segment's rows, in order of first row.
+    """
 
     def __init__(self, terms, basis, grid):
-        self.terms, self.basis, self.grid = terms, basis, grid
-        read = np.zeros(grid.n_t, dtype=bool)
+        self.basis, self.grid = basis, grid
+        # per row and term, which of the term's distinct kernel rows it reads (-1: none)
+        signature = np.full((grid.n_t, len(terms)), -1)
+        for i, term in enumerate(terms):
+            seen = {}
+            signature[term.rows, i] = [seen.setdefault(x.tobytes(), len(seen)) for x in term.spectrum]
+        self.rows = np.flatnonzero(np.any(signature >= 0, axis=1))
+        poisson = basis.spot.kind == "poisson"
+        segments = {}
+        for row in self.rows:
+            segments.setdefault(row if poisson else signature[row].tobytes(), []).append(row)
+        self.segments = [np.array(rows) for rows in segments.values()]
+        self.first = np.array([rows[0] for rows in self.segments], dtype=np.intp)
+        self.mu = self.cells(grid.cell_mu(basis.control))
+        segment = np.empty(grid.n_t, dtype=np.intp)
+        for j, rows in enumerate(self.segments):
+            segment[rows] = j
+        self.reads = []  # per term: its segments and their kernel spectra
         for term in terms:
-            read[term.rows] = True
-        self.rows = np.flatnonzero(read)
+            segs, at = np.unique(segment[term.rows], return_index=True)
+            self.reads.append((segs, term.spectrum[at] if at.size < term.rows.size else term.spectrum))
 
-    def read(self, increments, seed):
-        spectra = np.fft.rfft(increments, axis=1)
-        return [term.read(spectra[np.searchsorted(self.rows, term.rows)]) for term in self.terms]
+    @property
+    def draws(self):
+        return f"{self.rows.size} rows, {len(self.segments)} segments"
+
+    def values(self, seed):
+        """The terms' values, each segment drawn as described above."""
+        if self.basis.spot.kind == "poisson":
+            return super().values(seed)
+        cells = draw_rows(self.basis.spot, seed, self.first, self.mu, self.grid.n_phi)
+        return self.read(cells, seed)
+
+    def cells(self, increments):
+        """Each segment's sum of ``increments`` (a full realization's rows, or
+        one value per row) at each angle."""
+        return np.array([increments[rows].sum(axis=0) for rows in self.segments])
+
+    def read(self, cells, seed):
+        """The terms' values given ``cells``, one row per segment."""
+        spectra = np.fft.rfft(cells, axis=1)
+        n = self.grid.n_phi
+        return [np.fft.irfft((spectra[segs] * spectrum).sum(axis=0), n=n) for segs, spectrum in self.reads]
 
 
 class _PointSums(_RowSampler):
@@ -491,6 +551,10 @@ class _PointSums(_RowSampler):
         self.terms, self.basis, self.grid = terms, basis, grid
         self.blocks = sorted({b for term in terms for b in term.blocks})
         self.rows = np.flatnonzero(np.isin(np.arange(grid.n_t) // POINT_BLOCK, self.blocks))
+
+    @property
+    def draws(self):
+        return f"{self.rows.size} rows, {len(self.blocks)} point blocks"
 
     def read(self, counts, seed):
         placer = _PointPlacer(self.basis, self.grid, seed)
@@ -510,6 +574,11 @@ def _row_sampler(terms, basis, grid):
     plan's terms are all of one kind, :func:`_point_path` of its spec."""
     point = bool(terms) and isinstance(terms[0], _PointTerm)
     return (_PointSums if point else _MeshRows)(terms, basis, grid)
+
+
+def _normals_drawn(n_phi, n_terms):
+    """What :func:`_harmonic_normals` draws, for the log."""
+    return f"{2 * (n_phi // 2 + 1) * n_terms} normals"
 
 
 def _harmonic_normals(seed, n_phi, n_terms):
@@ -556,6 +625,10 @@ class _JointSpectrum:
         self.factor = _psd_factor(gram)
         self.factor[self.real] = _psd_factor(gram[self.real].real)
         self.mean = np.array([term.moments[0] for term in terms])[:, None]
+
+    @property
+    def draws(self):
+        return _normals_drawn(self.n_phi, self.factor.shape[1])
 
     def values(self, seed):
         """The terms' values (n_terms, n_phi) drawn from ``seed``: the
@@ -642,6 +715,10 @@ class _ConeLaw:
         self.factor = _psd_factor(self.mass)
         self.terms = [_ConeTerm(_continuum_moments(spec, x)) for x in integrals]
         self.mean = np.array([term.moments[0] for term in self.terms])[:, None]
+
+    @property
+    def draws(self):
+        return _normals_drawn(self.n_phi, len(self.terms))
 
     def values(self, seed):
         """The terms' values (n_terms, n_phi) drawn from ``seed``: the
@@ -815,13 +892,17 @@ class _Plan:
         n_phi): the :class:`_ConeLaw` on a cone plan, the
         :class:`_JointSpectrum` on any other Gaussian basis, else the terms'
         :func:`_row_sampler`.  The last two are built on first use, so
-        ``levygrowth moments`` never builds them."""
-        if self.cone is not None:
-            return self.cone
+        ``levygrowth moments`` never builds them.  Logs, at DEBUG, what a
+        replicate draws."""
         terms = [radius.term for radius in self.radii]
-        if self.spec.basis.spot.kind == "gaussian":
-            return _JointSpectrum(terms, self.grid, self.spec.basis)
-        return _row_sampler(terms, self.spec.basis, self.grid)
+        if self.cone is not None:
+            sampler = self.cone
+        elif self.spec.basis.spot.kind == "gaussian":
+            sampler = _JointSpectrum(terms, self.grid, self.spec.basis)
+        else:
+            sampler = _row_sampler(terms, self.spec.basis, self.grid)
+        _log.debug("%s sampler: a replicate draws %s", type(sampler).__name__, sampler.draws)
+        return sampler
 
     def profiles(self, seed):
         """Radii (n_times, n_phi) drawn from ``seed`` by the :attr:`sampler`."""

@@ -499,11 +499,19 @@ def sample_realization(
     mu = grid.cell_mu(spec.control)[index]
     if np.any(mu < 0):
         raise ValueError("cell measures must be nonnegative")
-    streams = RowStreams(seed)
-    increments = np.empty((index.size, grid.n_phi))
-    for i, (l, mu_l) in enumerate(zip(index, mu)):
-        increments[i] = draw_cells(spec.spot, streams.at(l), mu_l, grid.n_phi)
+    increments = draw_rows(spec.spot, seed, index, mu, grid.n_phi)
     return BasisRealization(spec, grid, int(seed), increments, None if rows is None else index)
+
+
+def draw_rows(spot: SpotLaw, seed, rows, mu, n_phi):
+    """Rows of ``n_phi`` cells, (len(rows), n_phi): row ``i`` draws cells of
+    measure ``mu[i]`` with :func:`draw_cells` from row ``rows[i]`` of
+    :class:`~levygrowth.rngtools.RowStreams` of ``seed``."""
+    streams = RowStreams(seed)
+    out = np.empty((len(rows), n_phi))
+    for i, (l, mu_l) in enumerate(zip(rows, mu)):
+        out[i] = draw_cells(spot, streams.at(l), mu_l, n_phi)
+    return out
 
 
 class _PointPlacer:

@@ -17,7 +17,14 @@ its own, are row-addressed: row ``l`` of the realization drawn from ``seed``
 draws from that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
 :class:`RowStreams`.  A row takes far fewer than 2**40 outputs, so rows never
 overlap, and any set of rows can be drawn alone with the values a full draw
-gives them.
+gives them.  A Gamma or inverse Gaussian simulation draws one row of cells
+per segment, a set of rows that every requested time weighs with the same
+kernel row (see :class:`levygrowth.growth._MeshRows`): with the summed
+measure of its rows, from the stream of its first row.  A segment of one
+row is that row of the realization; a longer one is not any realization's
+row, so those simulations' values depend on which other times the plan
+holds.  A Poisson simulation keeps one segment per row: its cells are point
+counts, and the points are placed from them.
 
 The Poisson points of a realization are placed one block of
 ``POINT_BLOCK`` (8) time rows at a time: block ``b``, rows ``8 b .. 8 b + 7``,

@@ -163,6 +163,21 @@ def test_library_logging_is_silent_by_default():
     assert done.stderr == ""
 
 
+def test_log_level_debug_says_what_a_replicate_draws(tmp_path, capsys):
+    # ex5's 29 window rows fall into one segment per window
+    import logging
+
+    logger = logging.getLogger("levygrowth")
+    handlers, level = list(logger.handlers), logger.level
+    argv = ["simulate", "--preset", "ex5", "--out-dir", str(tmp_path)]
+    assert run(argv + ["--log-level", "debug"]) == 0
+    err = capsys.readouterr().err
+    assert "_MeshRows sampler: a replicate draws 29 rows, 3 segments" in err
+    assert logger.handlers == handlers and logger.level == level
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

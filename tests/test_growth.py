@@ -43,13 +43,15 @@ from levygrowth.levy_core import (
     GridSpec,
     SpotLaw,
     TimeDensity,
+    cumulant_sum,
+    draw_cells,
     integrate,
     sample_realization,
     spot_mean,
     spot_variance,
 )
 from levygrowth.quadrature import adaptive_simpson
-from levygrowth.rngtools import mix_seed, seeded_generator
+from levygrowth.rngtools import RowStreams, mix_seed, seeded_generator
 from levygrowth.timefn import TimeFn
 
 TWO_PI = 2 * math.pi
@@ -356,6 +358,49 @@ def _poisson_basis(c):
     return BasisSpec(SpotLaw.poisson(), ControlMeasure(TimeDensity.constant(c)))
 
 
+def _mesh_kernels(spec, grid, times):
+    """Each time's whole-grid mesh kernel (the time-union kernel for the
+    rate kinds)."""
+    from levygrowth.ambit import mesh_kernel
+    from levygrowth.growth import _rate_kernel
+
+    if spec.kind in ("rate_linear", "rate_of_log"):
+        return [_rate_kernel(spec, grid, t) for t in times]
+    return [mesh_kernel(spec.ambit, spec.weight, grid, t, grid.phi_mids[0]) for t in times]
+
+
+def _segment_reference(spec, grid, times, seed):
+    """The segments and radii of a Gamma or inverse Gaussian mesh plan, from
+    their definition: rows that every time's kernel weighs with the bitwise
+    same row (or not at all) form a segment, in order of first row; a
+    segment is one row of cells of the summed cell measure, drawn from the
+    row stream of its first row; each time correlates its kernel's rows
+    with the segments' cells."""
+    from levygrowth.growth import _Plan, _correlate_rows
+
+    plan = _Plan(spec, grid, times)
+    kernels = _mesh_kernels(spec, grid, plan.times)
+    weighed = np.array([np.any(k != 0.0, axis=1) for k in kernels])
+    groups = {}
+    for row in np.flatnonzero(weighed.any(axis=0)):
+        key = tuple(k[row].tobytes() if w[row] else None for k, w in zip(kernels, weighed))
+        groups.setdefault(key, []).append(row)
+    segments = list(groups.values())
+    mu, streams = grid.cell_mu(spec.basis.control), RowStreams(seed)
+    cells = np.array(
+        [draw_cells(spec.basis.spot, streams.at(rows[0]), mu[rows].sum(), grid.n_phi) for rows in segments]
+    )
+    first = [rows[0] for rows in segments]
+    profiles = [
+        radius(_correlate_rows(cells, k[first], grid.n_phi)) for radius, k in zip(plan.radii, kernels)
+    ]
+    return segments, np.array(profiles)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 def _multi_time_case(name):
     ex4 = example_preset("ex4")
     if name == "ex3":
@@ -407,6 +452,11 @@ def test_multi_time_simulation_equals_single_time_terms(name):
     mode = "rate" if spec.kind in ("rate_linear", "rate_of_log") else "direct"
     seed = 31
     profiles = simulate(spec, grid, seed, times).profiles
+    if name == "ex5-mesh":  # equally weighted rows: drawn one segment at a time
+        segments, expected = _segment_reference(spec, grid, times, seed)
+        assert len(segments) == 5  # windows [16, 20] and [17.6, 22] overlap
+        assert _close(profiles, expected)
+        return
     real = sample_realization(spec.basis, grid, seed)
     plan = _Plan(spec, grid, times)
     for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
@@ -450,6 +500,24 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
     spec, grid, times = _multi_time_case(name)
     plan = growth._Plan(spec, grid, times)
     drawn = []
+    if spec.basis.spot.kind != "poisson":  # one row of cells per segment
+        segments, expected = _segment_reference(spec, grid, times, 5)
+
+        draw_rows = growth.draw_rows
+
+        def recording_rows(spot, seed, rows, mu, n_phi):
+            drawn.append(rows)
+            return draw_rows(spot, seed, rows, mu, n_phi)
+
+        monkeypatch.setattr(growth, "draw_rows", recording_rows)
+        assert _close(plan.profiles(5), expected)
+        sampler = plan.sampler
+        assert len(drawn) == 1
+        assert np.array_equal(drawn[0], [rows[0] for rows in segments])
+        assert [list(rows) for rows in sampler.segments] == segments
+        mesh = np.concatenate([radius.term.rows for radius in plan.radii])
+        assert np.array_equal(sampler.rows, np.unique(mesh))
+        return
 
     def recording(*args, **kwargs):
         real = sample_realization(*args, **kwargs)
@@ -1013,7 +1081,10 @@ def test_independence_split_past_vs_increment():
 
 def test_grid_refinement_shrinks_moment_gap():
     # a Gamma basis stays on the mesh (a Gaussian one on this cone draws the
-    # continuum law at any grid)
+    # continuum law at any grid); the mesh variances are exact, 0.78540 and
+    # 0.88357 against the continuum's 0.962, and each grid draws its own law
+    from levygrowth.growth import _Plan
+
     fam = Rectangular.of(0.37, TimeFn.constant(1.3))
     control = ControlMeasure(TimeDensity.constant(1.0))
     continuum = fam.measure(4.1, control)  # variance, unit spot variance
@@ -1023,9 +1094,105 @@ def test_grid_refinement_shrinks_moment_gap():
     for factor in (1, 2):
         grid = GridSpec(TWO_PI / (40 * factor), 0.5 / factor, 0.0, 5.0)
         spec = GrowthModelSpec("direct", Drift.zero(), ConstantWeight(1.0), basis, fam)
+        var = _Plan(spec, grid, [4.1]).radii[0].term.moments[1]
+        gaps.append(abs(var - continuum))
         profs = simulate_replicates(spec, grid, 55, [4.1], n)[:, 0, 0]
-        gaps.append(abs(profs.var(ddof=1) - continuum))
+        # Gamma(1, 1) over an indicator kernel: kappa_4 = 6 var, so the
+        # sample variance has variance about (6 var + 2 var^2) / n
+        se = math.sqrt((6.0 * var + 2.0 * var**2) / n)
+        assert abs(profs.var(ddof=1) - var) <= 3.0 * se, factor
     assert gaps[1] < gaps[0]
+
+
+def _ig_ex4():
+    """ex4 with an inverse Gaussian basis of unit variance density, centred."""
+    basis = BasisSpec(SpotLaw.inverse_gaussian(5.0, 5.0 ** (1.0 / 3.0)), ControlMeasure.lebesgue())
+    return replace(example_preset("ex4").spec, basis=basis, center_stochastic_mean=True)
+
+
+@pytest.mark.parametrize("name", ["ex5", "ex4-ig"])
+def test_segment_draws_have_the_mesh_law(name):
+    # times whose windows overlap ([16, 20] and [17.6, 22]) split the rows
+    # into 5 segments; at one angle over 4000 replicates, the mean, variance
+    # and third cumulant of each time are those of the mesh law
+    from levygrowth.growth import _Plan
+
+    preset = example_preset("ex5")
+    spec = preset.spec if name == "ex5" else _ig_ex4()
+    grid, times, n = preset.grid, (20.0, 22.0, 45.0, 80.0), 4000
+    plan = _Plan(spec, grid, times)
+    assert plan.sampler.draws == "31 rows, 5 segments"
+    x = simulate_replicates(spec, grid, 2026, times, n)[:, :, 0]
+    mu, spot = grid.cell_mu(spec.basis.control), spec.basis.spot
+    for i, (radius, kernel) in enumerate(zip(plan.radii, _mesh_kernels(spec, grid, plan.times))):
+        k2, k3, k4, k6 = (cumulant_sum(spot, mu, *[kernel] * p) for p in (2, 3, 4, 6))
+        mean, var = radius.moments()
+        assert var == k2
+        d = x[:, i] - x[:, i].mean()
+        sample_k3 = n * np.sum(d**3) / ((n - 1) * (n - 2))
+        z_mean = (x[:, i].mean() - mean) / math.sqrt(var / n)
+        z_var = (x[:, i].var(ddof=1) - var) / math.sqrt((k4 + 2 * var**2) / n)
+        z_k3 = (sample_k3 - k3) / math.sqrt((k6 + 9 * k4 * var + 9 * k3**2 + 6 * var**3) / n)
+        assert max(abs(z_mean), abs(z_var), abs(z_k3)) <= 3.0, (name, times[i], z_mean, z_var, z_k3)
+
+
+SEGMENT_SPOTS = {
+    "gamma": SpotLaw.gamma_law(1.5, 2.0),
+    "inverse_gaussian": SpotLaw.inverse_gaussian(1.0, 1.3),
+    "poisson": SpotLaw.poisson(),
+}
+# constant lags give overlapping windows, a lag t - 1 nested ones [1, t]; a
+# half-width growing with s weighs every row of a direct window differently
+SEGMENT_FAMILIES = {
+    "cone": Rectangular.of(0.6, TimeFn.constant(1.5)),
+    "nested": Rectangular.of(0.6, TimeFn.affine(-1.0, 1.0)),
+    "growing": Rectangular.of(TimeFn.affine(0.3, 0.2), TimeFn.constant(1.5)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(SEGMENT_SPOTS)),
+    st.sampled_from(["direct", "rate_linear"]),
+    st.sampled_from(sorted(SEGMENT_FAMILIES)),
+    st.booleans(),
+    st.sampled_from([(12, 0.5), (16, 0.25)]),
+    st.lists(st.sampled_from([2.0, 2.5, 3.0, 3.5, 4.0]), min_size=1, max_size=4, unique=True),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 3),
+)
+@example("gamma", "direct", "cone", False, (16, 0.25), [3.0, 3.5, 4.0], 7, 2)
+@example("inverse_gaussian", "direct", "nested", True, (12, 0.5), [2.0, 3.0, 4.0], 8, 1)
+@example("gamma", "rate_linear", "growing", False, (16, 0.25), [2.5, 4.0], 9, 1)
+def test_segment_draw_is_the_merged_law(spot, kind, family, cosine, cells, times, seed, n_reps):
+    # a plan draws each segment as one row of cells of the summed measure
+    # (the reference); a plan whose segments are single rows, and every
+    # Poisson plan, reads the full realization's rows bit for bit
+    from levygrowth.circle_cov import FourierWeight
+    from levygrowth.growth import _MeshRows, _Plan, _term
+
+    weight = FourierWeight.constant_coeffs([0.7, 0.4]) if cosine or spot == "poisson" else 0.7
+    basis = BasisSpec(SEGMENT_SPOTS[spot], ControlMeasure(TimeDensity.exponential(1.3, 0.2)))
+    spec = GrowthModelSpec(kind, Drift.constant(1.0), weight, basis, SEGMENT_FAMILIES[family])
+    grid = small_grid(n_phi=cells[0], dt=cells[1])
+    plan = _Plan(spec, grid, times)
+    sampler = plan.sampler
+    assert isinstance(sampler, _MeshRows)
+    got = plan.profiles(seed)
+    if spot != "poisson":
+        segments, expected = _segment_reference(spec, grid, times, seed)
+        assert [list(rows) for rows in sampler.segments] == segments
+        assert _close(got, expected)
+    if all(rows.size == 1 for rows in sampler.segments):
+        real = sample_realization(basis, grid, seed)
+        mode = "rate" if kind == "rate_linear" else "direct"
+        for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
+            assert np.array_equal(got[i], radius(_term(spec, grid, t, mode)(real)))
+    else:
+        assert spot != "poisson"
+    replicates = simulate_replicates(spec, grid, seed, times, n_reps)
+    for r in range(n_reps):
+        assert np.array_equal(replicates[r], simulate(spec, grid, mix_seed(seed, r), times).profiles)
 
 
 # ---------------------------------------------------------------------------
