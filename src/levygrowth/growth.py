@@ -63,8 +63,9 @@ spec and the model kind, so one sampler draws them all:
   array, so no array grows with the whole point pattern (:class:`_PointSums`).
 
 A mesh or point term called on a full realization, of any basis, reads
-that realization through a sampler of its own, a mesh term summing each of
-its segments' rows before the transform.
+that realization through a sampler of its own, a mesh term with one segment
+per row, so that it reads the realization's rows as a plan of single-row
+segments does, bit for bit.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -255,12 +256,13 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
 class _Term:
     """The ambit integral at one time.  A plan's sampler draws the values of
     all its terms at once; calling a term on a full realization reads that
-    draw through a sampler of the term alone (:func:`_row_sampler`)."""
+    draw through a sampler of the term alone (:func:`_row_sampler`), one
+    segment per row."""
 
     def __call__(self, realization):
         if realization.rows is not None:
             raise ValueError("a term reads a full realization, not a row draw")
-        sampler = _row_sampler([self], realization.spec, realization.grid)
+        sampler = _row_sampler([self], realization.spec, realization.grid, by_row=True)
         return sampler.read(sampler.cells(realization.increments), realization.seed)[0]
 
 
@@ -490,10 +492,12 @@ class _MeshRows(_RowSampler):
     A Poisson basis keeps one segment per row, drawn by
     :func:`~levygrowth.levy_core.sample_realization`: its cells are the
     point counts that the realization's points and the point sums read.
-    ``segments`` holds each segment's rows, in order of first row.
+    ``by_row`` keeps one segment per row on any basis, as a term reading a
+    full realization does.  ``segments`` holds each segment's rows, in
+    order of first row.
     """
 
-    def __init__(self, terms, basis, grid):
+    def __init__(self, terms, basis, grid, by_row=False):
         self.basis, self.grid = basis, grid
         # per row and term, which of the term's distinct kernel rows it reads (-1: none)
         signature = np.full((grid.n_t, len(terms)), -1)
@@ -501,10 +505,10 @@ class _MeshRows(_RowSampler):
             seen = {}
             signature[term.rows, i] = [seen.setdefault(x.tobytes(), len(seen)) for x in term.spectrum]
         self.rows = np.flatnonzero(np.any(signature >= 0, axis=1))
-        poisson = basis.spot.kind == "poisson"
+        by_row = by_row or basis.spot.kind == "poisson"
         segments = {}
         for row in self.rows:
-            segments.setdefault(row if poisson else signature[row].tobytes(), []).append(row)
+            segments.setdefault(row if by_row else signature[row].tobytes(), []).append(row)
         self.segments = [np.array(rows) for rows in segments.values()]
         self.first = np.array([rows[0] for rows in self.segments], dtype=np.intp)
         self.mu = self.cells(grid.cell_mu(basis.control))
@@ -569,11 +573,13 @@ class _PointSums(_RowSampler):
         return [sums[term].profile() for term in self.terms]
 
 
-def _row_sampler(terms, basis, grid):
-    """:class:`_PointSums` of point ``terms``, else :class:`_MeshRows`; a
-    plan's terms are all of one kind, :func:`_point_path` of its spec."""
-    point = bool(terms) and isinstance(terms[0], _PointTerm)
-    return (_PointSums if point else _MeshRows)(terms, basis, grid)
+def _row_sampler(terms, basis, grid, by_row=False):
+    """:class:`_PointSums` of point ``terms``, else :class:`_MeshRows`
+    (``by_row`` as there); a plan's terms are all of one kind,
+    :func:`_point_path` of its spec."""
+    if terms and isinstance(terms[0], _PointTerm):
+        return _PointSums(terms, basis, grid)
+    return _MeshRows(terms, basis, grid, by_row)
 
 
 def _normals_drawn(n_phi, n_terms):

@@ -1164,6 +1164,7 @@ SEGMENT_FAMILIES = {
 @example("gamma", "direct", "cone", False, (16, 0.25), [3.0, 3.5, 4.0], 7, 2)
 @example("inverse_gaussian", "direct", "nested", True, (12, 0.5), [2.0, 3.0, 4.0], 8, 1)
 @example("gamma", "rate_linear", "growing", False, (16, 0.25), [2.5, 4.0], 9, 1)
+@example("gamma", "direct", "cone", False, (12, 0.5), [2.0, 2.5, 3.0], 0, 1)
 def test_segment_draw_is_the_merged_law(spot, kind, family, cosine, cells, times, seed, n_reps):
     # a plan draws each segment as one row of cells of the summed measure
     # (the reference); a plan whose segments are single rows, and every
