@@ -48,24 +48,24 @@ spec and the model kind, so one sampler draws them all:
   start of its seed's stream, with no increment rows (:class:`_JointSpectrum`).
 * Other mesh terms draw only the rows they read, grouped into segments:
   rows that every term weighs with the bitwise same kernel row, or not at
-  all (:class:`_MeshRows`).  A Gamma or inverse Gaussian segment is drawn
-  as one row of cells of the summed measure, from the row-addressed stream
-  (:mod:`levygrowth.rngtools`) of its first row, and transformed once.
-  These cell laws are convolution semigroups in the measure, so the draw is
-  exact, but a time's values depend on which other times the plan holds,
-  as a Gaussian plan's do.  A Poisson plan keeps one segment per row, drawn
-  by :func:`~levygrowth.levy_core.sample_realization`: its cells are point
-  counts, which the realization's points read.
-* Point sums draw the counts of whole point blocks
-  (:data:`~levygrowth.rngtools.POINT_BLOCK` rows): block by block, the
-  points are placed and, on a factorizing family, their arcs built, and each
-  time whose window the block touches adds its points to its own difference
-  array, so no array grows with the whole point pattern (:class:`_PointSums`).
+  all (:class:`_MeshRows`).  Every segment is drawn with
+  :func:`~levygrowth.levy_core.draw_rows` as one row of cells of the summed
+  measure, from the row-addressed stream (:mod:`levygrowth.rngtools`) of its
+  first row, and transformed once.  The Gamma and inverse Gaussian cell
+  laws are convolution semigroups in the measure, so the draw is exact, but
+  a time's values depend on which other times the plan holds, as a Gaussian
+  plan's do.  A Poisson plan keeps one segment per row, so its cells are
+  the realization's point counts.
+* Point sums draw the counts of whole point blocks (``POINT_BLOCK`` rows),
+  also with ``draw_rows``: block by block, the points are placed and, on a
+  factorizing family, their arcs built, and each time whose window the
+  block touches adds its points to its own difference array, so no array
+  grows with the whole point pattern (:class:`_PointSums`).
 
-A mesh or point term called on a full realization, of any basis, reads
-that realization through a sampler of its own, a mesh term with one segment
-per row, so that it reads the realization's rows as a plan of single-row
-segments does, bit for bit.
+No plan builds a realization, which is always the whole grid.  A term
+called on one, of any basis, reads it through a sampler of its own, a mesh
+term with one segment per row, so it reads the realization's rows as a
+plan of single-row segments does, bit for bit.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -260,8 +260,6 @@ class _Term:
     segment per row."""
 
     def __call__(self, realization):
-        if realization.rows is not None:
-            raise ValueError("a term reads a full realization, not a row draw")
         sampler = _row_sampler([self], realization.spec, realization.grid, by_row=True)
         return sampler.read(sampler.cells(realization.increments), realization.seed)[0]
 
@@ -460,22 +458,7 @@ class _PointBlock:
         return inside
 
 
-class _RowSampler:
-    """Draws the time rows ``rows`` of a ``basis`` realization on ``grid``
-    that its ``terms`` read, and gives their values (``read``)."""
-
-    def values(self, seed):
-        """The terms' values, drawn from ``seed``'s row streams."""
-        realization = sample_realization(self.basis, self.grid, seed, rows=self.rows)
-        return self.read(realization.increments, realization.seed)
-
-    def cells(self, increments):
-        """What :meth:`read` reads, taken from the ``increments`` of a full
-        realization."""
-        return increments[self.rows]
-
-
-class _MeshRows(_RowSampler):
+class _MeshRows:
     """Mesh terms, drawn and read one segment of rows at a time.
 
     A segment holds rows that every term reads with the bitwise same kernel
@@ -483,15 +466,14 @@ class _MeshRows(_RowSampler):
     segment's cells only through their sum at each angle, which, the basis
     being independently scattered and each cell law a convolution semigroup
     in the measure (Gamma(beta mu, alpha), IG(eta mu, gamma)), is one cell
-    of the summed measure ``mu``.  A segment is drawn as that row of cells
-    with :func:`~levygrowth.levy_core.draw_cells` from row ``first`` (its
+    of the summed measure ``mu``.  Every segment is drawn as that row of
+    cells by :func:`~levygrowth.levy_core.draw_rows`, from row ``first`` (its
     first row) of the seed's :class:`~levygrowth.rngtools.RowStreams`,
     transformed once, and read by each term with one kernel spectrum.  A
     segment of one row is drawn and read as the realization's row.
 
-    A Poisson basis keeps one segment per row, drawn by
-    :func:`~levygrowth.levy_core.sample_realization`: its cells are the
-    point counts that the realization's points and the point sums read.
+    A Poisson basis keeps one segment per row, so its cells are the point
+    counts that the realization's points and the point sums read.
     ``by_row`` keeps one segment per row on any basis, as a term reading a
     full realization does.  ``segments`` holds each segment's rows, in
     order of first row.
@@ -526,8 +508,6 @@ class _MeshRows(_RowSampler):
 
     def values(self, seed):
         """The terms' values, each segment drawn as described above."""
-        if self.basis.spot.kind == "poisson":
-            return super().values(seed)
         cells = draw_rows(self.basis.spot, seed, self.first, self.mu, self.grid.n_phi)
         return self.read(cells, seed)
 
@@ -543,9 +523,10 @@ class _MeshRows(_RowSampler):
         return [np.fft.irfft((spectra[segs] * spectrum).sum(axis=0), n=n) for segs, spectrum in self.reads]
 
 
-class _PointSums(_RowSampler):
+class _PointSums:
     """Point terms: the rows are those of the point ``blocks`` the terms'
-    windows touch, drawn as cell counts.  Block by block, the points are
+    windows touch, drawn as cell counts by
+    :func:`~levygrowth.levy_core.draw_rows`.  Block by block, the points are
     placed as :meth:`~levygrowth.levy_core.BasisRealization.points` places
     them, the block's :class:`_PointBlock` is built, and each term whose
     window the block touches adds it to the term's :class:`_ArcSum`, so no
@@ -555,10 +536,21 @@ class _PointSums(_RowSampler):
         self.terms, self.basis, self.grid = terms, basis, grid
         self.blocks = sorted({b for term in terms for b in term.blocks})
         self.rows = np.flatnonzero(np.isin(np.arange(grid.n_t) // POINT_BLOCK, self.blocks))
+        self.mu = self.cells(grid.cell_mu(basis.control))
 
     @property
     def draws(self):
         return f"{self.rows.size} rows, {len(self.blocks)} point blocks"
+
+    def values(self, seed):
+        """The terms' values, the block rows' counts drawn from ``seed``."""
+        counts = draw_rows(self.basis.spot, seed, self.rows, self.mu, self.grid.n_phi)
+        return self.read(counts, seed)
+
+    def cells(self, increments):
+        """The block rows of ``increments`` (a full realization's rows, or
+        one value per row)."""
+        return increments[self.rows]
 
     def read(self, counts, seed):
         placer = _PointPlacer(self.basis, self.grid, seed)

@@ -18,8 +18,9 @@ Sampling draws each grid cell directly from that marginal with
 :func:`draw_cells` (the inverse Gaussian by numpy's ``wald``), so
 realizations are exact in distribution on the cell algebra; no series
 truncation is involved.  Each time row draws from its own stream
-(:class:`~levygrowth.rngtools.RowStreams`), so rows can be drawn alone.
-A Poisson realization's points are placed one block of
+(:class:`~levygrowth.rngtools.RowStreams`), so :func:`draw_rows` draws any
+rows alone, as simulation plans do; a :class:`BasisRealization` is always
+the whole grid.  A Poisson realization's points are placed one block of
 :data:`~levygrowth.rngtools.POINT_BLOCK` rows at a time, each block from its
 own point stream, so the points of whole blocks can be placed alone too.
 """
@@ -393,23 +394,19 @@ class PointPattern:
 
 @dataclass
 class BasisRealization:
-    """Cell increments of one basis draw on a grid.
+    """Cell increments of one basis draw on the whole grid.
 
-    ``increments`` has shape (n_t, n_phi), time-major, or (len(rows), n_phi)
-    holding the time rows ``rows`` when only those were drawn.  For the
-    Poisson kind the underlying point pattern is materialized lazily and
-    deterministically from a sub-stream of the realization seed, one block of
-    ``POINT_BLOCK`` rows at a time (:class:`_PointPlacer`); per cell, the
-    number of points equals the cell increment.  A row draw has points when
-    its rows are whole blocks in row order, and they are the full draw's
-    points in those rows.
+    ``increments`` has shape (n_t, n_phi), time-major.  For the Poisson kind
+    the underlying point pattern is materialized lazily and deterministically
+    from a sub-stream of the realization seed, one block of ``POINT_BLOCK``
+    rows at a time (:class:`_PointPlacer`); per cell, the number of points
+    equals the cell increment.
     """
 
     spec: BasisSpec
     grid: GridSpec
     seed: int
     increments: np.ndarray
-    rows: Optional[np.ndarray] = None
     _points: Optional[PointPattern] = None
 
     @property
@@ -422,18 +419,13 @@ class BasisRealization:
     def points(self) -> PointPattern:
         if self.kind != "poisson":
             raise ValueError("point pattern only exists for the Poisson kind")
-        rows = np.arange(self.grid.n_t) if self.rows is None else self.rows
-        starts = rows[rows % POINT_BLOCK == 0]
-        whole = (starts[:, None] + np.arange(POINT_BLOCK)).ravel()
-        if np.any(np.diff(starts) <= 0) or not np.array_equal(rows, whole[whole < self.grid.n_t]):
-            raise ValueError("point placement needs the counts of whole row blocks, in row order")
         if self._points is None:
-            self._points = _PointPlacer(self.spec, self.grid, self.seed).place(self.increments, rows)
+            self._points = _PointPlacer(self.spec, self.grid, self.seed).place(self.increments)
         return self._points
 
     def to_csv(self, path):
-        """Debug export: one row per drawn cell (theta_lo, theta_hi, t_lo,
-        t_hi, increment)."""
+        """Debug export: one row per cell (theta_lo, theta_hi, t_lo, t_hi,
+        increment)."""
         grid = self.grid
         with open(path, "w") as fh:
             fh.write(
@@ -442,8 +434,7 @@ class BasisRealization:
             )
             fh.write("theta_lo,theta_hi,t_lo,t_hi,increment\n")
             phis, ts = reprs(grid.phi_edges), reprs(grid.t_edges)
-            rows = range(grid.n_t) if self.rows is None else self.rows
-            for l, values in zip(rows, self.increments):
+            for l, values in enumerate(self.increments):
                 fh.write(csv_block(phis[:-1], phis[1:], ts[l], ts[l + 1], reprs(values)))
 
 
@@ -480,33 +471,22 @@ def draw_cells(spot: SpotLaw, rng, mu, shape):
     return x
 
 
-def sample_realization(
-    spec: BasisSpec, grid: GridSpec, seed: int, rows=None
-) -> BasisRealization:
-    """Sample one basis realization on the grid; deterministic in the seed.
-
-    Time row ``l`` draws its cells with :func:`draw_cells` from row ``l`` of
-    :class:`~levygrowth.rngtools.RowStreams` of ``seed``.  With ``rows``
-    (time-row indices), only those rows are drawn: ``increments`` holds them
-    in that order, each equal to its row of the full realization.
-    """
-    if rows is None:
-        index = np.arange(grid.n_t)
-    else:
-        index = np.asarray(rows, dtype=np.intp).reshape(-1)
-        if index.size and (index.min() < 0 or index.max() >= grid.n_t):
-            raise ValueError(f"rows must lie in [0, {grid.n_t})")
-    mu = grid.cell_mu(spec.control)[index]
-    if np.any(mu < 0):
-        raise ValueError("cell measures must be nonnegative")
-    increments = draw_rows(spec.spot, seed, index, mu, grid.n_phi)
-    return BasisRealization(spec, grid, int(seed), increments, None if rows is None else index)
+def sample_realization(spec: BasisSpec, grid: GridSpec, seed: int) -> BasisRealization:
+    """Sample one basis realization on the whole grid; deterministic in the
+    seed.  Time row ``l`` is row ``l`` of :func:`draw_rows`."""
+    mu = grid.cell_mu(spec.control)
+    increments = draw_rows(spec.spot, seed, np.arange(grid.n_t), mu, grid.n_phi)
+    return BasisRealization(spec, grid, int(seed), increments)
 
 
 def draw_rows(spot: SpotLaw, seed, rows, mu, n_phi):
     """Rows of ``n_phi`` cells, (len(rows), n_phi): row ``i`` draws cells of
-    measure ``mu[i]`` with :func:`draw_cells` from row ``rows[i]`` of
-    :class:`~levygrowth.rngtools.RowStreams` of ``seed``."""
+    measure ``mu[i]`` (nonnegative) with :func:`draw_cells` from row
+    ``rows[i]`` of :class:`~levygrowth.rngtools.RowStreams` of ``seed``, so
+    it equals row ``rows[i]`` of the whole grid's draw wherever ``mu[i]`` is
+    that row's cell measure."""
+    if np.any(np.asarray(mu) < 0):
+        raise ValueError("cell measures must be nonnegative")
     streams = RowStreams(seed)
     out = np.empty((len(rows), n_phi))
     for i, (l, mu_l) in enumerate(zip(rows, mu)):
@@ -527,15 +507,15 @@ class _PointPlacer:
         self.t_edges, self.phi_edges = grid.t_edges, grid.phi_edges
         self.g_max = self.g.max_on(self.t_edges[:-1], self.t_edges[1:])
 
-    def place(self, counts, rows):
-        """Locate the points of ``counts``, which hold the time rows ``rows``
-        (whole point blocks in row order), inside their cells, by rejection
-        against g in time.  Each block is :meth:`place_block`."""
+    def place(self, counts):
+        """Locate the points of ``counts``, the cell counts of every time
+        row, inside their cells, by rejection against g in time.  Each block
+        is :meth:`place_block`."""
         total = int(counts.sum())
         out = PointPattern(np.empty(total), np.empty(total), np.empty(total, dtype=np.intp))
         at = 0
-        for i in range(0, rows.size, POINT_BLOCK):
-            block = self.place_block(counts[i : i + POINT_BLOCK], rows[i])
+        for first in range(0, self.grid.n_t, POINT_BLOCK):
+            block = self.place_block(counts[first : first + POINT_BLOCK], first)
             n = block.row.size
             out.theta[at : at + n], out.s[at : at + n], out.row[at : at + n] = block.theta, block.s, block.row
             at += n
@@ -639,11 +619,8 @@ def integrate(f, region, realization: BasisRealization):
     ``f`` is a vectorized callable ``f(theta, s)`` or a constant.  A cell of a
     cell-valued basis counts whole, with ``f`` at its midpoint, when its
     midpoint lies in the region: the membership rule of
-    :func:`levygrowth.ambit.mesh_kernel` and the simulator.  A realization
-    drawn on some rows only is summed over them, and the region's weight
-    must vanish on every other row.  Poisson realizations are integrated
-    exactly over their point pattern; a Poisson row draw must hold whole
-    point blocks and every row the region's time window reaches.
+    :func:`levygrowth.ambit.mesh_kernel` and the simulator.  Poisson
+    realizations are integrated exactly over their point pattern.
     """
     grid = realization.grid
     t_lo, t_hi = region.time_window()
@@ -660,11 +637,6 @@ def integrate(f, region, realization: BasisRealization):
         fv = lambda theta, s: np.full(np.broadcast(theta, s).shape, const)
 
     if realization.kind == "poisson":
-        if realization.rows is not None:
-            edges = grid.t_edges
-            reached = np.flatnonzero((edges[1:] >= lo) & (edges[:-1] <= t_hi))
-            if not np.all(np.isin(reached, realization.rows)):
-                raise ValueError("the region reaches time rows that were not drawn")
         pts = realization.points()
         mask = region.contains(pts.theta, pts.s)
         if not np.any(mask):
@@ -673,10 +645,4 @@ def integrate(f, region, realization: BasisRealization):
 
     theta, s = grid.phi_mids[None, :], grid.t_mids[:, None]
     weights = np.where(region.contains(theta, s), fv(theta, s), 0.0)
-    increments = realization.increments
-    if realization.rows is not None:
-        rows, drawn = np.unique(realization.rows, return_index=True)
-        if np.any(np.delete(weights, rows, axis=0)):
-            raise ValueError("the region weighs time rows that were not drawn")
-        weights, increments = weights[rows], increments[drawn]
-    return float(np.sum(weights * increments))
+    return float(np.sum(weights * realization.increments))

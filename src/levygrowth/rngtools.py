@@ -12,19 +12,22 @@ spectrum of its terms: ``n_times x (n_phi // 2 + 1)`` complex normals (see
 :class:`levygrowth.growth._JointSpectrum` and
 :class:`levygrowth.growth._ConeLaw`), and no increment rows.
 
-The cell increments of every other basis, and of any realization drawn on
-its own, are row-addressed: row ``l`` of the realization drawn from ``seed``
-draws from that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
+The cell increments of every other basis, and of every realization, are
+row-addressed: row ``l`` of the realization drawn from ``seed`` draws from
+that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
 :class:`RowStreams`.  A row takes far fewer than 2**40 outputs, so rows never
-overlap, and any set of rows can be drawn alone with the values a full draw
-gives them.  A Gamma or inverse Gaussian simulation draws one row of cells
-per segment, a set of rows that every requested time weighs with the same
-kernel row (see :class:`levygrowth.growth._MeshRows`): with the summed
-measure of its rows, from the stream of its first row.  A segment of one
-row is that row of the realization; a longer one is not any realization's
-row, so those simulations' values depend on which other times the plan
-holds.  A Poisson simulation keeps one segment per row: its cells are point
-counts, and the points are placed from them.
+overlap, and :func:`levygrowth.levy_core.draw_rows` draws any set of rows
+alone with the values the whole grid's draw gives them.  A realization
+(:func:`levygrowth.levy_core.sample_realization`) is always the whole grid;
+simulation plans draw only the rows they read, with ``draw_rows``.  A Gamma
+or inverse Gaussian plan draws one row of cells per segment, a set of rows
+that every requested time weighs with the same kernel row (see
+:class:`levygrowth.growth._MeshRows`): with the summed measure of its rows,
+from the stream of its first row.  A segment of one row is that row of the
+realization; a longer one is not any realization's row, so those
+simulations' values depend on which other times the plan holds.  A Poisson
+plan keeps one segment per row: its cells are point counts, and the points
+are placed from them.
 
 The Poisson points of a realization are placed one block of
 ``POINT_BLOCK`` (8) time rows at a time: block ``b``, rows ``8 b .. 8 b + 7``,

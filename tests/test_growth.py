@@ -500,36 +500,30 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
     spec, grid, times = _multi_time_case(name)
     plan = growth._Plan(spec, grid, times)
     drawn = []
+    draw_rows = growth.draw_rows
+
+    def recording_rows(spot, seed, rows, mu, n_phi):
+        out = draw_rows(spot, seed, rows, mu, n_phi)
+        drawn.append((rows, out))
+        return out
+
+    monkeypatch.setattr(growth, "draw_rows", recording_rows)
     if spec.basis.spot.kind != "poisson":  # one row of cells per segment
         segments, expected = _segment_reference(spec, grid, times, 5)
-
-        draw_rows = growth.draw_rows
-
-        def recording_rows(spot, seed, rows, mu, n_phi):
-            drawn.append(rows)
-            return draw_rows(spot, seed, rows, mu, n_phi)
-
-        monkeypatch.setattr(growth, "draw_rows", recording_rows)
         assert _close(plan.profiles(5), expected)
         sampler = plan.sampler
         assert len(drawn) == 1
-        assert np.array_equal(drawn[0], [rows[0] for rows in segments])
+        assert np.array_equal(drawn[0][0], [rows[0] for rows in segments])
         assert [list(rows) for rows in sampler.segments] == segments
         mesh = np.concatenate([radius.term.rows for radius in plan.radii])
         assert np.array_equal(sampler.rows, np.unique(mesh))
         return
 
-    def recording(*args, **kwargs):
-        real = sample_realization(*args, **kwargs)
-        drawn.append(real)
-        return real
-
-    monkeypatch.setattr(growth, "sample_realization", recording)
     plan.profiles(5)
     sampler = plan.sampler
     assert len(drawn) == 1
-    assert np.array_equal(drawn[0].rows, sampler.rows)
-    assert drawn[0].increments.shape[0] == sampler.rows.size
+    assert np.array_equal(drawn[0][0], sampler.rows)
+    assert drawn[0][1].shape[0] == sampler.rows.size
     if isinstance(sampler, growth._PointSums):  # the whole point blocks their windows touch
         block_rows = [np.arange(8 * b, min(8 * b + 8, grid.n_t)) for b in sampler.blocks]
         assert np.array_equal(sampler.rows, np.concatenate(block_rows))
@@ -822,10 +816,11 @@ def test_gaussian_plan_draws_no_realization(monkeypatch, preset):
     plan = growth._Plan(p.spec, p.grid, p.times)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Gaussian plan sampled a realization")
+        raise AssertionError("a Gaussian plan drew increment rows")
 
-    monkeypatch.setattr(growth, "sample_realization", forbidden)
-    monkeypatch.setattr(levy_core, "sample_realization", forbidden)
+    for attr in ("sample_realization", "draw_rows"):
+        monkeypatch.setattr(growth, attr, forbidden)
+        monkeypatch.setattr(levy_core, attr, forbidden)
     profiles = plan.profiles(5)
     assert profiles.shape == (len(p.times), p.grid.n_phi)
     assert np.all(np.isfinite(profiles))
@@ -951,7 +946,7 @@ def test_cone_plan_builds_no_mesh_kernel(monkeypatch, name):
     def forbidden(*args, **kwargs):
         raise AssertionError("a cone plan built a mesh kernel or a per-harmonic law")
 
-    for attr in ("mesh_kernel", "_rate_kernel", "_JointSpectrum", "sample_realization"):
+    for attr in ("mesh_kernel", "_rate_kernel", "_JointSpectrum", "sample_realization", "draw_rows"):
         monkeypatch.setattr(growth, attr, forbidden)
     plan = growth._Plan(spec, p.grid, p.times)
     assert isinstance(plan.sampler, growth._ConeLaw)

@@ -28,6 +28,7 @@ from levygrowth.levy_core import (
     SpotLaw,
     TimeDensity,
     cumulant,
+    draw_rows,
     integrate,
     kumulant,
     sample_realization,
@@ -285,10 +286,10 @@ def test_small_inverse_gaussian_cells_are_nonnegative():
 @pytest.mark.parametrize("row", [54, 80])
 def test_ks_small_inverse_gaussian_cells(row):
     basis, grid = _tiny_ig_cells()
-    x = np.concatenate(
-        [sample_realization(basis, grid, seed, rows=[row]).increments[0] for seed in range(25)]
-    )
     delta = float(grid.cell_mu(basis.control)[row])  # eta = gamma = 1
+    x = np.concatenate(
+        [draw_rows(basis.spot, seed, [row], [delta], grid.n_phi)[0] for seed in range(25)]
+    )
     mean, lam = delta, delta**2
     stat = scipy.stats.kstest(
         x, lambda q: scipy.stats.invgauss.cdf(q, mean / lam, scale=lam)
@@ -404,7 +405,7 @@ def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed)
     for a, b in zip((got.theta, got.s, got.row), want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     zeros = np.zeros_like(real.increments)
-    none = _PointPlacer(real.spec, grid, seed).place(zeros, np.arange(grid.n_t))
+    none = _PointPlacer(real.spec, grid, seed).place(zeros)
     want, _ = _reference_place_points(real.spec, grid, zeros, mix_seed(seed, _POINTS_STREAM))
     for a, b in zip((none.theta, none.s, none.row), want):
         assert a.dtype == b.dtype and a.size == b.size == 0
@@ -418,24 +419,26 @@ def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed)
     data=st.data(),
 )
 def test_whole_point_blocks_drawn_alone_hold_the_full_draws_points(g, n_t, seed, data):
+    from levygrowth.levy_core import _PointPlacer
+
     grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 0.25 * n_t)
     basis = unit_basis(SpotLaw.poisson(), g)
     full = sample_realization(basis, grid, seed)
     pts = full.points()
-    blocks = data.draw(st.sets(st.integers(0, (n_t - 1) // 8)))
-    rows = np.flatnonzero(np.isin(np.arange(n_t) // 8, list(blocks)))
-    part = sample_realization(basis, grid, seed, rows=rows)
-    got = part.points()
-    keep = np.isin(pts.row, rows)
-    for a, b in zip((got.theta, got.s, got.row), (pts.theta[keep], pts.s[keep], pts.row[keep])):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    for real, p in ((full, pts), (part, got)):
-        col = np.searchsorted(grid.phi_edges, p.theta, side="right") - 1
-        counted = np.zeros((grid.n_t, grid.n_phi))
-        np.add.at(counted, (p.row, col), 1.0)
-        drawn = np.arange(n_t) if real.rows is None else real.rows
-        assert np.array_equal(counted[drawn], real.increments)
-        assert np.all(p.s >= grid.t_edges[p.row]) and np.all(p.s <= grid.t_edges[p.row + 1])
+    col = np.searchsorted(grid.phi_edges, pts.theta, side="right") - 1
+    counted = np.zeros((grid.n_t, grid.n_phi))
+    np.add.at(counted, (pts.row, col), 1.0)
+    assert np.array_equal(counted, full.increments)
+    assert np.all(pts.s >= grid.t_edges[pts.row]) and np.all(pts.s <= grid.t_edges[pts.row + 1])
+    placer = _PointPlacer(basis, grid, seed)
+    mu = grid.cell_mu(basis.control)
+    for b in sorted(data.draw(st.sets(st.integers(0, (n_t - 1) // 8)))):
+        rows = np.arange(8 * b, min(8 * b + 8, n_t))
+        counts = draw_rows(basis.spot, seed, rows, mu[rows], grid.n_phi)
+        got = placer.place_block(counts, rows[0])
+        keep = np.isin(pts.row, rows)
+        for a, want in zip((got.theta, got.s, got.row), (pts.theta[keep], pts.s[keep], pts.row[keep])):
+            assert a.dtype == want.dtype and np.array_equal(a, want)
 
 
 def test_disjoint_increments_uncorrelated():
@@ -515,10 +518,15 @@ def test_row_draw_equals_the_full_draws_rows(spot, g, n_phi, seed, data):
     rows = data.draw(st.lists(st.integers(0, grid.n_t - 1), unique=True, max_size=grid.n_t))
     basis = unit_basis(spot, g)
     full = sample_realization(basis, grid, seed)
-    part = sample_realization(basis, grid, seed, rows=rows)
-    assert part.increments.shape == (len(rows), n_phi)
-    assert np.array_equal(part.increments, full.increments[rows])
-    assert np.array_equal(part.rows, rows)
+    part = draw_rows(spot, seed, rows, grid.cell_mu(basis.control)[rows], n_phi)
+    assert part.shape == (len(rows), n_phi)
+    assert np.array_equal(part, full.increments[rows])
+
+
+@pytest.mark.parametrize("spot", (SAMPLER_SPOTS[0], *SAMPLER_SPOTS[2:]), ids=lambda s: s.kind)
+def test_row_draw_rejects_a_negative_cell_measure(spot):
+    with pytest.raises(ValueError, match="nonnegative"):
+        draw_rows(spot, 1, [0, 1], [0.5, -1e-12], 4)
 
 
 @pytest.mark.parametrize("g", SAMPLER_DENSITIES)
@@ -534,16 +542,6 @@ def test_row_l_draws_from_the_seeded_stream_advanced_l_strides(spot, g):
             spot, np.full(grid.n_phi, mu[l]), np.random.Generator(bitgen)
         )
         assert np.array_equal(real.increments[l], expected), l
-
-
-def test_row_draw_rejects_rows_off_the_grid_and_point_placement():
-    grid = GridSpec(2 * math.pi / 8, 0.5, 0.0, 2.0)
-    basis = unit_basis(SpotLaw.poisson())
-    for rows in ([-1], [grid.n_t]):
-        with pytest.raises(ValueError):
-            sample_realization(basis, grid, 1, rows=rows)
-    with pytest.raises(ValueError):
-        sample_realization(basis, grid, 1, rows=[0, 1]).points()
 
 
 def _mc_query(spot, g, stat):
@@ -785,58 +783,6 @@ def test_realization_csv_export(tmp_path):
     assert lines[0].startswith("# levygrowth realization seed=5")
     assert lines[1] == "theta_lo,theta_hi,t_lo,t_hi,increment"
     assert len(lines) == 2 + grid.n_phi * grid.n_t
-
-
-def _row_draw_case():
-    grid = GridSpec(2 * math.pi / 8, 1.0, 0.0, 4.0)
-    basis = unit_basis(SpotLaw.gaussian(0.0, 1.0))
-    return grid, basis, sample_realization(basis, grid, 3)
-
-
-@pytest.mark.parametrize("rows", [[2], [1, 2], [2, 1], [2, 2, 1]])
-def test_integrate_sums_a_row_draw_over_its_rows(rows):
-    grid, basis, full = _row_draw_case()
-    part = sample_realization(basis, grid, 3, rows=rows)
-    region = Rect(-math.pi, math.pi, min(rows), max(rows) + 1.0)
-    f = lambda theta, s: 1.0 + np.cos(theta) * s
-    want = integrate(f, region, full)
-    assert integrate(f, region, part) == pytest.approx(want, rel=1e-12, abs=1e-12)
-    wedge = Rect(-1.0, 0.5, min(rows), max(rows) + 1.0)
-    assert integrate(1.0, wedge, part) == pytest.approx(integrate(1.0, wedge, full), abs=1e-12)
-
-
-@pytest.mark.parametrize("rows", [[2], [1, 2], []])
-def test_integrate_rejects_a_region_on_undrawn_rows(rows):
-    grid, basis, full = _row_draw_case()
-    assert integrate(1.0, whole_grid(grid), full) == pytest.approx(full.total())
-    part = sample_realization(basis, grid, 3, rows=rows)
-    with pytest.raises(ValueError, match="not drawn"):
-        integrate(1.0, whole_grid(grid), part)
-
-
-def test_integrate_sums_a_poisson_row_draw_of_whole_point_blocks():
-    grid = GridSpec(2 * math.pi / 8, 0.25, 0.0, 5.0)  # point block 1 is t in [2, 4]
-    basis = unit_basis(SpotLaw.poisson(), TimeDensity.constant(6.0))
-    full = sample_realization(basis, grid, 8)
-    part = sample_realization(basis, grid, 8, rows=np.arange(8, 16))
-    region = Rect(-1.0, 2.0, 2.2, 3.9)
-    assert integrate(1.0, region, part) == integrate(1.0, region, full) > 0
-    with pytest.raises(ValueError, match="not drawn"):
-        integrate(1.0, Rect(-1.0, 2.0, 1.0, 3.0), part)
-    with pytest.raises(ValueError, match="whole row blocks"):
-        integrate(1.0, Rect(-1.0, 2.0, 2.2, 2.8), sample_realization(basis, grid, 8, rows=np.arange(8, 12)))
-
-
-def test_realization_csv_export_of_a_row_draw(tmp_path):
-    grid, basis, full = _row_draw_case()
-    full.to_csv(tmp_path / "full.csv")
-    sample_realization(basis, grid, 3, rows=[2, 0]).to_csv(tmp_path / "part.csv")
-    full_lines = (tmp_path / "full.csv").read_text().splitlines()
-    lines = (tmp_path / "part.csv").read_text().splitlines()
-    n = grid.n_phi
-    assert lines[:2] == full_lines[:2]
-    assert lines[2:] == full_lines[2 + 2 * n : 2 + 3 * n] + full_lines[2 : 2 + n]
-    assert lines[2].split(",")[2:4] == ["2.0", "3.0"]
 
 
 def test_integrate_gaussian_law_with_drift_and_weight():
