@@ -54,18 +54,21 @@ spec and the model kind, so one sampler draws them all:
   first row, and transformed once.  The Gamma and inverse Gaussian cell
   laws are convolution semigroups in the measure, so the draw is exact, but
   a time's values depend on which other times the plan holds, as a Gaussian
-  plan's do.  A Poisson plan keeps one segment per row, so its cells are
-  the realization's point counts.
-* Point sums draw the counts of whole point blocks (``POINT_BLOCK`` rows),
-  also with ``draw_rows``: block by block, the points are placed and, on a
-  factorizing family, their arcs built, and each time whose window the
-  block touches adds its points to its own difference array, so no array
-  grows with the whole point pattern (:class:`_PointSums`).
+  plan's do.  A Poisson plan keeps one segment per row, and its cells are
+  the realization's point counts: it draws the row totals and angles of
+  the whole point blocks (``POINT_BLOCK`` rows) that hold its rows, and
+  counts the angles per cell (:func:`~levygrowth.levy_core.draw_counts`).
+* Point sums draw the points of whole point blocks, with no cell counts:
+  block by block, the points are placed and, on a factorizing family,
+  their arcs built, and each time whose window the block touches adds its
+  points to its own difference array, so no array grows with the whole
+  point pattern (:class:`_PointSums`).
 
 No plan builds a realization, which is always the whole grid.  A term
-called on one, of any basis, reads it through a sampler of its own, a mesh
-term with one segment per row, so it reads the realization's rows as a
-plan of single-row segments does, bit for bit.
+called on one, of any basis, reads it through a sampler of its own: a mesh
+term with one segment per row reads the realization's rows as a plan of
+single-row segments does, and a point term reads its blocks' points, bit
+for bit.
 
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
@@ -101,6 +104,7 @@ from .errors import AssumptionViolation, NonFiniteValue, UnknownId, WrongBasisKi
 from .levy_core import (
     BasisSpec,
     GridSpec,
+    PointPattern,
     _PointPlacer,
     check_kumulant_domain,
     config_hash,
@@ -256,12 +260,12 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
 class _Term:
     """The ambit integral at one time.  A plan's sampler draws the values of
     all its terms at once; calling a term on a full realization reads that
-    draw through a sampler of the term alone (:func:`_row_sampler`), one
-    segment per row."""
+    draw through a sampler of the term alone (:func:`_row_sampler`): its
+    rows one segment per row, or its point blocks' points."""
 
     def __call__(self, realization):
         sampler = _row_sampler([self], realization.spec, realization.grid, by_row=True)
-        return sampler.read(sampler.cells(realization.increments), realization.seed)[0]
+        return sampler.read(sampler.cells(realization))[0]
 
 
 class _MeshTerm(_Term):
@@ -472,8 +476,10 @@ class _MeshRows:
     transformed once, and read by each term with one kernel spectrum.  A
     segment of one row is drawn and read as the realization's row.
 
-    A Poisson basis keeps one segment per row, so its cells are the point
-    counts that the realization's points and the point sums read.
+    A Poisson basis keeps one segment per row, and draws no cells of its
+    own: its cells are the counts of the realization's points, from the
+    row totals and angles of the whole point blocks holding its rows, with
+    no times placed (``placer``, :meth:`~levygrowth.levy_core._PointPlacer.counts`).
     ``by_row`` keeps one segment per row on any basis, as a term reading a
     full realization does.  ``segments`` holds each segment's rows, in
     order of first row.
@@ -487,13 +493,15 @@ class _MeshRows:
             seen = {}
             signature[term.rows, i] = [seen.setdefault(x.tobytes(), len(seen)) for x in term.spectrum]
         self.rows = np.flatnonzero(np.any(signature >= 0, axis=1))
-        by_row = by_row or basis.spot.kind == "poisson"
+        poisson = basis.spot.kind == "poisson"
+        self.placer = _PointPlacer(basis, grid) if poisson else None
+        by_row = by_row or poisson
         segments = {}
         for row in self.rows:
             segments.setdefault(row if by_row else signature[row].tobytes(), []).append(row)
         self.segments = [np.array(rows) for rows in segments.values()]
         self.first = np.array([rows[0] for rows in self.segments], dtype=np.intp)
-        self.mu = self.cells(grid.cell_mu(basis.control))
+        self.mu = self.sums(grid.cell_mu(basis.control))
         segment = np.empty(grid.n_t, dtype=np.intp)
         for j, rows in enumerate(self.segments):
             segment[rows] = j
@@ -504,19 +512,28 @@ class _MeshRows:
 
     @property
     def draws(self):
+        if self.placer is not None:
+            return _point_draws(self.rows // POINT_BLOCK, self.grid) + f", read as {self.rows.size} rows"
         return f"{self.rows.size} rows, {len(self.segments)} segments"
 
     def values(self, seed):
         """The terms' values, each segment drawn as described above."""
-        cells = draw_rows(self.basis.spot, seed, self.first, self.mu, self.grid.n_phi)
-        return self.read(cells, seed)
+        if self.placer is not None:
+            cells = self.placer.counts(seed, self.first)
+        else:
+            cells = draw_rows(self.basis.spot, seed, self.first, self.mu, self.grid.n_phi)
+        return self.read(cells)
 
-    def cells(self, increments):
-        """Each segment's sum of ``increments`` (a full realization's rows, or
-        one value per row) at each angle."""
-        return np.array([increments[rows].sum(axis=0) for rows in self.segments])
+    def sums(self, values):
+        """Each segment's sum of ``values`` (rows of cells, or one value per
+        row) at each angle."""
+        return np.array([values[rows].sum(axis=0) for rows in self.segments])
 
-    def read(self, cells, seed):
+    def cells(self, realization):
+        """The segments' cells of a full realization."""
+        return self.sums(realization.increments)
+
+    def read(self, cells):
         """The terms' values given ``cells``, one row per segment."""
         spectra = np.fft.rfft(cells, axis=1)
         n = self.grid.n_phi
@@ -524,45 +541,50 @@ class _MeshRows:
 
 
 class _PointSums:
-    """Point terms: the rows are those of the point ``blocks`` the terms'
-    windows touch, drawn as cell counts by
-    :func:`~levygrowth.levy_core.draw_rows`.  Block by block, the points are
-    placed as :meth:`~levygrowth.levy_core.BasisRealization.points` places
-    them, the block's :class:`_PointBlock` is built, and each term whose
-    window the block touches adds it to the term's :class:`_ArcSum`, so no
-    array grows with the whole point pattern."""
+    """Point terms, drawn and read one point block at a time: the blocks
+    are those the terms' windows touch.  Each block's points are placed
+    from its own point stream
+    (:meth:`~levygrowth.levy_core._PointPlacer.place_block`), its
+    :class:`_PointBlock` is built, and each term whose window the block
+    touches adds it to the term's :class:`_ArcSum`, so no array grows with
+    the whole point pattern.  No cell counts are drawn."""
 
     def __init__(self, terms, basis, grid):
-        self.terms, self.basis, self.grid = terms, basis, grid
+        self.terms, self.grid = terms, grid
         self.blocks = sorted({b for term in terms for b in term.blocks})
-        self.rows = np.flatnonzero(np.isin(np.arange(grid.n_t) // POINT_BLOCK, self.blocks))
-        self.mu = self.cells(grid.cell_mu(basis.control))
+        self.placer = _PointPlacer(basis, grid)
 
     @property
     def draws(self):
-        return f"{self.rows.size} rows, {len(self.blocks)} point blocks"
+        return _point_draws(self.blocks, self.grid)
 
     def values(self, seed):
-        """The terms' values, the block rows' counts drawn from ``seed``."""
-        counts = draw_rows(self.basis.spot, seed, self.rows, self.mu, self.grid.n_phi)
-        return self.read(counts, seed)
+        """The terms' values, the blocks' points placed from ``seed``."""
+        streams = self.placer.streams(seed)
+        return self.read(self.placer.place_block(streams, b) for b in self.blocks)
 
-    def cells(self, increments):
-        """The block rows of ``increments`` (a full realization's rows, or
-        one value per row)."""
-        return increments[self.rows]
+    def cells(self, realization):
+        """The blocks' points of a full realization, which lie in row order."""
+        pts = realization.points()
+        ends = np.searchsorted(pts.row, [(b * POINT_BLOCK, (b + 1) * POINT_BLOCK) for b in self.blocks])
+        return (PointPattern(pts.theta[i:j], pts.s[i:j], pts.row[i:j]) for i, j in ends)
 
-    def read(self, counts, seed):
-        placer = _PointPlacer(self.basis, self.grid, seed)
+    def read(self, blocks):
+        """The terms' values given each block's points, in block order."""
         sums = {term: _ArcSum(self.grid.n_phi) for term in self.terms}
-        for i, b in enumerate(self.blocks):
-            first = b * POINT_BLOCK  # every block but the grid's last has POINT_BLOCK rows
-            points = placer.place_block(counts[i * POINT_BLOCK : (i + 1) * POINT_BLOCK], first)
+        for b, points in zip(self.blocks, blocks):
             terms = [term for term in self.terms if b in term.blocks]
             block = _PointBlock(points, terms[0])
             for term in terms:
                 term.add(block, sums[term])
         return [sums[term].profile() for term in self.terms]
+
+
+def _point_draws(blocks, grid):
+    """What drawing the point blocks ``blocks`` takes, for the log."""
+    blocks = np.unique(blocks)
+    rows = np.minimum((blocks + 1) * POINT_BLOCK, grid.n_t) - blocks * POINT_BLOCK
+    return f"{blocks.size} point blocks, {int(rows.sum())} row totals"
 
 
 def _row_sampler(terms, basis, grid, by_row=False):

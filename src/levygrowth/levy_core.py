@@ -14,15 +14,24 @@ closed-form marginal with parameter ``mu(A)``:
 * Gamma:              ``Gamma(beta*mu(A), alpha)`` (rate parameterization)
 * inverse Gaussian:   ``IG(eta*mu(A), gamma)``
 
-Sampling draws each grid cell directly from that marginal with
-:func:`draw_cells` (the inverse Gaussian by numpy's ``wald``), so
-realizations are exact in distribution on the cell algebra; no series
-truncation is involved.  Each time row draws from its own stream
-(:class:`~levygrowth.rngtools.RowStreams`), so :func:`draw_rows` draws any
-rows alone, as simulation plans do; a :class:`BasisRealization` is always
-the whole grid.  A Poisson realization's points are placed one block of
-:data:`~levygrowth.rngtools.POINT_BLOCK` rows at a time, each block from its
-own point stream, so the points of whole blocks can be placed alone too.
+Sampling draws each grid cell of a Gaussian, Gamma or inverse Gaussian
+basis directly from that marginal with :func:`draw_cells` (the inverse
+Gaussian by numpy's ``wald``), so realizations are exact in distribution on
+the cell algebra; no series truncation is involved.  Each time row draws
+from its own stream (:class:`~levygrowth.rngtools.RowStreams`), so
+:func:`draw_rows` draws any rows alone, as simulation plans do; a
+:class:`BasisRealization` is always the whole grid.
+
+A Poisson basis is drawn as its points.  The control measure does not
+depend on the angle, so the points of one time row are a Poisson number of
+independent points, uniform in angle, with density proportional to ``g`` in
+time; a cell's count, the number of its row's points in it, is then
+Po(mu(cell)), independently over the cells.  The points are drawn one block
+of :data:`~levygrowth.rngtools.POINT_BLOCK` rows at a time, each block from
+its own point stream (:class:`_PointPlacer`): row totals, angles, then
+times.  So the points of whole blocks can be placed alone, and
+:func:`draw_counts` counts the angles of whole blocks without placing their
+times.
 """
 
 from __future__ import annotations
@@ -385,7 +394,8 @@ def config_hash(*parts):
 
 @dataclass
 class PointPattern:
-    """Poisson support points, one row per point, located inside their cells."""
+    """Poisson support points in row order, one entry per point, each
+    inside its time row and its angle cell (:meth:`_PointPlacer.cells`)."""
 
     theta: np.ndarray
     s: np.ndarray
@@ -396,22 +406,32 @@ class PointPattern:
 class BasisRealization:
     """Cell increments of one basis draw on the whole grid.
 
-    ``increments`` has shape (n_t, n_phi), time-major.  For the Poisson kind
-    the underlying point pattern is materialized lazily and deterministically
-    from a sub-stream of the realization seed, one block of ``POINT_BLOCK``
-    rows at a time (:class:`_PointPlacer`); per cell, the number of points
-    equals the cell increment.
+    ``increments`` has shape (n_t, n_phi), time-major.  A Poisson
+    realization is its points: its increments are the counts of its points
+    per cell (:func:`draw_counts`), and both they and the points themselves
+    (:meth:`points`) are drawn on first use, from the point streams of the
+    realization seed, one block of ``POINT_BLOCK`` rows at a time
+    (:class:`_PointPlacer`); per cell, the number of points equals the cell
+    increment.
     """
 
     spec: BasisSpec
     grid: GridSpec
     seed: int
-    increments: np.ndarray
+    _increments: Optional[np.ndarray] = None
     _points: Optional[PointPattern] = None
 
     @property
     def kind(self):
         return self.spec.spot.kind
+
+    @property
+    def increments(self):
+        """(n_t, n_phi) cell increments; only a Poisson realization is
+        built without them."""
+        if self._increments is None:
+            self._increments = draw_counts(self.spec, self.grid, self.seed, np.arange(self.grid.n_t))
+        return self._increments
 
     def total(self):
         return float(self.increments.sum())
@@ -420,7 +440,7 @@ class BasisRealization:
         if self.kind != "poisson":
             raise ValueError("point pattern only exists for the Poisson kind")
         if self._points is None:
-            self._points = _PointPlacer(self.spec, self.grid, self.seed).place(self.increments)
+            self._points = _PointPlacer(self.spec, self.grid).place(self.seed)
         return self._points
 
     def to_csv(self, path):
@@ -473,8 +493,15 @@ def draw_cells(spot: SpotLaw, rng, mu, shape):
 
 def sample_realization(spec: BasisSpec, grid: GridSpec, seed: int) -> BasisRealization:
     """Sample one basis realization on the whole grid; deterministic in the
-    seed.  Time row ``l`` is row ``l`` of :func:`draw_rows`."""
+    seed.  Time row ``l`` is row ``l`` of :func:`draw_rows`, or of
+    :func:`draw_counts` on a Poisson basis, whose realization draws its
+    counts and points on first use, so that a caller replacing one
+    realization by the next frees the first before the second draws."""
     mu = grid.cell_mu(spec.control)
+    if spec.spot.kind == "poisson":
+        if np.any(mu < 0):
+            raise ValueError("cell measures must be nonnegative")
+        return BasisRealization(spec, grid, int(seed))
     increments = draw_rows(spec.spot, seed, np.arange(grid.n_t), mu, grid.n_phi)
     return BasisRealization(spec, grid, int(seed), increments)
 
@@ -484,9 +511,12 @@ def draw_rows(spot: SpotLaw, seed, rows, mu, n_phi):
     measure ``mu[i]`` (nonnegative) with :func:`draw_cells` from row
     ``rows[i]`` of :class:`~levygrowth.rngtools.RowStreams` of ``seed``, so
     it equals row ``rows[i]`` of the whole grid's draw wherever ``mu[i]`` is
-    that row's cell measure."""
+    that row's cell measure.  Poisson counts are not drawn per cell: they
+    are :func:`draw_counts`."""
     if np.any(np.asarray(mu) < 0):
         raise ValueError("cell measures must be nonnegative")
+    if spot.kind == "poisson":
+        raise ValueError("Poisson counts are drawn by point blocks, with draw_counts")
     streams = RowStreams(seed)
     out = np.empty((len(rows), n_phi))
     for i, (l, mu_l) in enumerate(zip(rows, mu)):
@@ -494,57 +524,109 @@ def draw_rows(spot: SpotLaw, seed, rows, mu, n_phi):
     return out
 
 
+def draw_counts(spec: BasisSpec, grid: GridSpec, seed, rows):
+    """The Poisson cell counts of time rows ``rows``, (len(rows), n_phi):
+    each row's histogram of its points' angles, drawn with the whole point
+    blocks that hold the rows (:class:`_PointPlacer`), so it equals that row
+    of the whole grid's draw."""
+    return _PointPlacer(spec, grid).counts(seed, rows)
+
+
 class _PointPlacer:
-    """What placing the Poisson points of the realization drawn from
-    ``seed`` takes besides its counts, prepared once: the point streams, row
-    streams of ``mix_seed(seed, _POINTS_STREAM)``, and per time row the
-    bound of ``g`` that rejection proposes against.  The streams are shared,
-    so place one set of rows before the next."""
+    """The Poisson points of a basis on a grid, one point block of
+    ``POINT_BLOCK`` time rows at a time, with what does not depend on the
+    seed prepared once.
 
-    def __init__(self, spec, grid, seed):
+    The control measure ``g(s) d-theta ds`` does not depend on the angle, so
+    the points of time row ``l`` are a Po(``mass[l]``) number of independent
+    points, ``mass = n_phi * cell_mu`` the row's measure, each uniform in
+    angle and with density proportional to ``g`` in time; the counts of the
+    row's cells are then independent Po(``cell_mu[l]``).  Block ``b`` of the
+    realization drawn from ``seed`` draws from row ``b`` of the point
+    streams (:meth:`streams`): its row totals in one call, every point's
+    angle ``-pi + 2 pi U`` in row order, then the points' times by rejection
+    against the row's bound of ``g`` (:meth:`place_block`).  A cell's count
+    is the number of its row's points whose angle lies in it
+    (:meth:`count_block`).  The streams are shared, so draw one block
+    before the next."""
+
+    def __init__(self, spec, grid):
         self.g, self.grid = spec.control.g, grid
-        self.streams = RowStreams(mix_seed(seed, _POINTS_STREAM))
-        self.t_edges, self.phi_edges = grid.t_edges, grid.phi_edges
+        self.mass = grid.n_phi * grid.cell_mu(spec.control)
+        if np.any(self.mass < 0):
+            raise ValueError("cell measures must be nonnegative")
+        self.t_edges = grid.t_edges
+        self.left_edges = np.append(grid.phi_edges[:-1], np.inf)  # the last cell has no right end
         self.g_max = self.g.max_on(self.t_edges[:-1], self.t_edges[1:])
+        self.n_blocks = -(-grid.n_t // POINT_BLOCK)
 
-    def place(self, counts):
-        """Locate the points of ``counts``, the cell counts of every time
-        row, inside their cells, by rejection against g in time.  Each block
-        is :meth:`place_block`."""
-        total = int(counts.sum())
-        out = PointPattern(np.empty(total), np.empty(total), np.empty(total, dtype=np.intp))
-        at = 0
-        for first in range(0, self.grid.n_t, POINT_BLOCK):
-            block = self.place_block(counts[first : first + POINT_BLOCK], first)
-            n = block.row.size
-            out.theta[at : at + n], out.s[at : at + n], out.row[at : at + n] = block.theta, block.s, block.row
-            at += n
+    @staticmethod
+    def streams(seed):
+        """The point streams of ``seed``: the row streams of
+        ``mix_seed(seed, _POINTS_STREAM)``."""
+        return RowStreams(mix_seed(seed, _POINTS_STREAM))
+
+    def _totals(self, streams, b):
+        """Block ``b``'s rows, its stream after the row totals, and the row
+        totals."""
+        rows = slice(b * POINT_BLOCK, min((b + 1) * POINT_BLOCK, self.grid.n_t))
+        rng = streams.at(b)
+        return rows, rng, rng.poisson(self.mass[rows])
+
+    def _angles(self, streams, b):
+        """Block ``b``'s rows, its stream after the angles, its row totals
+        and its points' angles."""
+        rows, rng, totals = self._totals(streams, b)
+        theta = rng.random(int(totals.sum()))
+        theta *= TWO_PI
+        theta -= np.pi
+        return rows, rng, totals, theta
+
+    def cells(self, theta):
+        """The angle cell of each of the angles ``theta``: the last cell
+        whose left edge is at or below the angle.  A guess from the angle's
+        offset, off by at most one cell by rounding, is corrected against
+        the edges."""
+        cell = ((theta + np.pi) * (1.0 / self.grid.dphi)).astype(np.intp)
+        np.clip(cell, 0, self.grid.n_phi - 1, out=cell)
+        cell -= theta < self.left_edges[cell]
+        cell += theta >= self.left_edges[cell + 1]
+        return cell
+
+    def count_block(self, streams, b):
+        """Block ``b``'s cell counts, (rows, n_phi): per row, the histogram
+        of its points' angles over the cells (:meth:`cells`)."""
+        _, _, totals, theta = self._angles(streams, b)
+        n_phi = self.grid.n_phi
+        index = self.cells(theta)
+        index += np.repeat(np.arange(0, totals.size * n_phi, n_phi), totals)
+        return np.bincount(index, minlength=totals.size * n_phi).reshape(-1, n_phi)
+
+    def counts(self, seed, rows):
+        """The cell counts of time ``rows`` drawn from ``seed``, each block
+        holding some of them counted once."""
+        streams, rows = self.streams(seed), np.asarray(rows, dtype=np.intp)
+        blocks = rows // POINT_BLOCK
+        out = np.empty((rows.size, self.grid.n_phi))
+        for b in np.unique(blocks):
+            at = np.flatnonzero(blocks == b)
+            out[at] = self.count_block(streams, b)[rows[at] % POINT_BLOCK]
         return out
 
-    def place_block(self, counts, first):
-        """The points of the point block whose first time row is ``first``
-        and whose cell counts are ``counts``, drawn from row ``first //
-        POINT_BLOCK`` of the point streams: every point's angle, then every
-        point's proposed time and its acceptance uniform, then further rounds
-        for the rejected points, in row order."""
-        rng = self.streams.at(first // POINT_BLOCK)
+    def place_block(self, streams, b):
+        """The points of block ``b``, in row order: after its angles, every
+        point's proposed time and its acceptance uniform, then further
+        rounds for the rejected points."""
+        rows, rng, totals, theta = self._angles(streams, b)
         grid, g = self.grid, self.g
-        n_rows = counts.shape[0]
-        counts = counts.astype(np.intp)
-        # points come in row-major cell order, so cell values repeat into per-point ones
-        row_counts = counts.sum(axis=1)
-        row = np.repeat(np.arange(first, first + n_rows), row_counts)
-        total = row.size
-        theta = rng.random(total)
-        theta *= grid.dphi
-        theta += np.repeat(np.tile(self.phi_edges[:-1], n_rows), counts.ravel())
-        t_lo = np.repeat(self.t_edges[first : first + n_rows], row_counts)
-        g_max = np.repeat(self.g_max[first : first + n_rows], row_counts)
+        row = np.repeat(np.arange(rows.start, rows.stop), totals)
+        t_lo = np.repeat(self.t_edges[rows], totals)
+        g_max = np.repeat(self.g_max[rows], totals)
         # Every point proposes, then the rejected ones propose again.
-        s = rng.random(total)
+        s = rng.random(row.size)
         s *= grid.dt
         s += t_lo
-        height = rng.random(total)
+        height = rng.random(row.size)
         height *= g_max
         pending = np.flatnonzero(height > g(s))
         while pending.size:
@@ -553,6 +635,20 @@ class _PointPlacer:
             s[pending[accept]] = prop[accept]
             pending = pending[~accept]
         return PointPattern(theta, s, row)
+
+    def place(self, seed):
+        """Every block's points drawn from ``seed``, in row order, in arrays
+        sized by a first pass over the blocks' row totals."""
+        streams = self.streams(seed)
+        total = sum(int(self._totals(streams, b)[2].sum()) for b in range(self.n_blocks))
+        out = PointPattern(np.empty(total), np.empty(total), np.empty(total, dtype=np.intp))
+        at = 0
+        for b in range(self.n_blocks):
+            block = self.place_block(streams, b)
+            n = block.row.size
+            out.theta[at : at + n], out.s[at : at + n], out.row[at : at + n] = block.theta, block.s, block.row
+            at += n
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,34 @@ spectrum of its terms: ``n_times x (n_phi // 2 + 1)`` complex normals (see
 :class:`levygrowth.growth._JointSpectrum` and
 :class:`levygrowth.growth._ConeLaw`), and no increment rows.
 
-The cell increments of every other basis, and of every realization, are
-row-addressed: row ``l`` of the realization drawn from ``seed`` draws from
-that stream advanced by ``l * ROW_STRIDE`` (2**40) outputs, see
-:class:`RowStreams`.  A row takes far fewer than 2**40 outputs, so rows never
-overlap, and :func:`levygrowth.levy_core.draw_rows` draws any set of rows
-alone with the values the whole grid's draw gives them.  A realization
-(:func:`levygrowth.levy_core.sample_realization`) is always the whole grid;
-simulation plans draw only the rows they read, with ``draw_rows``.  A Gamma
-or inverse Gaussian plan draws one row of cells per segment, a set of rows
-that every requested time weighs with the same kernel row (see
-:class:`levygrowth.growth._MeshRows`): with the summed measure of its rows,
-from the stream of its first row.  A segment of one row is that row of the
-realization; a longer one is not any realization's row, so those
-simulations' values depend on which other times the plan holds.  A Poisson
-plan keeps one segment per row: its cells are point counts, and the points
-are placed from them.
+The cell increments of a Gamma or inverse Gaussian basis, and of a Gaussian
+realization, are row-addressed: row ``l`` of the realization drawn from
+``seed`` draws from that stream advanced by ``l * ROW_STRIDE`` (2**40)
+outputs, see :class:`RowStreams`.  A row takes far fewer than 2**40
+outputs, so rows never overlap, and :func:`levygrowth.levy_core.draw_rows`
+draws any set of rows alone with the values the whole grid's draw gives
+them.  A realization (:func:`levygrowth.levy_core.sample_realization`) is
+always the whole grid; simulation plans draw only the rows they read, with
+``draw_rows``.  A Gamma or inverse Gaussian plan draws one row of cells per
+segment, a set of rows that every requested time weighs with the same
+kernel row (see :class:`levygrowth.growth._MeshRows`): with the summed
+measure of its rows, from the stream of its first row.  A segment of one
+row is that row of the realization; a longer one is not any realization's
+row, so those simulations' values depend on which other times the plan
+holds.
 
-The Poisson points of a realization are placed one block of
-``POINT_BLOCK`` (8) time rows at a time: block ``b``, rows ``8 b .. 8 b + 7``,
-draws from row ``b`` of the row streams of ``mix_seed(seed, tag)`` (see
-:mod:`levygrowth.levy_core`).  So the points of any set of whole blocks can
-be placed alone, from those rows' counts, with the values a full placement
-gives them.  Like ``ROW_STRIDE``, the block size is part of the stream
-layout, not a setting.
+A Poisson basis draws no per-cell counts: it draws its points, one block of
+``POINT_BLOCK`` (8) time rows at a time.  Block ``b``, rows ``8 b .. 8 b +
+7``, draws from row ``b`` of the row streams of ``mix_seed(seed, tag)``:
+the block's row totals in one Poisson call, then every point's angle, in
+row order, then the points' proposed times, acceptance uniforms and
+rejection rounds (see :class:`levygrowth.levy_core._PointPlacer`).  A
+cell's count is the number of its row's points in it, so counts stop after
+the angles (:func:`levygrowth.levy_core.draw_counts`).  The points or
+counts of any set of whole blocks are drawn alone with the values the whole
+grid's draw gives them.  Like ``ROW_STRIDE``, the block size is part of the
+stream layout, not a setting.  ``moments.mc_verify`` draws its Poisson
+cells per cell, with ``draw_cells``, from its own generator.
 """
 
 import numpy as np

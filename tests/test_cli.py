@@ -178,6 +178,15 @@ def test_log_level_debug_says_what_a_replicate_draws(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_log_level_debug_says_what_an_ex3_replicate_draws(tmp_path, capsys):
+    # ex3's windows touch every one of its 500 rows: 63 point blocks, each
+    # drawing its row totals, then its points' angles and times
+    argv = ["simulate", "--preset", "ex3", "--out-dir", str(tmp_path), "--log-level", "debug"]
+    assert run(argv) == 0
+    err = capsys.readouterr().err
+    assert "_PointSums sampler: a replicate draws 63 point blocks, 500 row totals" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

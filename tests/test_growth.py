@@ -486,6 +486,31 @@ def test_block_by_block_point_sums_equal_each_term_on_the_full_draw(name, seed):
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("kind", ["direct", "rate_linear"])
+@pytest.mark.parametrize("weight", ["constant", "cosine"])
+def test_a_term_on_a_full_poisson_realization_reads_the_plans_draw(weight, kind):
+    # A point plan places its blocks' points and a mesh plan counts its
+    # blocks' angles; a term called on the full realization reads its points
+    # or its counts, and gives the plan's values bit for bit.
+    from levygrowth.circle_cov import FourierWeight
+    from levygrowth.growth import _MeshRows, _Plan, _PointSums, _term
+
+    w = 0.7 if weight == "constant" else FourierWeight.constant_coeffs([0.7, 0.4])
+    basis = BasisSpec(SpotLaw.poisson(), ControlMeasure(TimeDensity.linear(6.0)))
+    spec = GrowthModelSpec(kind, Drift.zero(), w, basis, Rectangular.of(0.4, TimeFn.constant(1.0)))
+    grid = small_grid(n_phi=16, dt=0.25, t_max=5.0)  # 20 rows: point blocks of 8, 8 and 4
+    times = (1.5, 3.0, 5.0)
+    plan = _Plan(spec, grid, times)
+    assert isinstance(plan.sampler, _PointSums if weight == "constant" else _MeshRows)
+    mode = "rate" if kind == "rate_linear" else "direct"
+    for seed in (0, 1, 2**63 + 5):
+        values = plan.sampler.values(seed)
+        real = sample_realization(basis, grid, seed)
+        assert real.increments.sum() > 100
+        for i, t in enumerate(plan.times):
+            assert np.array_equal(values[i], _term(spec, grid, t, mode)(real)), (seed, t)
+
+
 def test_point_sum_over_windows_without_points_is_zero():
     spec = GrowthModelSpec(
         "direct", Drift.zero(), 1.0, _poisson_basis(1e-9), Rectangular.of(0.5, TimeFn.constant(1.0))
@@ -519,19 +544,27 @@ def test_plan_draws_only_the_rows_its_mesh_terms_read(monkeypatch, name):
         assert np.array_equal(sampler.rows, np.unique(mesh))
         return
 
+    # a Poisson plan draws no cells: it draws whole point blocks, each once
+    blocks = []
+    totals = growth._PointPlacer._totals
+
+    def recording_totals(placer, streams, b):
+        blocks.append(b)
+        return totals(placer, streams, b)
+
+    monkeypatch.setattr(growth._PointPlacer, "_totals", recording_totals)
     plan.profiles(5)
     sampler = plan.sampler
-    assert len(drawn) == 1
-    assert np.array_equal(drawn[0][0], sampler.rows)
-    assert drawn[0][1].shape[0] == sampler.rows.size
+    assert drawn == []
     if isinstance(sampler, growth._PointSums):  # the whole point blocks their windows touch
-        block_rows = [np.arange(8 * b, min(8 * b + 8, grid.n_t)) for b in sampler.blocks]
-        assert np.array_equal(sampler.rows, np.concatenate(block_rows))
-        assert 0 < sampler.rows.size < grid.n_t
+        assert sampler.blocks == sorted({b for radius in plan.radii for b in radius.term.blocks})
+        assert 0 < len(sampler.blocks) < -(-grid.n_t // 8)
+        assert blocks == sampler.blocks
     else:
         assert sampler.rows.size > 0
         mesh = np.concatenate([radius.term.rows for radius in plan.radii])
         assert np.array_equal(sampler.rows, np.unique(mesh))
+        assert blocks == sorted(set(sampler.rows // 8))
 
 
 WINDOW_ROW_FAMILIES = {

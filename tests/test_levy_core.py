@@ -28,6 +28,7 @@ from levygrowth.levy_core import (
     SpotLaw,
     TimeDensity,
     cumulant,
+    draw_counts,
     draw_rows,
     integrate,
     kumulant,
@@ -345,25 +346,41 @@ def test_point_rejection_follows_density():
     assert abs(pts.s.mean() - 2.0 / 3.0) < 3 * se
 
 
-def _reference_place_points(spec, grid, counts, seed):
+def _reference_block(spec, grid, seed, b):
+    """Point block b of 8 rows drawn from PCG64(seed) advanced b * 2**40
+    outputs: its rows, the generator after the angles, the rows' point
+    totals Po(n_phi * cell measure) and every point's angle -pi + 2 pi U."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(b * 2**40)
+    rng = np.random.Generator(bitgen)
+    rows = np.arange(8 * b, min(8 * b + 8, grid.n_t))
+    totals = rng.poisson(grid.n_phi * grid.cell_mu(spec.control)[rows])
+    theta = -np.pi + 2 * np.pi * rng.uniform(size=totals.sum())
+    return rows, rng, totals, theta
+
+
+def _reference_counts(spec, grid, seed, b):
+    """Block b's cell counts: each point counted in the cell of the last
+    angle edge at or below its angle."""
+    rows, _, totals, theta = _reference_block(spec, grid, seed, b)
+    counts = np.zeros((rows.size, grid.n_phi))
+    col = np.searchsorted(grid.phi_edges, theta, side="right") - 1
+    np.add.at(counts, (np.repeat(rows - rows[0], totals), col), 1.0)
+    return counts
+
+
+def _reference_place_points(spec, grid, seed):
     """Point placement gathering every per-point value through the point's
-    row, block of 8 rows b drawing from PCG64(seed) advanced b * 2**40
-    outputs; also returns the number of rejection rounds."""
-    counts = counts.astype(int)
+    row, block by block as :func:`_reference_block` draws them; also returns
+    the number of rejection rounds."""
     edges = grid.t_edges
     g = spec.control.g
     g_max = g.max_on(edges[:-1], edges[1:])
     parts, rounds = [], 0
     for b in range(-(-grid.n_t // 8)):
-        bitgen = np.random.PCG64(seed)
-        bitgen.advance(b * 2**40)
-        rng = np.random.Generator(bitgen)
-        rows, cols = np.nonzero(counts[8 * b : 8 * b + 8])
-        reps = counts[8 * b + rows, cols]
-        row = np.repeat(8 * b + rows, reps)
-        col = np.repeat(cols, reps)
+        rows, rng, totals, theta = _reference_block(spec, grid, seed, b)
+        row = np.repeat(rows, totals)
         total = row.size
-        theta = grid.phi_edges[col] + grid.dphi * rng.uniform(size=total)
         t_lo = edges[row]
         s = t_lo + grid.dt * rng.uniform(size=total)
         pending = np.flatnonzero(rng.uniform(size=total) * g_max[row] > g(s))
@@ -398,15 +415,16 @@ def test_point_placement_equals_the_per_point_gather_reference(g, rejects, seed)
     grid = GridSpec(2 * math.pi / 16, 0.25, 0.0, 5.0)  # 20 rows: blocks of 8, 8 and 4
     real = sample_realization(unit_basis(SpotLaw.poisson(), g), grid, seed)
     got = real.points()
-    want, rounds = _reference_place_points(
-        real.spec, grid, real.increments, mix_seed(seed, _POINTS_STREAM)
-    )
+    stream = mix_seed(seed, _POINTS_STREAM)
+    want, rounds = _reference_place_points(real.spec, grid, stream)
     assert got.theta.size > 100 and (rounds > 0) == rejects
     for a, b in zip((got.theta, got.s, got.row), want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    zeros = np.zeros_like(real.increments)
-    none = _PointPlacer(real.spec, grid, seed).place(zeros)
-    want, _ = _reference_place_points(real.spec, grid, zeros, mix_seed(seed, _POINTS_STREAM))
+    counts = np.concatenate([_reference_counts(real.spec, grid, stream, b) for b in range(3)])
+    assert np.array_equal(real.increments, counts)
+    empty = unit_basis(SpotLaw.poisson(), TimeDensity.constant(0.0))
+    none = _PointPlacer(empty, grid).place(seed)
+    want, _ = _reference_place_points(empty, grid, stream)
     for a, b in zip((none.theta, none.s, none.row), want):
         assert a.dtype == b.dtype and a.size == b.size == 0
 
@@ -430,15 +448,45 @@ def test_whole_point_blocks_drawn_alone_hold_the_full_draws_points(g, n_t, seed,
     np.add.at(counted, (pts.row, col), 1.0)
     assert np.array_equal(counted, full.increments)
     assert np.all(pts.s >= grid.t_edges[pts.row]) and np.all(pts.s <= grid.t_edges[pts.row + 1])
-    placer = _PointPlacer(basis, grid, seed)
-    mu = grid.cell_mu(basis.control)
+    placer = _PointPlacer(basis, grid)
+    streams = placer.streams(seed)
     for b in sorted(data.draw(st.sets(st.integers(0, (n_t - 1) // 8)))):
         rows = np.arange(8 * b, min(8 * b + 8, n_t))
-        counts = draw_rows(basis.spot, seed, rows, mu[rows], grid.n_phi)
-        got = placer.place_block(counts, rows[0])
+        assert np.array_equal(draw_counts(basis, grid, seed, rows), full.increments[rows])
+        got = placer.place_block(streams, b)
         keep = np.isin(pts.row, rows)
         for a, want in zip((got.theta, got.s, got.row), (pts.theta[keep], pts.s[keep], pts.row[keep])):
             assert a.dtype == want.dtype and np.array_equal(a, want)
+
+
+def test_poisson_counts_have_the_independent_cell_law():
+    # Row totals and uniform angles give every cell an independent
+    # Po(cell measure) count: per-cell mean and variance, and the covariance
+    # of neighbouring cells in a row and in adjacent rows (rows 7 and 8 lie
+    # in different point blocks), over 4000 seeds.
+    from levygrowth.levy_core import _PointPlacer
+
+    grid = GridSpec(2 * math.pi / 6, 0.25, 0.0, 2.5)  # 10 rows, unequal measures
+    basis = unit_basis(SpotLaw.poisson(), TimeDensity.tabulated([0.0, 2.5], [3.0, 13.0]))
+    placer, rows, n = _PointPlacer(basis, grid), np.arange(grid.n_t), 4000
+    x = np.array([placer.counts(mix_seed(2027, r), rows) for r in range(n)])
+    mu = np.broadcast_to(grid.cell_mu(basis.control)[:, None], x.shape[1:])
+    assert 0.7 < mu.min() and mu.max() / mu.min() > 3
+    z_mean = (x.mean(axis=0) - mu) / np.sqrt(mu / n)
+    z_var = (x.var(axis=0, ddof=1) - mu) / np.sqrt(mu / n + 2 * mu**2 / (n - 1))
+    d = x - x.mean(axis=0)
+    z_row = (d * np.roll(d, -1, axis=2)).sum(axis=0) / (n - 1) / np.sqrt(mu * np.roll(mu, -1, axis=1) / n)
+    z_next = (d[:, :-1] * d[:, 1:]).sum(axis=0) / (n - 1) / np.sqrt(mu[:-1] * mu[1:] / n)
+    for z in (z_mean, z_var, z_row, z_next):
+        assert np.max(np.abs(z)) <= 4.0
+    for r in range(50):  # each count is the number of its cell's points
+        real = sample_realization(basis, grid, mix_seed(2027, r))
+        assert np.array_equal(real.increments, x[r])
+        pts = real.points()
+        col = np.searchsorted(grid.phi_edges, pts.theta, side="right") - 1
+        counted = np.zeros_like(real.increments)
+        np.add.at(counted, (pts.row, col), 1.0)
+        assert np.array_equal(counted, real.increments)
 
 
 def test_disjoint_increments_uncorrelated():
@@ -518,7 +566,10 @@ def test_row_draw_equals_the_full_draws_rows(spot, g, n_phi, seed, data):
     rows = data.draw(st.lists(st.integers(0, grid.n_t - 1), unique=True, max_size=grid.n_t))
     basis = unit_basis(spot, g)
     full = sample_realization(basis, grid, seed)
-    part = draw_rows(spot, seed, rows, grid.cell_mu(basis.control)[rows], n_phi)
+    if spot.kind == "poisson":  # the counts of whole point blocks
+        part = draw_counts(basis, grid, seed, rows)
+    else:
+        part = draw_rows(spot, seed, rows, grid.cell_mu(basis.control)[rows], n_phi)
     assert part.shape == (len(rows), n_phi)
     assert np.array_equal(part, full.increments[rows])
 
@@ -529,12 +580,50 @@ def test_row_draw_rejects_a_negative_cell_measure(spot):
         draw_rows(spot, 1, [0, 1], [0.5, -1e-12], 4)
 
 
+@pytest.mark.parametrize("n_phi", [1, 7, 16, 400])
+def test_point_cells_are_the_last_left_edge_at_or_below(n_phi):
+    # the counting rule on angles at every cell edge and one float step to
+    # either side of it, where a guess from the angle's offset can miss
+    from levygrowth.levy_core import _PointPlacer
+
+    grid = GridSpec(2 * math.pi / n_phi, 1.0, 0.0, 1.0)
+    edges = grid.phi_edges
+    theta = np.concatenate(
+        [edges[:-1], np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)]
+    )
+    theta = theta[(theta >= -math.pi) & (theta < edges[-1])]
+    want = np.searchsorted(edges, theta, side="right") - 1
+    assert np.array_equal(_PointPlacer(unit_basis(SpotLaw.poisson()), grid).cells(theta), want)
+
+
+def test_poisson_counts_reject_a_negative_row_measure():
+    basis = BasisSpec(SpotLaw.poisson(), ControlMeasure(TimeFn.constant(-1.0)))
+    grid = GridSpec(2 * math.pi / 4, 0.5, 0.0, 2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        draw_counts(basis, grid, 1, [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_realization(basis, grid, 1)
+
+
+def test_row_draw_leaves_poisson_counts_to_point_blocks():
+    with pytest.raises(ValueError, match="draw_counts"):
+        draw_rows(SpotLaw.poisson(), 1, [0, 1], [0.5, 0.5], 4)
+
+
 @pytest.mark.parametrize("g", SAMPLER_DENSITIES)
 @pytest.mark.parametrize("spot", SAMPLER_SPOTS, ids=lambda s: s.kind)
 def test_row_l_draws_from_the_seeded_stream_advanced_l_strides(spot, g):
     grid = GridSpec(2 * math.pi / 9, 0.25, 0.0, 3.0)
     real = sample_realization(unit_basis(spot, g), grid, 2024)
     mu = grid.cell_mu(ControlMeasure(g))
+    if spot.kind == "poisson":  # block b of the point streams holds rows 8b .. 8b + 7
+        from levygrowth.levy_core import _POINTS_STREAM
+
+        stream = mix_seed(2024, _POINTS_STREAM)
+        for l in range(grid.n_t):
+            expected = _reference_counts(real.spec, grid, stream, l // 8)[l % 8]
+            assert np.array_equal(real.increments[l], expected), l
+        return
     for l in range(grid.n_t):
         bitgen = np.random.PCG64(2024)
         bitgen.advance(l * 2**40)
