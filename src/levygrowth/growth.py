@@ -64,12 +64,6 @@ spec and the model kind, so one sampler draws them all:
   points to its own difference array, so no array grows with the whole
   point pattern (:class:`_PointSums`).
 
-No plan builds a realization, which is always the whole grid.  A term
-called on one, of any basis, reads it through a sampler of its own: a mesh
-term with one segment per row reads the realization's rows as a plan of
-single-row segments does, and a point term reads its blocks' points, bit
-for bit.
-
 Drifts are :class:`~levygrowth.timefn.TimeFn` values (``Drift`` is an alias
 kept for callers): the direct and exponential kinds evaluate ``drift(t)``,
 the rate kinds its exact integral ``drift.integral(0, t)`` over [0, t].
@@ -104,7 +98,6 @@ from .errors import AssumptionViolation, NonFiniteValue, UnknownId, WrongBasisKi
 from .levy_core import (
     BasisSpec,
     GridSpec,
-    PointPattern,
     _PointPlacer,
     check_kumulant_domain,
     config_hash,
@@ -257,18 +250,7 @@ def _correlate_rows(z_rows, kernel_rows, n_phi):
     return np.fft.irfft((zf * np.conj(kf)).sum(axis=0), n=n_phi)
 
 
-class _Term:
-    """The ambit integral at one time.  A plan's sampler draws the values of
-    all its terms at once; calling a term on a full realization reads that
-    draw through a sampler of the term alone (:func:`_row_sampler`): its
-    rows one segment per row, or its point blocks' points."""
-
-    def __call__(self, realization):
-        sampler = _row_sampler([self], realization.spec, realization.grid, by_row=True)
-        return sampler.read(sampler.cells(realization))[0]
-
-
-class _MeshTerm(_Term):
+class _MeshTerm:
     """:func:`_correlate_rows` of the increments with one fixed kernel.
 
     ``kernel`` holds the time rows ``rows`` (the window), the kernel being
@@ -288,7 +270,7 @@ class _MeshTerm(_Term):
         )
 
 
-class _PointTerm(_Term):
+class _PointTerm:
     """A constant weight ``c`` summed over the points of a Poisson
     realization that arrived in the term's window (to 1e-12), each point
     adding over the grid angles its arc covers: ``c`` in ``"direct"`` mode,
@@ -416,11 +398,6 @@ class _ArcSum:
         return profile
 
 
-def _arc_sum(arcs, values, n):
-    """Per grid angle, the sum of ``values`` over the arcs covering it."""
-    return _ArcSum(n).add(arcs, values).profile()
-
-
 class _PointBlock:
     """The :class:`~levygrowth.levy_core.PointPattern` ``points`` of one
     point block, in row order, and their :class:`_Arcs` when the ambit family
@@ -480,12 +457,10 @@ class _MeshRows:
     own: its cells are the counts of the realization's points, from the
     row totals and angles of the whole point blocks holding its rows, with
     no times placed (``placer``, :meth:`~levygrowth.levy_core._PointPlacer.counts`).
-    ``by_row`` keeps one segment per row on any basis, as a term reading a
-    full realization does.  ``segments`` holds each segment's rows, in
-    order of first row.
+    ``segments`` holds each segment's rows, in order of first row.
     """
 
-    def __init__(self, terms, basis, grid, by_row=False):
+    def __init__(self, terms, basis, grid):
         self.basis, self.grid = basis, grid
         # per row and term, which of the term's distinct kernel rows it reads (-1: none)
         signature = np.full((grid.n_t, len(terms)), -1)
@@ -495,13 +470,13 @@ class _MeshRows:
         self.rows = np.flatnonzero(np.any(signature >= 0, axis=1))
         poisson = basis.spot.kind == "poisson"
         self.placer = _PointPlacer(basis, grid) if poisson else None
-        by_row = by_row or poisson
         segments = {}
         for row in self.rows:
-            segments.setdefault(row if by_row else signature[row].tobytes(), []).append(row)
+            segments.setdefault(row if poisson else signature[row].tobytes(), []).append(row)
         self.segments = [np.array(rows) for rows in segments.values()]
         self.first = np.array([rows[0] for rows in self.segments], dtype=np.intp)
-        self.mu = self.sums(grid.cell_mu(basis.control))
+        mu = grid.cell_mu(basis.control)
+        self.mu = np.array([mu[rows].sum() for rows in self.segments])
         segment = np.empty(grid.n_t, dtype=np.intp)
         for j, rows in enumerate(self.segments):
             segment[rows] = j
@@ -517,24 +492,12 @@ class _MeshRows:
         return f"{self.rows.size} rows, {len(self.segments)} segments"
 
     def values(self, seed):
-        """The terms' values, each segment drawn as described above."""
+        """The terms' values, each segment drawn and read as described
+        above."""
         if self.placer is not None:
             cells = self.placer.counts(seed, self.first)
         else:
             cells = draw_rows(self.basis.spot, seed, self.first, self.mu, self.grid.n_phi)
-        return self.read(cells)
-
-    def sums(self, values):
-        """Each segment's sum of ``values`` (rows of cells, or one value per
-        row) at each angle."""
-        return np.array([values[rows].sum(axis=0) for rows in self.segments])
-
-    def cells(self, realization):
-        """The segments' cells of a full realization."""
-        return self.sums(realization.increments)
-
-    def read(self, cells):
-        """The terms' values given ``cells``, one row per segment."""
         spectra = np.fft.rfft(cells, axis=1)
         n = self.grid.n_phi
         return [np.fft.irfft((spectra[segs] * spectrum).sum(axis=0), n=n) for segs, spectrum in self.reads]
@@ -559,22 +522,13 @@ class _PointSums:
         return _point_draws(self.blocks, self.grid)
 
     def values(self, seed):
-        """The terms' values, the blocks' points placed from ``seed``."""
+        """The terms' values, the blocks' points placed from ``seed`` in
+        block order."""
         streams = self.placer.streams(seed)
-        return self.read(self.placer.place_block(streams, b) for b in self.blocks)
-
-    def cells(self, realization):
-        """The blocks' points of a full realization, which lie in row order."""
-        pts = realization.points()
-        ends = np.searchsorted(pts.row, [(b * POINT_BLOCK, (b + 1) * POINT_BLOCK) for b in self.blocks])
-        return (PointPattern(pts.theta[i:j], pts.s[i:j], pts.row[i:j]) for i, j in ends)
-
-    def read(self, blocks):
-        """The terms' values given each block's points, in block order."""
         sums = {term: _ArcSum(self.grid.n_phi) for term in self.terms}
-        for b, points in zip(self.blocks, blocks):
+        for b in self.blocks:
             terms = [term for term in self.terms if b in term.blocks]
-            block = _PointBlock(points, terms[0])
+            block = _PointBlock(self.placer.place_block(streams, b), terms[0])
             for term in terms:
                 term.add(block, sums[term])
         return [sums[term].profile() for term in self.terms]
@@ -585,15 +539,6 @@ def _point_draws(blocks, grid):
     blocks = np.unique(blocks)
     rows = np.minimum((blocks + 1) * POINT_BLOCK, grid.n_t) - blocks * POINT_BLOCK
     return f"{blocks.size} point blocks, {int(rows.sum())} row totals"
-
-
-def _row_sampler(terms, basis, grid, by_row=False):
-    """:class:`_PointSums` of point ``terms``, else :class:`_MeshRows`
-    (``by_row`` as there); a plan's terms are all of one kind,
-    :func:`_point_path` of its spec."""
-    if terms and isinstance(terms[0], _PointTerm):
-        return _PointSums(terms, basis, grid)
-    return _MeshRows(terms, basis, grid, by_row)
 
 
 def _normals_drawn(n_phi, n_terms):
@@ -718,7 +663,7 @@ class _ConeLaw:
         self.spectrum = np.fft.rfft(arc_overlap_length(grid.dphi * np.arange(n), theta, theta)).real
         kappa2 = spec.basis.spot.b_tilde * float(spec.weight.c) ** 2
         self.scale = np.sqrt(n * kappa2 * np.clip(self.spectrum, 0.0, None))
-        if mode == "direct":
+        if mode == "direct" or len(times) == 0:  # no times: an empty law in either mode
             starts = np.array([family.window(t)[0] for t in times])
             self.mass = g.integral(np.maximum.outer(starts, starts), np.minimum.outer(times, times))
             integrals = [(family.measure(t, spec.basis.control),) * 2 for t in times]
@@ -819,9 +764,9 @@ def _union_integrals(spec, grid, t):
 
 def _term(spec, grid, t, mode):
     """The ambit integral at time t, ``mode`` ``"direct"`` (instantaneous
-    set) or ``"rate"`` (time union): called on a realization it returns the
-    profile over all grid angles, and its ``moments`` are the (mean,
-    variance) of that value.  Mesh kernels are built here, once."""
+    set) or ``"rate"`` (time union): its plan's sampler draws its profile
+    over all grid angles, and its ``moments`` are the (mean, variance) of
+    that value.  Mesh kernels are built here, once."""
     if _point_path(spec, mode):
         return _PointTerm(spec, grid, t, mode)
     # the kernel is built on the rows whose midpoints lie in the window (the
@@ -883,11 +828,9 @@ class _Plan:
             edges = grid.t_edges[(grid.t_edges >= 0.0) & (grid.t_edges <= self.times[-1] + _EPS)]
             floor = max(grid.t_min, spec.basis.control.g.support[0])  # no mass below
             check_union_window_start(spec.ambit, edges, floor)
-        mode = "rate" if union else "direct"
-        self.cone = None
-        if self.times.size and _cone_plan(spec):  # a plan without times has no law
-            self.cone = _ConeLaw(spec, grid, self.times, mode)
-        terms = self.cone.terms if self.cone else [_term(spec, grid, t, mode) for t in self.times]
+        self.mode = "rate" if union else "direct"
+        self.cone = _ConeLaw(spec, grid, self.times, self.mode) if _cone_plan(spec) else None
+        terms = self.cone.terms if self.cone else [_term(spec, grid, t, self.mode) for t in self.times]
         self.radii = [self._radius(t, term) for t, term in zip(self.times, terms)]
         self.spec_hash = config_hash(spec, grid)
 
@@ -910,17 +853,21 @@ class _Plan:
     def sampler(self):
         """What draws the terms' values, ``values(seed)`` of shape (n_times,
         n_phi): the :class:`_ConeLaw` on a cone plan, the
-        :class:`_JointSpectrum` on any other Gaussian basis, else the terms'
-        :func:`_row_sampler`.  The last two are built on first use, so
-        ``levygrowth moments`` never builds them.  Logs, at DEBUG, what a
-        replicate draws."""
-        terms = [radius.term for radius in self.radii]
+        :class:`_JointSpectrum` on any other Gaussian basis, else
+        :class:`_PointSums` where the spec's terms are point sums
+        (:func:`_point_path`) and :class:`_MeshRows` where they are mesh
+        terms.  The last three are built on first use, so ``levygrowth
+        moments`` never builds them.  Logs, at DEBUG, what a replicate
+        draws."""
+        spec, terms = self.spec, [radius.term for radius in self.radii]
         if self.cone is not None:
             sampler = self.cone
-        elif self.spec.basis.spot.kind == "gaussian":
-            sampler = _JointSpectrum(terms, self.grid, self.spec.basis)
+        elif spec.basis.spot.kind == "gaussian":
+            sampler = _JointSpectrum(terms, self.grid, spec.basis)
+        elif _point_path(spec, self.mode):
+            sampler = _PointSums(terms, spec.basis, self.grid)
         else:
-            sampler = _row_sampler(terms, self.spec.basis, self.grid)
+            sampler = _MeshRows(terms, spec.basis, self.grid)
         _log.debug("%s sampler: a replicate draws %s", type(sampler).__name__, sampler.draws)
         return sampler
 

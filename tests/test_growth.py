@@ -45,6 +45,7 @@ from levygrowth.levy_core import (
     TimeDensity,
     cumulant_sum,
     draw_cells,
+    draw_rows,
     integrate,
     sample_realization,
     spot_mean,
@@ -246,6 +247,13 @@ def brute_force_direct(spec, grid, realization, t):
     return out
 
 
+def _read_rows(term, realization, n_phi):
+    """A mesh term's value on a realization: its kept rows of increments
+    read with its kernel spectrum."""
+    zf = np.fft.rfft(realization.increments[term.rows], axis=1)
+    return np.fft.irfft((zf * term.spectrum).sum(0), n_phi)
+
+
 def test_direct_kernel_matches_brute_force_gaussian():
     from levygrowth.growth import _term
 
@@ -253,13 +261,13 @@ def test_direct_kernel_matches_brute_force_gaussian():
     fam = Rectangular.of(0.9, TimeFn.constant(2.0))
     spec = GrowthModelSpec("direct", Drift.zero(), ConstantWeight(1.0), gaussian_basis(), fam)
     real = sample_realization(spec.basis, grid, 21)
-    got = _term(spec, grid, 3.5, "direct")(real)
+    got = _read_rows(_term(spec, grid, 3.5, "direct"), real, grid.n_phi)
     ref = brute_force_direct(spec, grid, real, 3.5)
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_direct_point_path_matches_brute_force_poisson():
-    from levygrowth.growth import _term
+    from levygrowth.growth import _Plan
 
     grid = small_grid()
     fam = Rectangular.of(0.9, TimeFn.constant(2.0))
@@ -271,7 +279,7 @@ def test_direct_point_path_matches_brute_force_poisson():
         fam,
     )
     real = sample_realization(spec.basis, grid, 22)
-    got = _term(spec, grid, 3.5, "direct")(real)
+    got = _Plan(spec, grid, [3.5]).sampler.values(22)[0]
     pts = real.points()
     ref = np.empty(grid.n_phi)
     for i, phi in enumerate(grid.phi_mids):
@@ -282,7 +290,7 @@ def test_direct_point_path_matches_brute_force_poisson():
 
 def test_rate_point_path_matches_brute_force_poisson():
     from levygrowth.ambit import window_length_in_union
-    from levygrowth.growth import _term
+    from levygrowth.growth import _Plan
 
     grid = small_grid(n_phi=32, dt=0.25, t_max=4.0)
     fam = WedgeOverS(theta=0.5, T=1.0)
@@ -295,7 +303,7 @@ def test_rate_point_path_matches_brute_force_poisson():
     )
     t = 3.5
     real = sample_realization(spec.basis, grid, 23)
-    got = _term(spec, grid, t, "rate")(real)
+    got = _Plan(spec, grid, [t]).sampler.values(23)[0]
     pts = real.points()
     lengths = window_length_in_union(fam, pts.s, t)
     widths = fam.half_width(t, pts.s)
@@ -327,7 +335,7 @@ ARC_WIDTHS = st.one_of(
     st.sampled_from([8, 16, 40]),
 )
 def test_arc_sum_equals_brute_force_membership(points, n_phi):
-    from levygrowth.growth import _arc_sum, _arcs
+    from levygrowth.growth import _ArcSum, _arcs
 
     grid = GridSpec(TWO_PI / n_phi, 1.0, 0.0, 1.0)
     theta = np.array([p[0] for p in points], dtype=float)
@@ -336,7 +344,7 @@ def test_arc_sum_equals_brute_force_membership(points, n_phi):
         dtype=float,
     )
     values = np.array([p[2] for p in points], dtype=float)
-    got = _arc_sum(_arcs(theta, widths, grid), values, n_phi)
+    got = _ArcSum(n_phi).add(_arcs(theta, widths, grid), values).profile()
     inside = cyc_dist(theta[None, :], grid.phi_mids[:, None]) <= widths[None, :] + 1e-12
     want = (inside * values[None, :]).sum(axis=1)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-9
@@ -401,6 +409,25 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+def _point_sum_reference(spec, grid, points, t, mode):
+    """A constant weight's point sum at time t by brute force over
+    ``points``: each point in the window (to 1e-12) adds ``c`` (direct) or
+    ``c L(s, t)`` (rate, where ``L`` is 0 outside the time union) at every
+    grid angle within its half-width (+1e-12)."""
+    from levygrowth.ambit import window_length_in_union
+
+    c = float(spec.weight.c)
+    if mode == "rate":
+        keep, values = slice(None), c * window_length_in_union(spec.ambit, points.s, t)
+    else:
+        lo, hi = spec.ambit.window(t)
+        keep = (points.s >= lo - 1e-12) & (points.s <= hi + 1e-12)
+        values = np.full(points.s.shape, c)
+    theta, s, values = points.theta[keep], points.s[keep], values[keep]
+    widths = spec.ambit.half_width(t, s) + 1e-12
+    return np.array([np.sum(values[cyc_dist(theta, phi) <= widths]) for phi in grid.phi_mids])
+
+
 def _multi_time_case(name):
     ex4 = example_preset("ex4")
     if name == "ex3":
@@ -445,34 +472,30 @@ def _multi_time_case(name):
     ],
 )
 def test_multi_time_simulation_equals_single_time_terms(name):
-    # the work shared by a call's times gives each time what its term alone gives
-    from levygrowth.growth import _Plan, _term
+    # the work shared by a call's times gives each time what a plan of it alone gives
+    from levygrowth.growth import _Plan
 
     spec, grid, times = _multi_time_case(name)
-    mode = "rate" if spec.kind in ("rate_linear", "rate_of_log") else "direct"
     seed = 31
     profiles = simulate(spec, grid, seed, times).profiles
-    if name == "ex5-mesh":  # equally weighted rows: drawn one segment at a time
+    if name.startswith("ex5"):  # equally weighted rows: drawn one segment at a time
         segments, expected = _segment_reference(spec, grid, times, seed)
-        assert len(segments) == 5  # windows [16, 20] and [17.6, 22] overlap
+        if name == "ex5-mesh":
+            assert len(segments) == 5  # windows [16, 20] and [17.6, 22] overlap
         assert _close(profiles, expected)
         return
-    real = sample_realization(spec.basis, grid, seed)
-    plan = _Plan(spec, grid, times)
-    for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
-        alone = _term(spec, grid, t, mode)(real)
-        assert np.any(alone != 0.0)
-        x = radius.level + alone
-        expected = radius.scale * (x if radius.link is None else radius.link(x))
-        assert np.array_equal(profiles[i], expected), (name, t)
+    # a Poisson plan's terms read their own rows' counts or blocks' points
+    for i, t in enumerate(sorted(times)):
+        assert np.any(_Plan(spec, grid, [t]).sampler.values(seed)[0] != 0.0)
+        assert np.array_equal(profiles[i], simulate(spec, grid, seed, [t]).profiles[0]), (name, t)
 
 
 @settings(max_examples=12, deadline=None)
 @given(name=st.sampled_from(["ex3", "ex4-poisson"]), seed=st.integers(0, 2**64 - 1))
 def test_block_by_block_point_sums_equal_each_term_on_the_full_draw(name, seed):
     # the plan draws only its point blocks' rows and places their points block
-    # by block; each term alone reads every point of the full draw
-    from levygrowth.growth import _Plan, _term
+    # by block; each time's brute-force sum reads every point of the full draw
+    from levygrowth.growth import _Plan
 
     spec, grid, times = _multi_time_case(name)
     if name == "ex3":  # 42 rows: the last point block has 2
@@ -480,20 +503,20 @@ def test_block_by_block_point_sums_equal_each_term_on_the_full_draw(name, seed):
     mode = "rate" if spec.kind == "rate_linear" else "direct"
     plan = _Plan(spec, grid, times)
     got = plan.profiles(seed)
-    real = sample_realization(spec.basis, grid, seed)
+    points = sample_realization(spec.basis, grid, seed).points()
     for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
-        want = radius(_term(spec, grid, t, mode)(real))
+        want = radius(_point_sum_reference(spec, grid, points, t, mode))
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("kind", ["direct", "rate_linear"])
 @pytest.mark.parametrize("weight", ["constant", "cosine"])
-def test_a_term_on_a_full_poisson_realization_reads_the_plans_draw(weight, kind):
+def test_poisson_plans_sum_the_full_draws_points_or_counts(weight, kind):
     # A point plan places its blocks' points and a mesh plan counts its
-    # blocks' angles; a term called on the full realization reads its points
-    # or its counts, and gives the plan's values bit for bit.
+    # blocks' angles; each gives what the full realization's points sum to,
+    # or its counts correlate to with each time's whole-grid kernel.
     from levygrowth.circle_cov import FourierWeight
-    from levygrowth.growth import _MeshRows, _Plan, _PointSums, _term
+    from levygrowth.growth import _correlate_rows, _MeshRows, _Plan, _PointSums
 
     w = 0.7 if weight == "constant" else FourierWeight.constant_coeffs([0.7, 0.4])
     basis = BasisSpec(SpotLaw.poisson(), ControlMeasure(TimeDensity.linear(6.0)))
@@ -503,12 +526,37 @@ def test_a_term_on_a_full_poisson_realization_reads_the_plans_draw(weight, kind)
     plan = _Plan(spec, grid, times)
     assert isinstance(plan.sampler, _PointSums if weight == "constant" else _MeshRows)
     mode = "rate" if kind == "rate_linear" else "direct"
+    kernels = _mesh_kernels(spec, grid, plan.times)
     for seed in (0, 1, 2**63 + 5):
         values = plan.sampler.values(seed)
         real = sample_realization(basis, grid, seed)
         assert real.increments.sum() > 100
         for i, t in enumerate(plan.times):
-            assert np.array_equal(values[i], _term(spec, grid, t, mode)(real)), (seed, t)
+            if weight == "constant":
+                want = _point_sum_reference(spec, grid, real.points(), t, mode)
+            else:
+                want = _correlate_rows(real.increments, kernels[i], grid.n_phi)
+            assert _close(values[i], want), (seed, t)
+
+
+@pytest.mark.parametrize(
+    "name", ["ex3", "ex4", "ex4-rate", "ex5", "ex6", "tumour", "cosine-full-angle-poisson"]
+)
+def test_a_plan_without_times_has_the_sampler_of_its_spec(name):
+    # the sampler follows the spec, so a plan with no times draws nothing
+    # through the class a plan with times draws through
+    from levygrowth.growth import _Plan
+
+    if name == "cosine-full-angle-poisson":
+        spec, grid, times = _multi_time_case(name)
+    else:
+        preset = example_preset(name.removesuffix("-rate"))
+        spec, grid, times = preset.spec, preset.grid, preset.times
+        if name.endswith("-rate"):  # a cone plan in the rate mode
+            spec = replace(spec, kind="rate_linear")
+    assert simulate(spec, grid, 3, []).profiles.shape == (0, grid.n_phi)
+    assert simulate_replicates(spec, grid, 3, [], 2).shape == (2, 0, grid.n_phi)
+    assert type(_Plan(spec, grid, []).sampler) is type(_Plan(spec, grid, times).sampler)
 
 
 def test_point_sum_over_windows_without_points_is_zero():
@@ -616,7 +664,7 @@ def test_rate_kernel_matches_induced_weight_sum_gamma():
     )
     t = 3.5
     real = sample_realization(spec.basis, grid, 24)
-    got = _term(spec, grid, t, "rate")(real)
+    got = _read_rows(_term(spec, grid, t, "rate"), real, grid.n_phi)
     fbar = induced_weight(fam, 1.0, t, phi=0.0)
     ref = np.empty(grid.n_phi)
     theta = grid.phi_mids[None, :]
@@ -1017,7 +1065,7 @@ PLAN_FAMILIES = {
     st.sampled_from(["constant", "cosine"]),
 )
 def test_a_plans_terms_are_all_of_one_kind(kind, spot, family, weight):
-    # a plan draws all its terms with one sampler, chosen from its first term
+    # a plan draws all its terms with one sampler, chosen from its spec
     from levygrowth.circle_cov import FourierWeight
     from levygrowth.growth import _Plan, _PointTerm, _point_path
 
@@ -1196,9 +1244,9 @@ SEGMENT_FAMILIES = {
 def test_segment_draw_is_the_merged_law(spot, kind, family, cosine, cells, times, seed, n_reps):
     # a plan draws each segment as one row of cells of the summed measure
     # (the reference); a plan whose segments are single rows, and every
-    # Poisson plan, reads the full realization's rows bit for bit
+    # Poisson plan, draws the full realization's rows bit for bit
     from levygrowth.circle_cov import FourierWeight
-    from levygrowth.growth import _MeshRows, _Plan, _term
+    from levygrowth.growth import _correlate_rows, _MeshRows, _Plan
 
     weight = FourierWeight.constant_coeffs([0.7, 0.4]) if cosine or spot == "poisson" else 0.7
     basis = BasisSpec(SEGMENT_SPOTS[spot], ControlMeasure(TimeDensity.exponential(1.3, 0.2)))
@@ -1214,9 +1262,14 @@ def test_segment_draw_is_the_merged_law(spot, kind, family, cosine, cells, times
         assert _close(got, expected)
     if all(rows.size == 1 for rows in sampler.segments):
         real = sample_realization(basis, grid, seed)
-        mode = "rate" if kind == "rate_linear" else "direct"
-        for i, (t, radius) in enumerate(zip(plan.times, plan.radii)):
-            assert np.array_equal(got[i], radius(_term(spec, grid, t, mode)(real)))
+        if spot == "poisson":
+            drawn = sampler.placer.counts(seed, sampler.first)
+        else:
+            drawn = draw_rows(basis.spot, seed, sampler.first, sampler.mu, grid.n_phi)
+        assert np.array_equal(drawn, real.increments[sampler.first])
+        kernels = _mesh_kernels(spec, grid, plan.times)
+        for i, (radius, kernel) in enumerate(zip(plan.radii, kernels)):
+            assert _close(got[i], radius(_correlate_rows(real.increments, kernel, grid.n_phi)))
     else:
         assert spot != "poisson"
     replicates = simulate_replicates(spec, grid, seed, times, n_reps)
