@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,7 +21,7 @@ from .csvrows import csv_block, reprs
 from .cyclic import TWO_PI, arc_overlap_length, cyc_dist, wrap
 from .errors import AssumptionViolation, NonMonotoneRadius, RegionOutsideGrid
 from .levy_core import ControlMeasure, GridSpec
-from .quadrature import adaptive_simpson
+from .quadrature import kink_integral
 from .timefn import TimeFn
 
 
@@ -41,6 +40,10 @@ class AmbitFamily:
         """Angular half-width at slice ``s`` for apex time ``t``, in [0, pi]."""
         raise NotImplementedError
 
+    def kinks(self, t):
+        """Slices where ``half_width(t, .)`` has a known kink or jump."""
+        return ()
+
     # True when the angular part does not depend on the apex time, i.e. the
     # set factorizes into (time window) x (angle cone).
     factorizes = False
@@ -54,8 +57,10 @@ class AmbitFamily:
         out = in_window & (cyc_dist(theta, phi) <= hw)
         return out if out.ndim else bool(out)
 
-    def measure(self, t, control: ControlMeasure, tol=1e-10):
-        """mu(A_t(phi)); closed form where the geometry allows, else quadrature."""
+    def measure(self, t, control: ControlMeasure):
+        """mu(A_t(phi)); closed form where the geometry allows, else
+        :func:`~levygrowth.quadrature.kink_integral` of ``2 hw g`` at the
+        kinks of both, to 1e-10 of ``2 pi |int g| + 1``."""
         lo, hi = self.window(t)
         if hi <= lo:
             return 0.0
@@ -63,12 +68,9 @@ class AmbitFamily:
         closed = self._measure_closed_form(t, g)
         if closed is not None:
             return closed
-        scale = TWO_PI * abs(g.integral(lo, hi)) + 1.0
-
-        def integrand(s):
-            return 2.0 * float(self.half_width(t, s)) * float(g(s))
-
-        return adaptive_simpson(integrand, lo, hi, tol=tol * scale)
+        tol = 1e-10 * (TWO_PI * abs(g.integral(lo, hi)) + 1.0)
+        f = lambda s: 2.0 * self.half_width(t, s) * g(s)
+        return kink_integral(f, lo, hi, (*self.kinks(t), *g.kinks), tol)
 
     def _measure_closed_form(self, t, g: TimeFn):
         return None
@@ -122,6 +124,9 @@ class Rectangular(AmbitFamily):
     def half_width(self, t, s):
         return np.minimum(np.asarray(self.theta(s), dtype=float), np.pi)
 
+    def kinks(self, t):
+        return self.theta.kinks
+
     def _measure_closed_form(self, t, g):
         if self.theta.is_constant:
             lo, hi = self.window(t)
@@ -154,6 +159,9 @@ class WedgeOverS(AmbitFamily):
             hw = np.where(s > 0, self.theta / np.maximum(s, 1e-300), np.inf)
         return np.minimum(hw, np.pi)
 
+    def kinks(self, t):
+        return (self.theta / np.pi,)  # where Theta / s reaches pi
+
     def describe(self):
         return {"family": "wedge_over_s", "theta": self.theta, "T": self.T}
 
@@ -176,20 +184,18 @@ class BoundaryFn(AmbitFamily):
         return (float(ht(np.pi)), t)
 
     def half_width(self, t, s):
+        """pi up to ``h_t(pi)``, 0 above ``h_t(0)``, else the largest angle
+        with ``h_t >= s``, by 60 bisections of every slice at once."""
         ht = self._ht(t)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        lo_val = float(ht(np.pi))
-        top = float(ht(0.0))
-        out = np.empty(s_arr.shape)
-        flat_in, flat_out = s_arr.ravel(), out.ravel()
-        for i, si in enumerate(flat_in):
-            if si <= lo_val:
-                flat_out[i] = np.pi
-            elif si > top:
-                flat_out[i] = 0.0
-            else:
-                flat_out[i] = _invert_decreasing(ht, si)
-        return out if np.asarray(s).ndim else float(out[0])
+        s = np.asarray(s, dtype=float)
+        a, b = np.zeros(s.shape), np.full(s.shape, np.pi)
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            above = np.asarray(ht(mid), dtype=float) >= s
+            a, b = np.where(above, mid, a), np.where(above, b, mid)
+        inside = np.where(s > float(ht(0.0)), 0.0, 0.5 * (a + b))
+        out = np.where(s <= float(ht(np.pi)), np.pi, inside)
+        return out if out.ndim else float(out)
 
     def contains(self, t, phi, theta, s):
         # Direct predicate; avoids the numeric inversion of h.
@@ -202,20 +208,6 @@ class BoundaryFn(AmbitFamily):
 
     def describe(self):
         return {"family": "boundary_fn", "h": getattr(self.h, "__name__", "h")}
-
-
-def _invert_decreasing(f, target, lo=0.0, hi=np.pi, iters=60):
-    """Largest x in [lo, hi] with f(x) >= target, for decreasing f."""
-    if float(f(hi)) >= target:
-        return hi
-    a, b = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if float(f(mid)) >= target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -253,6 +245,9 @@ class Tumour(AmbitFamily):
         shrink = np.clip(0.5 * phi0 * (1.0 - (s - t + t0) / t0), 0.0, np.pi)
         return np.where(s <= mid, np.pi, shrink)
 
+    def kinks(self, t):
+        return (self.band_split(t)[1],)
+
     def describe(self):
         return {
             "family": "tumour",
@@ -285,15 +280,16 @@ def intersection_measure(
     control: ControlMeasure,
     *,
     method="auto",
-    tol_factor=1e-8,
 ):
     """mu(A_t1(phi1) ∩ A_t2(phi2)).
 
     Uses closed forms for full-angle windows and for equal-time
     self-intersections of boundary-profile sets; the generic path integrates
-    the exact arc-overlap length over the shared time window with adaptive
-    Simpson to absolute tolerance ``tol_factor * mu(A_t1)``, and
-    ``method='quadrature'`` takes it in every case.
+    the exact arc-overlap length over the shared time window with
+    :func:`~levygrowth.quadrature.kink_integral` at the kinks of both
+    half-widths and of ``g`` (not where the overlap starts to grow, which
+    its halving finds) to 1e-8 of ``mu(A_t1)``; ``method='quadrature'``
+    takes that path in every case.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown intersection-measure method {method!r}")
@@ -311,17 +307,13 @@ def intersection_measure(
             return family.measure(t1, control)
         if isinstance(family, BoundaryFn) and t1 == t2:
             return self_intersection_measure(family._ht(t1), g, delta)
-    scale = family.measure(t1, control) + 1e-300
-
-    def integrand(s):
-        w1 = float(family.half_width(t1, s))
-        w2 = float(family.half_width(t2, s))
-        return float(arc_overlap_length(delta, w1, w2)) * float(g(s))
-
-    return adaptive_simpson(integrand, s_lo, s_hi, tol=tol_factor * scale)
+    tol = 1e-8 * (family.measure(t1, control) + 1e-300)
+    hw = family.half_width
+    f = lambda s: arc_overlap_length(delta, hw(t1, s), hw(t2, s)) * g(s)
+    return kink_integral(f, s_lo, s_hi, (*family.kinks(t1), *family.kinks(t2), *g.kinks), tol)
 
 
-def self_intersection_measure(h, g: TimeFn, phi, tol=1e-10):
+def self_intersection_measure(h, g: TimeFn, phi):
     """Overlap measure of a boundary-profile set with its own rotation.
 
     For a set bounded above by the even decreasing profile ``h`` and control
@@ -331,16 +323,17 @@ def self_intersection_measure(h, g: TimeFn, phi, tol=1e-10):
         2 * int_{-pi}^{-pi + phi/2} hbar  +  2 * int_{phi/2}^{pi} hbar
             - 2*pi * hbar(pi)
 
-    evaluated here by adaptive quadrature; symmetric in ``phi -> -phi``.
+    evaluated here by :func:`~levygrowth.quadrature.kink_integral` to 1e-10
+    of ``2 pi (|hbar(0)| + |hbar(pi)|) + 1``; symmetric in ``phi -> -phi``.
     """
     a = abs(float(wrap(phi)))
 
     def hbar(x):
-        return float(g.integral(0.0, float(h(abs(x)))))
+        return g.integral(0.0, h(np.abs(x)))
 
-    scale = TWO_PI * (abs(hbar(0.0)) + abs(hbar(np.pi))) + 1.0
-    first = adaptive_simpson(hbar, -np.pi, -np.pi + a / 2.0, tol=tol * scale)
-    second = adaptive_simpson(hbar, a / 2.0, np.pi, tol=tol * scale)
+    tol = 1e-10 * (TWO_PI * (abs(hbar(0.0)) + abs(hbar(np.pi))) + 1.0)
+    first = kink_integral(hbar, -np.pi, -np.pi + a / 2.0, (), tol)
+    second = kink_integral(hbar, a / 2.0, np.pi, (), tol)
     return 2.0 * first + 2.0 * second - TWO_PI * hbar(np.pi)
 
 
@@ -489,20 +482,6 @@ def check_union_window_start(family: AmbitFamily, t_grid, floor=-np.inf):
             f"the ambit window start t - T(t) decreases after t = {t_grid[drops[0]]:g}; "
             "the time-union length needs it non-decreasing"
         )
-
-
-def check_monotone_window_start(family: AmbitFamily, t_grid):
-    """Warn when t - T(t) decreases somewhere (breaks the independence split)."""
-    try:
-        check_union_window_start(family, t_grid)
-    except AssumptionViolation:
-        warnings.warn(
-            "ambit window start t - T(t) is not non-decreasing; "
-            "past/future independence split does not apply",
-            stacklevel=2,
-        )
-        return False
-    return True
 
 
 def induced_weight(family: AmbitFamily, weight, t, phi=0.0, *, method="auto", step=None):

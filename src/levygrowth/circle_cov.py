@@ -30,7 +30,7 @@ import numpy as np
 
 from .cyclic import TWO_PI, cyc_dist, wrap
 from .errors import AssumptionViolation, NegativeTargetCoefficient
-from .quadrature import adaptive_simpson
+from .quadrature import kink_integral
 from .timefn import TimeFn
 from . import ambit as _ambit
 
@@ -123,10 +123,12 @@ def harmonic_cov(weight: FourierWeight, g: TimeFn, T, t1, t2, k):
     and the window mass ``g.integral`` are computed once per time pair,
     whatever the number of orders.  Exact when the coefficients are
     slice-independent (a table with one row per order and one column per
-    distinct time, each entry evaluated once), adaptive Simpson per element
-    otherwise.  Zero where the windows do not overlap or the order exceeds
-    the truncation.  Every element equals its one-order, one-pair value bit
-    for bit; scalar inputs give a float.
+    distinct time, each entry evaluated once), otherwise
+    :func:`~levygrowth.quadrature.kink_integral` per element, split at the
+    kinks of ``g``, to 1e-12 of the window mass plus 1.  Zero where the
+    windows do not overlap or the order exceeds the truncation.  Every
+    element equals its one-order, one-pair value bit for bit; scalar inputs
+    give a float.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     k = np.asarray(k)
@@ -146,13 +148,9 @@ def harmonic_cov(weight: FourierWeight, g: TimeFn, T, t1, t2, k):
             ks, x1s, x2s, los, his, masses = np.broadcast_arrays(k, t1, t2, lo, hi, mass)
             for i in np.flatnonzero(todo):
                 order, x1, x2 = ks.flat[i].item(), x1s.flat[i], x2s.flat[i]
-
-                def integrand(s):
-                    c1 = weight.coef(order, x1, np.asarray(s))
-                    return float(c1 * weight.coef(order, x2, np.asarray(s)) * g(s))
-
+                f = lambda s: weight.coef(order, x1, s) * weight.coef(order, x2, s) * g(s)
                 s_lo, s_hi, tol = los.flat[i], his.flat[i], 1e-12 * (abs(masses.flat[i]) + 1.0)
-                out.flat[i] = math.pi * adaptive_simpson(integrand, s_lo, s_hi, tol=tol)
+                out.flat[i] = math.pi * kink_integral(f, s_lo, s_hi, g.kinks, tol)
         elif np.any(live):
             times, at = np.unique(np.stack([t1[live], t2[live]]), return_inverse=True)
             # not np.unique: without an inverse it imports numpy.ma, tens of ms

@@ -54,7 +54,7 @@ class InsufficientData(LevyGrowthError):
 
 
 class NonConvergence(LevyGrowthError):
-    """Optimizer hit its iteration cap or the problem is underdetermined."""
+    """An optimizer or quadrature hit its cap, or the problem is underdetermined."""
 
 
 class InfeasibleBounds(LevyGrowthError):

@@ -79,27 +79,6 @@ def radial_fourier(profile, angles=None, k_max=None) -> FourierSeries:
     return FourierSeries(cos_coef, sin_coef)
 
 
-def parseval_gap(series: FourierSeries, profile):
-    """Relative gap between the profile's mean square and its coefficient sum.
-
-    With this module's normalization the mean of ``profile**2`` equals
-    ``A_0**2 / 4 + (1/2) sum_{k>=1} (A_k**2 + B_k**2)`` for band-limited
-    profiles.
-    """
-    profile = np.asarray(profile, dtype=float)
-    lhs = float(np.mean(profile**2))
-    rhs = 0.25 * series.cos_coef[0] ** 2 + 0.5 * float(
-        np.sum(series.cos_coef[1:] ** 2 + series.sin_coef[1:] ** 2)
-    )
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
-
-
-def series_for_history(history, k_max):
-    """Coefficient arrays (n_times, k_max + 1) for each history time."""
-    fs = radial_fourier(history.profiles, history.angles, k_max)
-    return fs.cos_coef, fs.sin_coef
-
-
 def fourier_cov_structure(weight: FourierWeight, g: TimeFn, ambit, t1, t2, k, j):
     """Cross-covariances of coefficient processes under a full-angle model.
 

@@ -86,7 +86,6 @@ from .ambit import (
     ConstantWeight,
     Rectangular,
     Tumour,
-    WedgeOverS,
     as_weight,
     check_covered,
     check_union_window_start,
@@ -106,7 +105,7 @@ from .levy_core import (
     draw_rows,
     sample_realization,
 )
-from .quadrature import adaptive_simpson, tanh_sinh
+from .quadrature import kink_integral, tanh_sinh
 from .rngtools import POINT_BLOCK, mix_seed, seeded_generator
 from .timefn import TimeFn
 
@@ -641,9 +640,10 @@ class _ConeLaw:
     :func:`~levygrowth.cyclic.arc_overlap_length` ``(d, theta, theta)``, and
     ``M`` (``mass``) is ``int g`` over the intersection of the two windows
     (``"direct"`` mode) or ``int L(s, t) L(s, u) g(s) ds`` (``"rate"``, ``L``
-    the window length in the time union, integrated on
-    :func:`_union_nodes`).  A profile at the n grid angles then has, per
-    harmonic k = 0..n/2, coefficients complex normal across the times with
+    the window length in the time union, by
+    :func:`~levygrowth.quadrature.tanh_sinh` on :func:`_union_span`).  A
+    profile at the n grid angles then has, per harmonic k = 0..n/2,
+    coefficients complex normal across the times with
     covariance ``n kappa2 c^2 a(k) M``, ``a`` (``spectrum``) the ``rfft`` of
     ``ov`` at the grid lags, independent over k and real at the real
     harmonics: circulant embedding, which on the circle needs no padding
@@ -668,7 +668,7 @@ class _ConeLaw:
             self.mass = g.integral(np.maximum.outer(starts, starts), np.minimum.outer(times, times))
             integrals = [(family.measure(t, spec.basis.control),) * 2 for t in times]
         else:
-            s, w = _union_nodes(spec, grid, times)
+            s, w = tanh_sinh(*_union_span(spec, grid, times))
             lengths = _ambit.window_length_in_union(family, s[:, None], times)
             weighted = lengths * (w * g(s))[:, None]
             # einsum, not a BLAS product: on 2 CPUs a two-thread gemm of
@@ -695,20 +695,23 @@ class _ConeLaw:
         return np.fft.irfft(coeffs, n=self.n_phi, axis=1) + self.mean
 
 
-def _union_nodes(spec, grid, times):
-    """:func:`~levygrowth.quadrature.tanh_sinh` nodes and weights over the
-    slices below the last of the (sorted, nonempty) ``times``, from the lowest slice the grid and
-    the control density reach, split where the time-union lengths ``L(s,
-    t)`` of the ``times`` or the density ``g`` have kinks: at 0, at the
-    window starts of 0 and of each time, at each time, and at the ends and
-    nodes of ``g``."""
+def _union_span(spec, grid, times):
+    """``(lo, hi, kinks)``: the slices from the lowest the grid and the
+    control density reach up to the last of the (sorted, nonempty)
+    ``times``, and the kinks of the rate terms' integrands, those of the
+    half-width, of ``g`` and of the time-union lengths ``L(s, t)``: 0, each
+    ``t``, the window starts of apexes 0 and ``t``, and ``u - T(u)`` at each
+    node ``u`` of a table or step lag (both sides of a step)."""
     family, g = spec.ambit, spec.basis.control.g
-    lo, hi = max(grid.t_min, g.support[0]), float(times[-1])
-    kinks = {0.0, family.window(0.0)[0], *g.support, *times}
-    kinks.update(family.window(t)[0] for t in times)
-    if g.kind in ("table", "step"):
-        kinks.update(g.params[0])
-    return tanh_sinh([lo, *sorted(k for k in kinks if lo < k < hi), hi])
+    kinks = {0.0, family.window(0.0)[0], *g.kinks}
+    for t in times:
+        kinks.update((t, family.window(t)[0], *family.kinks(t)))
+    T = getattr(family, "T", None)
+    if isinstance(T, TimeFn) and T.kind in ("table", "step"):
+        kinks.update(u - v for u, v in zip(*T.params))
+        if T.kind == "step":  # the value each node replaces
+            kinks.update(u - v for u, v in zip(T.params[0][1:], T.params[1]))
+    return max(grid.t_min, g.support[0]), float(times[-1]), kinks
 
 
 def _rate_kernel(spec, grid, t, rows=None):
@@ -737,22 +740,19 @@ def _point_path(spec, mode):
 
 def _union_integrals(spec, grid, t):
     """``int 2 hw(t, s) L(s)^p g(s) ds`` for p = 1, 2, with ``L`` the window
-    length in the time union, integrated between the kinks of ``hw`` and
-    ``L``."""
+    length in the time union, by :func:`~levygrowth.quadrature.kink_integral`
+    on the :func:`_union_span` of ``t``, to 1e-12 of
+    ``2 pi (t - lo)^p int g + 1``."""
     family, g = spec.ambit, spec.basis.control.g
-    lo = max(grid.t_min, g.support[0])
-    kinks = {family.window(0.0)[0], 0.0, family.window(t)[0]}
-    if isinstance(family, WedgeOverS):
-        kinks.add(family.theta / np.pi)
-    edges = [lo, *sorted(k for k in kinks if lo < k < t), t]
+    lo, hi, kinks = _union_span(spec, grid, [t])
 
     def integral(p):
         def f(s):
-            length = float(_ambit.window_length_in_union(family, s, t))
-            return 2.0 * float(family.half_width(t, s)) * length**p * float(g(s))
+            length = _ambit.window_length_in_union(family, s, t)
+            return 2.0 * family.half_width(t, s) * length**p * g(s)
 
         tol = 1e-12 * (TWO_PI * abs(t - lo) ** p * float(g.integral(lo, t)) + 1.0)
-        return sum(adaptive_simpson(f, a, b, tol=tol) for a, b in zip(edges, edges[1:]))
+        return kink_integral(f, lo, hi, kinks, tol)
 
     return integral(1), integral(2)
 

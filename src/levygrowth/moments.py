@@ -6,9 +6,9 @@ weights and ambit indicators at cell midpoints and exact cell measures, the
 kernels :func:`levygrowth.ambit.mesh_kernel` builds for the simulator.
 Cumulants of the Levy basis add over cells, so moments come from
 :func:`levygrowth.levy_core.cumulant_sum` and exponential moments from
-:func:`levygrowth.levy_core.log_laplace_sum`.  A ``fine`` query re-evaluates
-on a refined mesh to quantify the discretization bias, and ``angle_exact``
-gives a constant weight's continuum mean and variance.
+:func:`levygrowth.levy_core.log_laplace_sum`.  A query on a refined grid
+(the CLI's ``--fine``) quantifies the discretization bias against the
+continuum, ``constant_weight_cumulant`` of the ambit measure.
 
 :func:`mc_verify` draws replicates on the same mesh, so a z-score tests only
 the sampling; they are consecutive draws of one generator of the check's seed.
@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ambit import AmbitFamily, ConstantWeight, as_weight, check_covered, mesh_kernel
+from .ambit import AmbitFamily, as_weight, check_covered, mesh_kernel
 from .levy_core import (
     BasisSpec,
     GridSpec,
     check_kumulant_domain,
-    constant_weight_cumulant,
     cumulant_sum,
     draw_cells,
     kumulant_array,
@@ -66,10 +65,6 @@ class MomentQuery:
         for t, _ in self.points:
             check_covered(self.ambit, self.basis.control, self.grid, t)
 
-    def fine(self, factor=4):
-        """Same query on a mesh refined by ``factor`` in both axes."""
-        return replace(self, grid=self.grid.refined(factor, factor))
-
     def _drift_at(self, idx):
         if self.drift is None:
             return 0.0
@@ -100,28 +95,20 @@ def _exp_moment(query, lambdas):
     return math.exp(log_laplace_sum(spot, mu, lambdas, query.kernels))
 
 
-def _single_point_cumulant(query, p, angle_exact, name):
+def _single_point_cumulant(query, p, name):
     if len(query.points) != 1:
         raise ValueError(f"{name} expects exactly one evaluation point")
-    if not angle_exact:
-        return _cumulant(query, *(0,) * p)
-    if not isinstance(query.weight, ConstantWeight):
-        raise ValueError("angle-exact mode supports constant weights only")
-    t, _ = query.points[0]
-    measure = query.ambit.measure(t, query.basis.control)
-    return constant_weight_cumulant(query.basis.spot, float(query.weight.c), measure, p)
+    return _cumulant(query, *(0,) * p)
 
 
-def mean_linear(query: MomentQuery, *, angle_exact=False):
-    """Mean of the linear field at the single query point (drift included);
-    with ``angle_exact``, a constant weight's continuum value."""
-    return query._drift_at(0) + _single_point_cumulant(query, 1, angle_exact, "mean_linear")
+def mean_linear(query: MomentQuery):
+    """Mean of the linear field at the single query point (drift included)."""
+    return query._drift_at(0) + _single_point_cumulant(query, 1, "mean_linear")
 
 
-def var_linear(query: MomentQuery, *, angle_exact=False):
-    """Variance of the linear field at the single query point; with
-    ``angle_exact``, a constant weight's continuum value."""
-    return _single_point_cumulant(query, 2, angle_exact, "var_linear")
+def var_linear(query: MomentQuery):
+    """Variance of the linear field at the single query point."""
+    return _single_point_cumulant(query, 2, "var_linear")
 
 
 def cov_linear(query: MomentQuery):

@@ -92,7 +92,7 @@ class TimeFn:
 
     @staticmethod
     def of(x):
-        """Coerce floats, TimeFns and callables to a TimeFn."""
+        """Coerce floats, TimeFns and (vectorized) callables to a TimeFn."""
         if isinstance(x, TimeFn):
             return x
         if callable(x):
@@ -219,23 +219,30 @@ class TimeFn:
             rel = np.where(x == 0.0, 1.0, np.expm1(x) / x)
         return eta * t * rel
 
+    @property
+    def kinks(self):
+        """Abscissae where the function or its slope may jump: the finite
+        support ends and the nodes of a table or step."""
+        knots = [s for s in self.support if math.isfinite(s)]
+        if self.kind in ("table", "step"):
+            knots += self.params[0]
+        return knots
+
     def max_on(self, a, b):
         """Upper bound of the function on each interval [a[i], b[i]].
 
-        The larger end value, raised to any node value or support end inside
-        the interval: exact for every kind but gompertz and callables, which
-        need not be monotone between nodes and raise ``ValueError``.
+        The larger end value, raised to the value at any of the :attr:`kinks`
+        inside the interval: exact for every kind but gompertz and callables,
+        which need not be monotone between nodes and raise ``ValueError``.
         """
         if self.kind in ("gompertz", "callable"):
             raise ValueError(f"max_on needs a monotone kind, not {self.kind!r}")
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         out = np.maximum(self(a), self(b))
-        knots = [s for s in self.support if math.isfinite(s)]
-        if self.kind in ("table", "step"):
-            knots += self.params[0]
-        if knots:
-            k = np.asarray(knots)[:, None]
+        kinks = self.kinks
+        if kinks:
+            k = np.asarray(kinks)[:, None]
             inside = (k >= a) & (k <= b)
             out = np.maximum(out, np.where(inside, self(k), -np.inf).max(axis=0))
         return out

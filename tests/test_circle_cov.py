@@ -25,7 +25,7 @@ from levygrowth.circle_cov import (
 )
 from levygrowth.errors import AssumptionViolation, NegativeTargetCoefficient
 from levygrowth.levy_core import TimeDensity
-from levygrowth.quadrature import adaptive_simpson
+from levygrowth.quadrature import adaptive_simpson, kink_integral
 from levygrowth.timefn import TimeFn
 
 UNIT = TimeDensity.constant(1.0)
@@ -82,10 +82,10 @@ def _scalar_reference(weight, g, T, t1, t2, k):
         return math.pi * a1 * a2 * float(g.integral(lo, hi))
 
     def integrand(s):
-        return float(weight.coef(k, t1, np.asarray(s)) * weight.coef(k, t2, np.asarray(s)) * g(s))
+        return weight.coef(k, t1, s) * weight.coef(k, t2, s) * g(s)
 
     tol = 1e-12 * (abs(g.integral(lo, hi)) + 1.0)
-    return math.pi * adaptive_simpson(integrand, lo, hi, tol=tol)
+    return math.pi * kink_integral(integrand, lo, hi, g.kinks, tol)
 
 
 LAGS = {"constant": 2.5, "short": 1.0, "proportional": TimeFn.proportional(0.3)}

@@ -12,13 +12,12 @@ from levygrowth.ambit import FullAngle, Rectangular
 from levygrowth.circle_cov import FourierWeight, harmonic_cov
 from levygrowth.errors import AliasError, AssumptionViolation, SingularCovariance
 from levygrowth.fourier_radial import (
+    FourierSeries,
     _reduce_series,
     _score_series,
     fourier_cov_structure,
     gaussian_loglik,
-    parseval_gap,
     radial_fourier,
-    series_for_history,
 )
 from levygrowth.growth import GrowthModelSpec, Drift, simulate_replicates
 from levygrowth.levy_core import (
@@ -31,6 +30,27 @@ from levygrowth.levy_core import (
 from levygrowth.timefn import TimeFn
 
 TWO_PI = 2 * math.pi
+
+
+def parseval_gap(series: FourierSeries, profile):
+    """Relative gap between the profile's mean square and its coefficient sum.
+
+    With this module's normalization the mean of ``profile**2`` equals
+    ``A_0**2 / 4 + (1/2) sum_{k>=1} (A_k**2 + B_k**2)`` for band-limited
+    profiles.
+    """
+    profile = np.asarray(profile, dtype=float)
+    lhs = float(np.mean(profile**2))
+    rhs = 0.25 * series.cos_coef[0] ** 2 + 0.5 * float(
+        np.sum(series.cos_coef[1:] ** 2 + series.sin_coef[1:] ** 2)
+    )
+    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+def series_for_history(history, k_max):
+    """Coefficient arrays (n_times, k_max + 1) for each history time."""
+    fs = radial_fourier(history.profiles, history.angles, k_max)
+    return fs.cos_coef, fs.sin_coef
 UNIT = TimeDensity.constant(1.0)
 
 

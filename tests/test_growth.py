@@ -1017,6 +1017,61 @@ def test_cone_rate_mass_matches_scalar_quadrature(density, lag):
             assert abs(2 * min(theta, math.pi) * mass[i, i] - union) <= 1e-12 * union
 
 
+def _union_length_with_nodes(lag, s, t):
+    """``L(s, t)`` for a table or step lag whose window start ``u - T(u)``
+    does not decrease: the last apex covering ``s`` inverts that start,
+    piecewise linear for a table (slope 1 past the last node) and, for a
+    step, the largest ``u`` of the last node interval with ``u - T(u) <= s``."""
+    nodes, values = (np.asarray(x) for x in lag.params)
+    if lag.kind == "table":
+        starts = nodes - values
+        upper = np.where(s <= starts[-1], np.interp(s, starts, nodes), s + values[-1])
+    else:
+        ends = np.append(nodes[1:], np.inf)
+        reach = [np.where(s + v >= u, np.minimum(s + v, end), -np.inf) for u, v, end in
+                 zip(nodes, values, ends)]
+        upper = np.max(reach, axis=0)
+    return np.clip(np.minimum(upper, t) - np.maximum(s, 0.0), 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "lag",
+    [TimeFn.table([0, 30, 60, 80], [0, 9, 6, 20]), TimeFn.step([0, 30, 60], [12, 5, 2])],
+    ids=["table", "step"],
+)
+def test_rate_moments_take_the_union_kinks_of_a_lag_with_nodes(lag):
+    # L(s, t) kinks at s = u - T(u) for each node u of the lag (on both sides
+    # of a step's jump), inside the window: missing them put the ex4 rate
+    # cone's variance 6.7e-4 low at t = 80 with the table lag
+    from levygrowth import growth
+
+    p = example_preset("ex4")
+    family = Rectangular(p.spec.ambit.theta, lag)
+    spec = replace(p.spec, kind="rate_linear", ambit=family)
+    plan = growth._Plan(spec, p.grid, p.times)
+    width = 2.0 * family.theta.value
+    poisson = replace(spec, basis=BasisSpec(SpotLaw.poisson(), spec.basis.control))
+    nodes, values = lag.params
+    kinks = {u - v for u, v in zip(nodes, values)}
+    if lag.kind == "step":  # the value each node replaces
+        kinks |= {u - v for u, v in zip(nodes[1:], values)}
+    refs = []
+    for i, t in enumerate(plan.times):
+        f = lambda s: float(_union_length_with_nodes(lag, np.asarray(s), t)) ** 2
+        refs.append(adaptive_simpson(f, 0.0, t, tol=1e-13 * t**3, min_intervals=64))
+        assert abs(plan.cone.mass[i, i] - refs[i]) <= 1e-10 * refs[i], t
+        assert abs(plan.radii[i].moments()[1] - width * refs[i]) <= 1e-10 * width * refs[i], t
+    for t, ref in zip(plan.times, refs):
+        # the point path's quadrature is split at every kink, so it needs no
+        # halving to find them
+        assert {k for k in kinks if 0.0 < k < t} <= growth._union_span(poisson, p.grid, [t])[2]
+        union = growth._union_integrals(poisson, p.grid, t)[1]
+        assert abs(union - width * ref) <= 1e-10 * width * ref, t
+    if lag.kind == "table":  # what `levygrowth moments` prints for this lag
+        got = [radius.moments()[1] for radius in plan.radii[1:]]
+        assert got == pytest.approx([115.2179105704, 391.2330051273], rel=1e-10)
+
+
 @pytest.mark.parametrize("name", ["ex4", "ex6", "ex4-rate"])
 def test_cone_plan_builds_no_mesh_kernel(monkeypatch, name):
     from levygrowth import growth

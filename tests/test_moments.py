@@ -1,6 +1,7 @@
 """Analytic moments of the linear/exponential fields and the MC harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from levygrowth.levy_core import (
     GridSpec,
     SpotLaw,
     TimeDensity,
+    constant_weight_cumulant,
 )
 from levygrowth.moments import (
     MomentQuery,
@@ -78,7 +80,8 @@ def test_wedge_mean_rate_angle_exact():
         [(75.0, 0.0)],
         grid=GridSpec(TWO_PI / 64, 0.25, 0.0, 80.0),
     )
-    assert mean_linear(q, angle_exact=True) == pytest.approx(10.0, abs=1e-7)
+    measure = q.ambit.measure(75.0, q.basis.control)
+    assert constant_weight_cumulant(q.basis.spot, 1.0, measure, 1) == pytest.approx(10.0, abs=1e-7)
 
 
 def test_cov_disjoint_zero_and_matches_var_at_equal_points():
@@ -384,7 +387,7 @@ def test_fine_mesh_reduces_discretization_gap():
     )
     continuum = fam.measure(4.1, control)
     coarse = var_linear(q)
-    fine = var_linear(q.fine(4))
+    fine = var_linear(replace(q, grid=q.grid.refined(4, 4)))
     assert abs(fine - continuum) < abs(coarse - continuum)
 
 
