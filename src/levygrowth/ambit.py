@@ -449,9 +449,9 @@ def _union_upper(family, s, t):
     if isinstance(family, WedgeOverS):
         # slices below 0 carry no mass for this family
         return np.where(s >= 0.0, np.minimum(s + family.T, t), s)
-    if isinstance(T, TimeFn) and T.kind == "constant":
+    if isinstance(T, TimeFn) and T.is_constant:
         return np.minimum(s + T.value, t)
-    if isinstance(T, TimeFn) and T.kind == "proportional":
+    if isinstance(T, TimeFn) and T.kind == "proportional" and T.support == (-math.inf, math.inf):
         c = T.params[0]
         if c >= 1.0:
             return np.full(s.shape, t)

@@ -699,16 +699,16 @@ def _union_span(spec, grid, times):
     """``(lo, hi, kinks)``: the slices from the lowest the grid and the
     control density reach up to the last of the (sorted, nonempty)
     ``times``, and the kinks of the rate terms' integrands, those of the
-    half-width, of ``g`` and of the time-union lengths ``L(s, t)``: 0, each
-    ``t``, the window starts of apexes 0 and ``t``, and ``u - T(u)`` at each
-    node ``u`` of a table or step lag (both sides of a step)."""
+    half-width, of ``g`` and of ``L(s, t)``: 0, each ``t``, the window
+    starts of apexes 0 and ``t``, and ``u - T(u)`` on both sides of each
+    kink ``u`` of the lag."""
     family, g = spec.ambit, spec.basis.control.g
     kinks = {0.0, family.window(0.0)[0], *g.kinks}
     for t in times:
         kinks.update((t, family.window(t)[0], *family.kinks(t)))
     T = getattr(family, "T", None)
-    if isinstance(T, TimeFn) and T.kind in ("table", "step"):
-        kinks.update(u - v for u, v in zip(*T.params))
+    if isinstance(T, TimeFn):  # past a support end T is 0: u - T(u) is u
+        kinks.update((u - float(T(u)) for u in T.kinks), T.support)
         if T.kind == "step":  # the value each node replaces
             kinks.update(u - v for u, v in zip(T.params[0][1:], T.params[1]))
     return max(grid.t_min, g.support[0]), float(times[-1]), kinks

@@ -353,6 +353,24 @@ def test_union_length_bisects_every_slice_as_one_slice_alone(lag, slices, t):
     assert np.abs(both - each).max() <= 1e-12 * t
 
 
+@pytest.mark.parametrize(
+    "lag, upper",
+    [
+        (TimeFn.constant(12.0).on(0.0, 50.0), lambda s: np.minimum(s + 12.0, 50.0)),
+        (TimeFn.proportional(0.3).on(0.0, 40.0), lambda s: np.minimum(s / 0.7, 40.0)),
+    ],
+    ids=["constant", "proportional"],
+)
+def test_union_length_of_a_lag_cut_at_its_support_end(lag, upper):
+    # past the support's end the lag is 0, so the last apex covering a slice
+    # stays at that end: the closed forms of the unbounded lags do not hold
+    family = Rectangular.of(0.3, lag)
+    s = np.linspace(-15.0, 90.0, 211)
+    for t in (30.0, 80.0):
+        want = np.maximum(0.0, np.minimum(upper(s), t) - np.maximum(s, 0.0))
+        assert np.abs(window_length_in_union(family, s, t) - want).max() <= 1e-12 * t
+
+
 def test_time_union_region_contains():
     family = Rectangular.of(0.5, TimeFn.constant(2.0))
     fbar = induced_weight(family, 1.0, 5.0)

@@ -1020,12 +1020,20 @@ def test_cone_rate_mass_matches_scalar_quadrature(density, lag):
 def _union_length_with_nodes(lag, s, t):
     """``L(s, t)`` for a table or step lag whose window start ``u - T(u)``
     does not decrease: the last apex covering ``s`` inverts that start,
-    piecewise linear for a table (slope 1 past the last node) and, for a
-    step, the largest ``u`` of the last node interval with ``u - T(u) <= s``."""
-    nodes, values = (np.asarray(x) for x in lag.params)
+    piecewise linear for a table (slope 1 past the last node, or held at
+    the end of a support that ends before the last node, past which the lag
+    is 0) and, for a step, the largest ``u`` of the last node interval with
+    ``u - T(u) <= s``."""
+    nodes, values = (np.asarray(x, dtype=float) for x in lag.params)
     if lag.kind == "table":
+        end = lag.support[1]
+        past = s + values[-1]
+        if end < nodes[-1]:
+            inside = nodes < end
+            nodes, values = np.append(nodes[inside], end), np.append(values[inside], lag(end))
+            past = np.maximum(s, end)
         starts = nodes - values
-        upper = np.where(s <= starts[-1], np.interp(s, starts, nodes), s + values[-1])
+        upper = np.where(s <= starts[-1], np.interp(s, starts, nodes), past)
     else:
         ends = np.append(nodes[1:], np.inf)
         reach = [np.where(s + v >= u, np.minimum(s + v, end), -np.inf) for u, v, end in
@@ -1036,13 +1044,18 @@ def _union_length_with_nodes(lag, s, t):
 
 @pytest.mark.parametrize(
     "lag",
-    [TimeFn.table([0, 30, 60, 80], [0, 9, 6, 20]), TimeFn.step([0, 30, 60], [12, 5, 2])],
-    ids=["table", "step"],
+    [
+        TimeFn.table([0, 30, 60, 80], [0, 9, 6, 20]),
+        TimeFn.step([0, 30, 60], [12, 5, 2]),
+        TimeFn.table([0, 30, 60, 80], [0, 9, 6, 20]).on(0, 70),
+    ],
+    ids=["table", "step", "table-on"],
 )
 def test_rate_moments_take_the_union_kinks_of_a_lag_with_nodes(lag):
     # L(s, t) kinks at s = u - T(u) for each node u of the lag (on both sides
-    # of a step's jump), inside the window: missing them put the ex4 rate
-    # cone's variance 6.7e-4 low at t = 80 with the table lag
+    # of a step's jump) and at both sides of a support end, where the lag
+    # drops to 0: missing them put the ex4 rate cone's variance 6.7e-4 low
+    # at t = 80 with the table lag, and its mass 7.3e-4 high on [0, 70]
     from levygrowth import growth
 
     p = example_preset("ex4")
@@ -1052,9 +1065,12 @@ def test_rate_moments_take_the_union_kinks_of_a_lag_with_nodes(lag):
     width = 2.0 * family.theta.value
     poisson = replace(spec, basis=BasisSpec(SpotLaw.poisson(), spec.basis.control))
     nodes, values = lag.params
-    kinks = {u - v for u, v in zip(nodes, values)}
+    end = lag.support[1]
+    kinks = {u - v for u, v in zip(nodes, values) if u <= end}
     if lag.kind == "step":  # the value each node replaces
         kinks |= {u - v for u, v in zip(nodes[1:], values)}
+    if math.isfinite(end):
+        kinks |= {end - float(lag(end)), end}
     refs = []
     for i, t in enumerate(plan.times):
         f = lambda s: float(_union_length_with_nodes(lag, np.asarray(s), t)) ** 2
@@ -1067,7 +1083,7 @@ def test_rate_moments_take_the_union_kinks_of_a_lag_with_nodes(lag):
         assert {k for k in kinks if 0.0 < k < t} <= growth._union_span(poisson, p.grid, [t])[2]
         union = growth._union_integrals(poisson, p.grid, t)[1]
         assert abs(union - width * ref) <= 1e-10 * width * ref, t
-    if lag.kind == "table":  # what `levygrowth moments` prints for this lag
+    if lag.kind == "table" and math.isinf(end):  # what `levygrowth moments` prints for this lag
         got = [radius.moments()[1] for radius in plan.radii[1:]]
         assert got == pytest.approx([115.2179105704, 391.2330051273], rel=1e-10)
 
